@@ -1,6 +1,7 @@
 """Engine core timing: events and burst vs the naive loop (CI gate).
 
-Times identical runs under all three simulation engines and writes the
+Times identical runs under all three simulation engines (the fastest
+of three runs per engine, the engines taking turns) and writes the
 wall-clock numbers plus the *speedup ratios* (``speedup`` =
 naive/events, ``burst_speedup`` = naive/burst,
 ``burst_vs_events_speedup`` = events/burst) as JSON
@@ -187,13 +188,36 @@ def run_backend_case():
     }
 
 
+#: Runs per case and engine; the fastest one is kept.  Host contention
+#: only ever adds time, and the fast engines' runs are short enough
+#: (well under a second) that one slow run would move a ratio past its
+#: gate floor.
+REPEATS = 3
+
+
+def _fastest_runs(spec):
+    """engine -> (RunResult, seconds) of its fastest run.
+
+    The engines take turns, so a slow spell of the host falls on all
+    three rather than on one engine's back-to-back repeats.
+    """
+    best = {}
+    for _ in range(REPEATS):
+        for engine in ("events", "naive", "burst"):
+            run = _run_case(spec, engine)
+            if engine not in best or run[1] < best[engine][1]:
+                best[engine] = run
+    return best
+
+
 def run_cases():
     """Time every case under all three engines; returns the payload."""
     cases = {}
     for name, spec in CASES.items():
-        events, events_s = _run_case(spec, "events")
-        naive, naive_s = _run_case(spec, "naive")
-        burst, burst_s = _run_case(spec, "burst")
+        runs = _fastest_runs(spec)
+        events, events_s = runs["events"]
+        naive, naive_s = runs["naive"]
+        burst, burst_s = runs["burst"]
         for engine_name, other in (("events", events), ("burst", burst)):
             if (other.cycles != naive.cycles
                     or other.retired != naive.retired

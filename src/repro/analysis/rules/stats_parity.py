@@ -32,7 +32,8 @@ root.  ``root`` defaults to the installed ``repro`` package and is
 overridable so tests can point the rules at doctored source trees.
 
 The extraction is deliberately shape-based (receivers literally named
-``stats``/``ctx``/``process``, ``Stall.X`` attribute references): if a
+``stats``/``ctx``/``process``, ``Stall.X`` attribute references or
+module-level ``NAME = Stall.X`` aliases of them): if a
 refactor renames those locals, the rules fail loudly with a
 "could not locate" diagnostic rather than silently proving nothing.
 """
@@ -73,13 +74,42 @@ def _attr_base(node):
     return None
 
 
-def _mutations(func):
+def _stall_member(node, aliases):
+    """The Stall member ``node`` names, as ``Stall.X`` or through a
+    module-level alias; None for anything else."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "Stall"):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    return None
+
+
+def _stall_aliases(tree):
+    """Module-level ``NAME = Stall.X`` bindings, as {NAME: X}.
+
+    The per-cycle paths charge categories through such aliases (an enum
+    attribute load is slow on CPython 3.11), so the proofs must read
+    ``stats.add(BUSY)`` as the BUSY category, not a computed one.
+    """
+    aliases = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            member = _stall_member(stmt.value, {})
+            if member is not None:
+                for t in stmt.targets:
+                    if isinstance(t, ast.Name):
+                        aliases[t.id] = member
+    return aliases
+
+
+def _mutations(func, aliases):
     """Counter-mutation labels of one function body.
 
     ``('stats', attr)`` for ``stats.attr += ...``; ``('ctx', ...)`` /
     ``('process', ...)`` for the per-context/per-process counters; and
-    ``('stall', X)`` for ``stats.add(Stall.X, ...)`` (``'<dynamic>'``
-    when the category is computed).
+    ``('stall', X)`` for ``stats.add(Stall.X, ...)`` or an alias of it
+    (``'<dynamic>'`` when the category is computed).
     """
     muts = set()
     for node in ast.walk(func):
@@ -92,20 +122,16 @@ def _mutations(func):
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add"
                 and _attr_base(node.func) == "stats"):
-            arg = node.args[0] if node.args else None
-            if (isinstance(arg, ast.Attribute)
-                    and isinstance(arg.value, ast.Name)
-                    and arg.value.id == "Stall"):
-                muts.add(("stall", arg.attr))
-            else:
-                muts.add(("stall", "<dynamic>"))
+            member = (_stall_member(node.args[0], aliases)
+                      if node.args else None)
+            muts.add(("stall", member or "<dynamic>"))
     return muts
 
 
-def _stall_refs(node):
-    return {n.attr for n in ast.walk(node)
-            if isinstance(n, ast.Attribute)
-            and isinstance(n.value, ast.Name) and n.value.id == "Stall"}
+def _stall_refs(node, aliases):
+    refs = {_stall_member(n, aliases) for n in ast.walk(node)}
+    refs.discard(None)
+    return refs
 
 
 def _find_hazard_branch(func):
@@ -133,6 +159,7 @@ def check_stats_parity(root=None):
                            "stats-parity proof has nothing to check"
                            % root, path=_PARITY_FILE)]
     tree = _parse(path)
+    aliases = _stall_aliases(tree)
     diags = []
 
     retire = _find_func(tree, "_retire")
@@ -143,7 +170,8 @@ def check_stats_parity(root=None):
             "stats-parity extraction no longer matches processor.py",
             path=_PARITY_FILE))
     else:
-        for kind, name in sorted(_mutations(retire) - _mutations(burst)):
+        missing = _mutations(retire, aliases) - _mutations(burst, aliases)
+        for kind, name in sorted(missing):
             diags.append(Diagnostic(
                 "L401", "naive retire path mutates %s counter %r but "
                 "the burst bulk-add path (_try_burst) does not"
@@ -166,8 +194,8 @@ def check_stats_parity(root=None):
         return diags
     charged = set()
     for stmt in hazard.body:
-        charged |= _stall_refs(stmt)
-    covered = _stall_refs(skip) | _stall_refs(burst)
+        charged |= _stall_refs(stmt, aliases)
+    covered = _stall_refs(skip, aliases) | _stall_refs(burst, aliases)
     for name in sorted(charged - covered):
         diags.append(Diagnostic(
             "L402", "naive hazard branch charges Stall.%s but neither "

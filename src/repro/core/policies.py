@@ -32,6 +32,14 @@ unchanged), which :func:`make_policy` enforces.
 from repro.core.context import Status, NEVER
 from repro.pipeline.stalls import Stall
 
+# select() and idle_wake_info() run every cycle, so they read enum
+# members through module globals (see the note in repro.core.processor).
+RUNNING = Status.RUNNING
+DOOMED = Status.DOOMED
+WAITING = Status.WAITING
+SWITCH = Stall.SWITCH
+IDLE = Stall.IDLE
+
 
 class ContextPolicy:
     """Base class: slot selection + off-processor costs."""
@@ -67,7 +75,7 @@ class SinglePolicy(ContextPolicy):
 
     def select(self, contexts, now):
         ctx = contexts[0]
-        if ctx.status is Status.RUNNING or ctx.status is Status.DOOMED:
+        if ctx.status is RUNNING or ctx.status is DOOMED:
             return ctx
         return None
 
@@ -85,13 +93,13 @@ class BlockedPolicy(ContextPolicy):
 
     def select(self, contexts, now):
         ctx = contexts[self.current]
-        if ctx.status is Status.RUNNING or ctx.status is Status.DOOMED:
+        if ctx.status is RUNNING or ctx.status is DOOMED:
             return ctx
         # Current context is unavailable: rotate to the next ready one.
         n = self.n_contexts
         for step in range(1, n):
             cand = contexts[(self.current + step) % n]
-            if cand.status is Status.RUNNING:
+            if cand.status is RUNNING:
                 self.current = cand.cid
                 return cand
         return None
@@ -120,7 +128,7 @@ class InterleavedPolicy(ContextPolicy):
         start = self.pointer
         for step in range(n):
             cand = contexts[(start + step) % n]
-            if cand.status is Status.RUNNING or cand.status is Status.DOOMED:
+            if cand.status is RUNNING or cand.status is DOOMED:
                 # Strict round-robin: the *next* slot goes to the context
                 # after this one, whether or not this one manages to issue.
                 self.pointer = (cand.cid + 1) % n
@@ -165,20 +173,20 @@ def idle_wake_info(contexts):
     contexts halted/empty, or waiting on locks held elsewhere.
     """
     earliest = None
-    reason = Stall.IDLE
+    reason = IDLE
     for ctx in contexts:
-        if ctx.status is Status.WAITING and ctx.wake_at < NEVER:
+        if ctx.status is WAITING and ctx.wake_at < NEVER:
             if earliest is None or ctx.wake_at < earliest:
                 earliest = ctx.wake_at
                 reason = ctx.wake_reason
-        elif ctx.status is Status.DOOMED:
+        elif ctx.status is DOOMED:
             # Shouldn't happen (doomed contexts are selectable) but be safe.
             if earliest is None or ctx.doomed_detect < earliest:
                 earliest = ctx.doomed_detect
-                reason = Stall.SWITCH
+                reason = SWITCH
     if earliest is None:
         for ctx in contexts:
-            if ctx.status is Status.WAITING:
+            if ctx.status is WAITING:
                 # Waiting on a lock/barrier: woken externally.
                 return None, ctx.wake_reason
     return earliest, reason

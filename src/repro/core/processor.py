@@ -40,6 +40,28 @@ from repro.core.context import HardwareContext, Status, NEVER
 from repro.core.stats import CycleStats
 from repro.core.policies import make_policy, idle_wake_info
 
+# The per-cycle and per-instruction paths read enum members through
+# these module globals, never as ``Stall.X``/``Status.X``/``Op.X``: on
+# CPython 3.11 the enum metaclass defines ``__getattr__``, which sends
+# every enum attribute load down the slow generic lookup, about ten
+# times the cost of a global.  They are the same member objects, so
+# ``is`` tests, ``counts[...]`` indices and every statistic are
+# unchanged.
+BUSY = Stall.BUSY
+INST_SHORT = Stall.INST_SHORT
+INST_LONG = Stall.INST_LONG
+ICACHE = Stall.ICACHE
+DCACHE = Stall.DCACHE
+SYNC = Stall.SYNC
+SWITCH = Stall.SWITCH
+IDLE = Stall.IDLE
+EMPTY = Status.EMPTY
+RUNNING = Status.RUNNING
+DOOMED = Status.DOOMED
+WAITING = Status.WAITING
+HALTED = Status.HALTED
+LOCK_OPS = (Op.LOCK, Op.UNLOCK)
+
 
 class Processor:
     """An N-context processor attached to a memory system."""
@@ -63,7 +85,7 @@ class Processor:
         self.proc_id = proc_id
         self.stats = CycleStats()
         self.stall_until = 0
-        self.stall_category = Stall.ICACHE
+        self.stall_category = ICACHE
         #: Optional hook fired when a context executes HALT; the
         #: workstation simulator uses it to restart finite processes for
         #: continuous throughput measurement.
@@ -86,7 +108,7 @@ class Processor:
         # cycle through a known-idle window.
         self._parked_from = None
         self._parked_wake = 0
-        self._parked_reason = Stall.IDLE
+        self._parked_reason = IDLE
         # Burst-engine state: when enabled, straight-line runs whose
         # precompiled schedule is valid retire in one step (_try_burst)
         # and the processor is busy — fully accounted — until
@@ -117,8 +139,7 @@ class Processor:
         self.scoreboard.clear_context(slot)
 
     def all_halted(self):
-        return all(c.status in (Status.HALTED, Status.EMPTY)
-                   for c in self.contexts)
+        return all(c.status in (HALTED, EMPTY) for c in self.contexts)
 
     # -- simulation interface ----------------------------------------------------
 
@@ -153,9 +174,9 @@ class Processor:
                     self.trace(now, None, "idle")
                 continue
             idle = False
-            if ctx.status is Status.DOOMED:
+            if ctx.status is DOOMED:
                 ctx.doomed_count += 1
-                stats.add(Stall.SWITCH)
+                stats.add(SWITCH)
                 stats.squashed += 1
                 if self.trace is not None:
                     self.trace(now, ctx, "squash")
@@ -203,7 +224,7 @@ class Processor:
             return self.stall_until, self.stall_category
         self._update_contexts(now)
         for ctx in self.contexts:
-            if ctx.status is Status.RUNNING or ctx.status is Status.DOOMED:
+            if ctx.status is RUNNING or ctx.status is DOOMED:
                 return None
         return idle_wake_info(self.contexts)
 
@@ -278,10 +299,15 @@ class Processor:
         ``now`` wakes one of this processor's contexts.  For a parked
         processor the deferred window is settled with the pre-wake stall
         reason up to the cycle the wake becomes visible, then parking
-        resumes with the post-wake idle information — reproducing naive
-        stepping exactly: within a cycle processors step in id order, so
-        this processor observes the wake at ``now`` when it steps after
-        the waker and at ``now + 1`` otherwise.
+        resumes from there — reproducing naive stepping exactly: within
+        a cycle processors step in id order, so this processor observes
+        the wake at ``now`` when it steps after the waker and at
+        ``now + 1`` otherwise.  The resumed window is what stepping
+        would see from that boundary: a processor-wide stall window
+        still open (the blocked scheme's switch tail after a failed LOCK
+        or an unreleased BARRIER) keeps its end and category; a context
+        that can issue makes the processor due at once; otherwise the
+        post-wake idle information applies.
         """
         if self._parked_from is None:
             ctx.wake(wake_at)
@@ -294,24 +320,31 @@ class Processor:
         self.unpark(boundary)
         ctx.wake(wake_at)
         self._parked_from = boundary
-        self._parked_wake, self._parked_reason = \
-            idle_wake_info(self.contexts)
+        if boundary < self.stall_until:
+            self._parked_wake = self.stall_until
+            self._parked_reason = self.stall_category
+        elif any(c.status is RUNNING or c.status is DOOMED
+                 for c in self.contexts):
+            self._parked_wake = boundary
+        else:
+            self._parked_wake, self._parked_reason = \
+                idle_wake_info(self.contexts)
 
     # -- internals ---------------------------------------------------------------
 
     def _update_contexts(self, now):
         for ctx in self.contexts:
             status = ctx.status
-            if status is Status.WAITING:
+            if status is WAITING:
                 if ctx.wake_at <= now:
-                    ctx.status = Status.RUNNING
-            elif status is Status.DOOMED and now >= ctx.doomed_detect:
+                    ctx.status = RUNNING
+            elif status is DOOMED and now >= ctx.doomed_detect:
                 # WB-stage miss determination: squash and go unavailable.
                 self.stats.context_switches += 1
-                ctx.wait_until(max(ctx.doomed_completion, now), Stall.DCACHE)
+                ctx.wait_until(max(ctx.doomed_completion, now), DCACHE)
                 ctx.fetch_valid = False
                 if ctx.wake_at <= now:
-                    ctx.status = Status.RUNNING
+                    ctx.status = RUNNING
 
     def _enter_doomed(self, ctx, result, now):
         """A late-detected memory stall: squash-window entry (Table 4).
@@ -320,7 +353,7 @@ class Processor:
         which is satisfied directly from the MSHR fill data (no cache
         re-probe — see :attr:`HardwareContext.satisfied_pc`).
         """
-        self.stats.add(Stall.SWITCH)
+        self.stats.add(SWITCH)
         self.stats.squashed += 1
         self._end_run(ctx)
         ctx.enter_doomed(now + self.pp.miss_detect_offset + 1, result.ready)
@@ -344,7 +377,7 @@ class Processor:
         extra = self.policy.off_cost - 1
         if extra > 0:
             self.stall_until = now + 1 + extra
-            self.stall_category = Stall.SWITCH
+            self.stall_category = SWITCH
 
     def _retire(self, ctx, inst, now):
         """Functionally execute and commit ``inst`` for ``ctx``."""
@@ -356,7 +389,7 @@ class Processor:
         execute(state, inst, self.memory)
         self.scoreboard.issue(ctx.cid, inst, now)
         stats = self.stats
-        stats.add(Stall.BUSY)
+        stats.add(BUSY)
         stats.issued += 1
         stats.retired += 1
         ctx.run_instructions += 1
@@ -365,7 +398,7 @@ class Processor:
         ctx.fetch_valid = False
         if state.halted:
             self._end_run(ctx)
-            ctx.status = Status.HALTED
+            ctx.status = HALTED
             if ctx.process is not None:
                 ctx.process.finished_at = now
             if self.on_halt is not None:
@@ -412,11 +445,11 @@ class Processor:
             if other is ctx:
                 continue
             status = other.status
-            if status is Status.WAITING:
+            if status is WAITING:
                 if other.wake_at < end or (extern and
                                            other.wake_at >= NEVER):
                     return False
-            elif status is Status.RUNNING or status is Status.DOOMED:
+            elif status is RUNNING or status is DOOMED:
                 return False
         if not self.scoreboard.can_dispatch_burst(ctx.cid, burst, now):
             return False
@@ -432,11 +465,11 @@ class Processor:
         self.scoreboard.apply_burst_compiled(ctx.cid, now, burst)
         stats = self.stats
         n = burst.n
-        stats.add(Stall.BUSY, n)
+        stats.add(BUSY, n)
         if burst.short_stalls:
-            stats.add(Stall.INST_SHORT, burst.short_stalls)
+            stats.add(INST_SHORT, burst.short_stalls)
         if burst.long_stalls:
-            stats.add(Stall.INST_LONG, burst.long_stalls)
+            stats.add(INST_LONG, burst.long_stalls)
         stats.issued += n
         stats.retired += n
         ctx.run_instructions += n
@@ -507,17 +540,17 @@ class Processor:
             if other is ctx:
                 continue
             status = other.status
-            if status is Status.WAITING:
+            if status is WAITING:
                 if other.wake_at < tgt or (extern and
                                            other.wake_at >= NEVER):
                     return False
-            elif status is Status.RUNNING or status is Status.DOOMED:
+            elif status is RUNNING or status is DOOMED:
                 return False
         width = self.pp.issue_width
         n = tgt - now                       # stall cycles charged
         stats = self.stats
         if kind == "memory":
-            stats.add(Stall.DCACHE, slots_left + (n - 1) * width)
+            stats.add(DCACHE, slots_left + (n - 1) * width)
         else:
             # Cycle t of the window stalls short when until - t is at
             # most the threshold, long before that.  The first cycle
@@ -527,12 +560,12 @@ class Processor:
             if long_ > n:
                 long_ = n
             if long_ > 0:
-                stats.add(Stall.INST_LONG,
+                stats.add(INST_LONG,
                           slots_left + (long_ - 1) * width)
                 if n > long_:
-                    stats.add(Stall.INST_SHORT, (n - long_) * width)
+                    stats.add(INST_SHORT, (n - long_) * width)
             else:
-                stats.add(Stall.INST_SHORT, slots_left + (n - 1) * width)
+                stats.add(INST_SHORT, slots_left + (n - 1) * width)
         self.burst_until = tgt
         return True
 
@@ -540,7 +573,7 @@ class Processor:
         stats = self.stats
         if now < ctx.next_issue_min:
             # Redirect bubble after a branch mispredict.
-            stats.add(Stall.INST_SHORT)
+            stats.add(INST_SHORT)
             return
         state = ctx.state
         pc = state.pc
@@ -555,9 +588,9 @@ class Processor:
             if res.level != "l1":
                 # Blocking I-cache: the whole processor stalls, and no
                 # context switch happens (paper Section 4.1).
-                stats.add(Stall.ICACHE)
+                stats.add(ICACHE)
                 self.stall_until = res.ready
-                self.stall_category = Stall.ICACHE
+                self.stall_category = ICACHE
                 return
 
         # Register / functional-unit hazards.
@@ -567,11 +600,11 @@ class Processor:
                     ctx, now, until, kind, slots_left):
                 return
             if kind == "memory":
-                stats.add(Stall.DCACHE)
+                stats.add(DCACHE)
             elif until - now <= self.pp.short_stall_threshold:
-                stats.add(Stall.INST_SHORT)
+                stats.add(INST_SHORT)
             else:
-                stats.add(Stall.INST_LONG)
+                stats.add(INST_LONG)
             return
 
         # Dispatch on the decode-time issue kind (precomputed on the
@@ -612,21 +645,21 @@ class Processor:
             return True
         addr = ctx.state.regs[inst.rs1] + inst.imm
         res = self.memsys.data_access(addr, inst.info.is_store or
-                                      inst.op in (Op.LOCK, Op.UNLOCK),
+                                      inst.op in LOCK_OPS,
                                       now, self.proc_id)
         if res.level == "l1":
             return True
         if res.level == "tlb":
             # Software-refilled TLB: the handler runs in-line and
             # occupies the pipeline for every scheme.
-            self.stats.add(Stall.DCACHE)
+            self.stats.add(DCACHE)
             self.stall_until = res.ready
-            self.stall_category = Stall.DCACHE
+            self.stall_category = DCACHE
             return False
         if res.level == "mshr":
             # Structural stall: all MSHRs busy; retry when one frees.
-            self.stats.add(Stall.DCACHE)
-            ctx.wait_until(res.ready, Stall.DCACHE)
+            self.stats.add(DCACHE)
+            ctx.wait_until(res.ready, DCACHE)
             return False
         if self.policy.uses_doomed_window:
             self._enter_doomed(ctx, res, now)
@@ -643,8 +676,8 @@ class Processor:
             self._retire(ctx, inst, now)
             return False
         # LOCK/UNLOCK on the baseline: wait for the line, then operate.
-        self.stats.add(Stall.DCACHE)
-        ctx.wait_until(res.ready, Stall.DCACHE)
+        self.stats.add(DCACHE)
+        ctx.wait_until(res.ready, DCACHE)
         ctx.satisfied_pc = ctx.state.pc
         return False
 
@@ -675,10 +708,10 @@ class Processor:
             return
         # Lock held elsewhere: leave the processor until handoff.
         if self.policy.off_cost > 0:
-            self.stats.add(Stall.SWITCH)
+            self.stats.add(SWITCH)
             self._pay_off_cost(now)
         else:
-            self.stats.add(Stall.SYNC)
+            self.stats.add(SYNC)
         self._end_run(ctx)
         ctx.wait_on_lock(addr)
         ctx.fetch_valid = False
@@ -697,7 +730,7 @@ class Processor:
             if self.policy.off_cost > 0:
                 self._pay_off_cost(now)
             self._end_run(ctx)
-            ctx.wait_on_lock(None, Stall.SYNC)
+            ctx.wait_on_lock(None, SYNC)
             ctx.fetch_valid = False
 
     def _issue_backoff(self, ctx, inst, now):
@@ -706,12 +739,12 @@ class Processor:
             self._retire(ctx, inst, now)
             return
         execute(ctx.state, inst, self.memory)   # just advances the PC
-        self.stats.add(Stall.SWITCH)
+        self.stats.add(SWITCH)
         self.stats.issued += 1
         self.stats.backoffs += 1
         self._pay_off_cost(now)
         self._end_run(ctx)
-        ctx.wait_until(now + 1 + inst.imm, Stall.INST_LONG)
+        ctx.wait_until(now + 1 + inst.imm, INST_LONG)
         ctx.fetch_valid = False
 
     def _issue_switch(self, ctx, inst, now):
@@ -719,7 +752,7 @@ class Processor:
             self._retire(ctx, inst, now)
             return
         execute(ctx.state, inst, self.memory)
-        self.stats.add(Stall.SWITCH)
+        self.stats.add(SWITCH)
         self.stats.issued += 1
         self._pay_off_cost(now)
         self.policy.force_switch(self.contexts)

@@ -18,6 +18,11 @@ from repro.core.sync import SyncManager
 from repro.core.context import Status
 from repro.pipeline.stalls import Stall
 
+# The advance loops read enum members through module globals (see the
+# note in repro.core.processor).
+IDLE = Stall.IDLE
+RUNNING = Status.RUNNING
+
 
 class Process:
     """A software process: a program plus its persistent register state."""
@@ -137,7 +142,7 @@ class WorkstationSimulator:
         process.completions += 1
         process.state.pc = process.program.entry
         process.state.halted = False
-        ctx.status = Status.RUNNING
+        ctx.status = RUNNING
         ctx.fetch_valid = False
 
     def _load_group(self):
@@ -280,9 +285,9 @@ class WorkstationSimulator:
                 if idle is not None:
                     wake, reason = idle
                     if wake is None:
-                        if reason is Stall.IDLE:
+                        if reason is IDLE:
                             # Everything halted: idle out the window.
-                            proc.skip_idle(now, end, Stall.IDLE)
+                            proc.skip_idle(now, end, IDLE)
                             now = end
                             break
                         raise SimulationDeadlock(
@@ -326,8 +331,8 @@ class WorkstationSimulator:
                 if idle is not None:
                     wake, reason = idle
                     if wake is None:
-                        if reason is Stall.IDLE:
-                            proc.skip_idle(now, end, Stall.IDLE)
+                        if reason is IDLE:
+                            proc.skip_idle(now, end, IDLE)
                             now = end
                             break
                         raise SimulationDeadlock(

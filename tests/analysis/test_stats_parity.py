@@ -141,6 +141,51 @@ def test_l402_missing_hazard_branch_is_loud(tmp_path):
                for d in diags)
 
 
+# -- categories spelled through module-level aliases -----------------------
+
+_PROCESSOR_ALIASED = """
+BUSY = Stall.BUSY
+INST_SHORT = Stall.INST_SHORT
+INST_LONG = Stall.INST_LONG
+DCACHE = Stall.DCACHE
+""" + _PROCESSOR_OK.replace("Stall.", "")
+
+
+def test_aliased_tree_passes(tmp_path):
+    root = _tree(tmp_path, processor=_PROCESSOR_ALIASED)
+    assert check_stats_parity(root) == []
+    assert check_counter_registration(root) == []
+
+
+def test_l401_dropped_aliased_category(tmp_path):
+    broken = _PROCESSOR_ALIASED.replace("        stats.add(BUSY, n)\n", "")
+    diags = check_stats_parity(_tree(tmp_path, processor=broken))
+    assert any(d.code == "L401" and "BUSY" in d.message for d in diags)
+
+
+def test_l402_dropped_aliased_category(tmp_path):
+    broken = _PROCESSOR_ALIASED.replace(
+        "        stats.add(INST_LONG, 2)\n", "")
+    diags = check_stats_parity(_tree(tmp_path, processor=broken))
+    assert any(d.code == "L402" and "INST_LONG" in d.message
+               for d in diags)
+
+
+def test_real_tree_dropped_burst_busy_charge_fires_l401(tmp_path):
+    """The real processor charges through aliases; the proof must still
+    see each category, not read every charge as computed."""
+    import repro
+    from pathlib import Path
+    real = (Path(repro.__file__).parent / "core" / "processor.py") \
+        .read_text(encoding="utf-8")
+    assert "        stats.add(BUSY, n)\n" in real
+    (tmp_path / "core").mkdir()
+    (tmp_path / "core" / "processor.py").write_text(
+        real.replace("        stats.add(BUSY, n)\n", ""))
+    diags = check_stats_parity(tmp_path)
+    assert any(d.code == "L401" and "BUSY" in d.message for d in diags)
+
+
 # -- L403: unregistered counters -------------------------------------------
 
 def test_l403_unregistered_stats_attribute(tmp_path):

@@ -61,6 +61,21 @@ class TestBitIdentical:
         assert events.completed and naive.completed
         assert comparable(events) == comparable(naive)
 
+    @pytest.mark.parametrize("app,n_contexts", [("locus", 8), ("pthor", 2)])
+    def test_blocked_sync_wake_in_switch_tail(self, app, n_contexts):
+        """Sync wakes reaching a node parked in the blocked scheme's
+        switch tail, on the default 8-node DSM (locus blocked-8 at seed
+        1994 once ended at cycle 18328 under events, 18272 under naive).
+        """
+        runs = {engine: run_app(app, "blocked", n_contexts, engine,
+                                params=MultiprocessorParams(), scale=1.0,
+                                seed=1994)
+                for engine in ("naive", "events", "burst")}
+        naive = runs.pop("naive")
+        assert naive.completed
+        for engine, result in runs.items():
+            assert comparable(result) == comparable(naive), engine
+
     @pytest.mark.slow
     @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
     def test_memory_bound_stress_machine(self, app):

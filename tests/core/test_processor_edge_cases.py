@@ -1,6 +1,7 @@
 """Processor corner cases around the multithreading mechanisms."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 from repro.isa import AsmBuilder
 from repro.isa.executor import Memory
@@ -106,6 +107,47 @@ class TestSwitchInstruction:
                       lambda b: (b.switch(), b.halt()))
             run_to_halt(proc)
             assert proc.stats.counts[Stall.SWITCH] == 0, scheme
+
+
+class TestParkedSyncWake:
+    """A lock handoff or barrier release reaching a parked processor
+    (``context_woken``, the event engines' path) must resume the park
+    where naive stepping would next issue."""
+
+    def _blocked(self):
+        memory = Memory()
+        proc = Processor("blocked", 2, PipelineParams(),
+                         FixedLatencyMemory(), memory,
+                         sync=SyncManager(), proc_id=1)
+        for slot in range(2):
+            build(proc, memory, slot, lambda b: b.halt())
+        return proc
+
+    def test_wake_inside_switch_tail_keeps_the_stall_window(self):
+        proc = self._blocked()
+        waiting = proc.contexts[0]
+        # A failed LOCK: context 0 waits on the lock and the blocked
+        # scheme's switch tail freezes the processor until cycle 110;
+        # context 1 can run once the tail ends.
+        waiting.wait_on_lock(0x100)
+        proc.stall_until, proc.stall_category = 110, Stall.SWITCH
+        assert proc.park(100)
+        proc.context_woken(waiting, 140, 104, SimpleNamespace(proc_id=0))
+        assert proc.parked_due() == 110
+        proc.unpark(110)
+        assert proc.stats.counts[Stall.SWITCH] == 10
+        assert proc.stats.counts[Stall.SYNC] == 0
+
+    def test_wake_at_tail_end_with_a_runner_is_due_at_once(self):
+        proc = self._blocked()
+        waiting = proc.contexts[0]
+        waiting.wait_on_lock(0x100)
+        proc.stall_until, proc.stall_category = 105, Stall.SWITCH
+        assert proc.park(100)
+        # A higher-id waker: the wake is visible at now + 1, the cycle
+        # the tail ends, when context 1 can issue.
+        proc.context_woken(waiting, 140, 104, SimpleNamespace(proc_id=2))
+        assert proc.parked_due() == 105
 
 
 class TestDoomedWindowDetails:

@@ -77,12 +77,24 @@ class TestIntegerArithmetic:
         assert state.regs[8] == -1
 
     def test_div_by_zero_raises(self):
-        with pytest.raises(ExecutionError):
-            exec_one(Op.DIV, {9: 1, 10: 0}, rd=8, rs1=9, rs2=10)
+        for op in (Op.DIV, Op.REM):
+            with pytest.raises(ExecutionError):
+                exec_one(op, {9: 1, 10: 0}, rd=8, rs1=9, rs2=10)
 
     def test_r0_stays_zero(self):
-        state, _ = exec_one(Op.ADDI, rd=0, rs1=0, imm=99)
-        assert state.regs[0] == 0
+        """Every opcode that writes a register discards a write to r0."""
+        writers = [op for op in Op if Instruction(op, rd=8).writes == 8]
+        assert Op.ADDI in writers and Op.JALR in writers
+        for op in writers:
+            state = ArchState()
+            mem = Memory()
+            state.regs[1:32] = [0x104] * 31
+            state.regs[32:] = [2.5] * 32
+            mem.write(0x108, 77)
+            src = 33 if Instruction(op).info.reads_fp else 9
+            execute(state, Instruction(op, rd=0, rs1=src, rs2=src + 1,
+                                       imm=4), mem)
+            assert state.regs[0] == 0, op.name
 
 
 class TestFloatingPoint:
@@ -137,6 +149,9 @@ class TestMemoryOps:
             mem.read(3)
         with pytest.raises(ExecutionError):
             mem.write(5, 1)
+        for op in (Op.LW, Op.SW):
+            with pytest.raises(ExecutionError):
+                exec_one(op, {9: 0x100}, rd=8, rs1=9, imm=2)
 
     def test_uninitialised_reads_zero(self):
         assert Memory().read(0x1000) == 0
@@ -177,6 +192,20 @@ class TestControlFlow:
         """)
         # link register holds the index of the instruction after jalr
         assert state.regs[9] == 2
+
+    def test_jalr_links_before_reading_its_target(self):
+        # With rd == rs1 the link overwrites the target: jump to pc + 1.
+        state = ArchState(entry=5)
+        state.regs[9] = 40
+        execute(state, Instruction(Op.JALR, rd=9, rs1=9), Memory())
+        assert state.regs[9] == 6
+        assert state.pc == 6
+
+    def test_halt_leaves_pc_unchanged(self):
+        state = ArchState(entry=7)
+        execute(state, Instruction(Op.HALT), Memory())
+        assert state.halted
+        assert state.pc == 7
 
     def test_loop_executes_n_times(self):
         state, _ = run_src("""
