@@ -4,15 +4,15 @@ Three families of benchmark live here:
 
 * pytest-benchmark timings of the cycle loop itself (guarding against
   hot-path regressions),
-* the event-engine acceptance gate: on a memory-latency-bound SPLASH
-  configuration the ``events`` engine must finish the same run at least
-  3x faster than the ``naive`` reference loop *with bit-identical
-  statistics* — the fast-forward engine is an optimisation, never an
-  approximation, and
-* the burst-engine acceptance gate: on a compute-bound single-context
+* the memory-bound acceptance gate: on a memory-latency-bound SPLASH
+  configuration the default ``burst`` engine must finish the same run
+  at least 3x faster than the ``naive`` reference loop *with
+  bit-identical statistics* — the fast-forward is an optimisation,
+  never an approximation, and
+* the compute-bound acceptance gate: on a compute-bound single-context
   workstation stream (where straight-line bursts are longest) the
   ``burst`` engine must finish the same run at least 2x faster than
-  ``events``, again bit-identically.
+  ``naive``, again bit-identically.
 """
 
 import time
@@ -35,7 +35,7 @@ STRESS_PARAMS = MultiprocessorParams(
 )
 
 
-def _make_sim(scheme, n_contexts, engine="events"):
+def _make_sim(scheme, n_contexts, engine="burst"):
     procs, instances, barriers = build_workload("R1", scale=1.0)
     return WorkstationSimulator(procs, scheme=scheme,
                                 n_contexts=n_contexts,
@@ -59,17 +59,17 @@ def _run_mp(app, scheme, n_contexts, engine, seed=1994):
     return result, elapsed
 
 
-def _assert_identical(events, naive):
+def _assert_identical(fast, naive):
     """The bit-identical contract between the two engines."""
-    assert events.cycles == naive.cycles
-    assert events.retired == naive.retired
-    assert events.counts == naive.counts
-    assert events.per_process == naive.per_process
-    assert events.raw.stats.issued == naive.raw.stats.issued
-    assert events.raw.stats.squashed == naive.raw.stats.squashed
-    assert (events.raw.stats.context_switches
+    assert fast.cycles == naive.cycles
+    assert fast.retired == naive.retired
+    assert fast.counts == naive.counts
+    assert fast.per_process == naive.per_process
+    assert fast.raw.stats.issued == naive.raw.stats.issued
+    assert fast.raw.stats.squashed == naive.raw.stats.squashed
+    assert (fast.raw.stats.context_switches
             == naive.raw.stats.context_switches)
-    assert events.raw.stats.backoffs == naive.raw.stats.backoffs
+    assert fast.raw.stats.backoffs == naive.raw.stats.backoffs
 
 
 def test_speed_single_context(benchmark):
@@ -93,37 +93,37 @@ def test_speed_blocked_four_contexts(benchmark):
                        rounds=5, iterations=1)
 
 
-def test_event_engine_speedup_memory_bound(benchmark, save_result):
+def test_fast_engine_speedup_memory_bound(benchmark, save_result):
     """Acceptance gate: >=3x on a memory-latency-bound SPLASH config.
 
     mp3d (the paper's most latency-bound application) on the stress
-    machine: the event engine must produce *bit-identical* statistics to
+    machine: the burst engine must produce *bit-identical* statistics to
     the naive per-cycle loop while finishing at least 3x faster in wall
     clock.  The ratio is host-independent (both engines run on the same
     interpreter in the same process), so the assertion is stable in CI.
     """
     def run_both():
-        ev, ev_s = _run_mp("mp3d", "interleaved", 2, "events")
+        fa, fa_s = _run_mp("mp3d", "interleaved", 2, "burst")
         nv, nv_s = _run_mp("mp3d", "interleaved", 2, "naive")
-        return ev, ev_s, nv, nv_s
+        return fa, fa_s, nv, nv_s
 
-    events, events_s, naive, naive_s = benchmark.pedantic(
+    fast, fast_s, naive, naive_s = benchmark.pedantic(
         run_both, rounds=1, iterations=1)
-    _assert_identical(events, naive)
-    speedup = naive_s / events_s
+    _assert_identical(fast, naive)
+    speedup = naive_s / fast_s
     lines = [
-        "Event engine vs naive reference (mp3d, interleaved, 2 contexts,",
+        "Burst engine vs naive reference (mp3d, interleaved, 2 contexts,",
         "4 nodes, ~4x DASH latencies; run to completion):",
         "",
-        "  cycles simulated : %d" % events.cycles,
+        "  cycles simulated : %d" % fast.cycles,
         "  naive wall clock : %.2f s" % naive_s,
-        "  events wall clock: %.2f s" % events_s,
+        "  burst wall clock : %.2f s" % fast_s,
         "  speedup          : %.1fx" % speedup,
         "  stats identical  : yes (enforced)",
     ]
-    save_result("event_engine_speedup", "\n".join(lines))
+    save_result("fast_engine_speedup", "\n".join(lines))
     assert speedup >= 3.0, (
-        "event engine speedup %.2fx below the 3x acceptance floor"
+        "burst engine speedup %.2fx below the 3x acceptance floor"
         % speedup)
 
 
@@ -149,39 +149,34 @@ def _run_stream(engine, until=330_000):
 
 
 def test_burst_engine_speedup_compute_bound(benchmark, save_result):
-    """Acceptance gate: >=2x over the event engine on long bursts.
+    """Acceptance gate: >=2x over the naive loop on long bursts.
 
-    Single-context workstation, compute-bound stream: the event engine
-    has nothing to fast-forward (the pipeline is never idle), so it
-    pays the full per-cycle issue path; the burst engine retires whole
-    precompiled segments and bulk-charges hazard-stall windows.  All
-    three engines must agree bit for bit.  The ratio is
-    host-independent (same interpreter, same process), so the
-    assertion is stable in CI.
+    Single-context workstation, compute-bound stream: the pipeline is
+    never idle, so there is nothing to fast-forward; the burst engine
+    retires whole precompiled segments and bulk-charges hazard-stall
+    windows where naive pays the full per-cycle issue path.  Both
+    engines must agree bit for bit.  The ratio is host-independent
+    (same interpreter, same process), so the assertion is stable in CI.
     """
-    def run_all():
+    def run_both():
         bu, bu_s = _run_stream("burst")
-        ev, ev_s = _run_stream("events")
         nv, nv_s = _run_stream("naive")
-        return bu, bu_s, ev, ev_s, nv, nv_s
+        return bu, bu_s, nv, nv_s
 
-    burst, burst_s, events, events_s, naive, naive_s = benchmark.pedantic(
-        run_all, rounds=1, iterations=1)
+    burst, burst_s, naive, naive_s = benchmark.pedantic(
+        run_both, rounds=1, iterations=1)
     _assert_identical(burst, naive)
-    _assert_identical(events, naive)
-    speedup = events_s / burst_s
+    speedup = naive_s / burst_s
     lines = [
-        "Burst engine vs event engine (compute-bound stream, single",
+        "Burst engine vs naive reference (compute-bound stream, single",
         "context workstation; 330k cycles):",
         "",
         "  cycles simulated : %d" % burst.cycles,
         "  instructions     : %d" % burst.retired,
         "  naive wall clock : %.2f s" % naive_s,
-        "  events wall clock: %.2f s" % events_s,
         "  burst wall clock : %.2f s" % burst_s,
-        "  speedup vs events: %.1fx" % speedup,
-        "  speedup vs naive : %.1fx" % (naive_s / burst_s),
-        "  stats identical  : yes (enforced, all three engines)",
+        "  speedup vs naive : %.1fx" % speedup,
+        "  stats identical  : yes (enforced)",
     ]
     save_result("burst_engine_speedup", "\n".join(lines))
     assert speedup >= 2.0, (

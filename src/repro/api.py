@@ -63,7 +63,7 @@ class RunResult:
     scheme: str
     n_contexts: int
     seed: int
-    engine: str               # "events" | "naive" | "burst"
+    engine: str               # "burst" | "naive"
     cycles: int               # window length / completion cycle
     completed: bool           # mp: every thread halted within the bound
     retired: int
@@ -168,7 +168,7 @@ class Simulation:
     """
 
     def __init__(self, config=None, *, scheme="interleaved", n_contexts=1,
-                 seed=1994, engine="events", pipeline=None, backend=None):
+                 seed=1994, engine="burst", pipeline=None, backend=None):
         if config is None:
             config = SystemConfig.fast()
         if isinstance(config, MultiprocessorParams):

@@ -58,7 +58,7 @@ class HardwareContext:
         #: of the processor an application receives).
         self.run_instructions = 0
         #: Burst-per-entry-PC table of the loaded program (burst engine
-        #: only; None under the naive/event engines).
+        #: only; None under the naive engine).
         self.burst_table = None
 
     def load(self, process):

@@ -34,6 +34,22 @@ class MPResult:
         return self.stats.breakdown_fractions(cats)
 
 
+class _HaltCounter:
+    """``on_halt`` hook counting HALTs as they retire.
+
+    The simulator shares the count with every processor through this
+    small cell, so no processor holds a reference back to the simulator.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+    def __call__(self, ctx, now):
+        self.n += 1
+
+
 class MultiprocessorSimulator:
     """Run a parallel application instance on the DASH-like machine."""
 
@@ -41,12 +57,11 @@ class MultiprocessorSimulator:
     DEFAULT_MAX_CYCLES = 50_000_000
 
     def __init__(self, app_instance, scheme="interleaved", n_contexts=1,
-                 params=None, pipeline=None, seed=None, engine="events",
+                 params=None, pipeline=None, seed=None, engine="burst",
                  backend=None):
-        if engine not in ("events", "naive", "burst"):
+        if engine not in ("naive", "burst"):
             raise ValueError(
-                "engine must be 'events', 'naive' or 'burst', not %r"
-                % (engine,))
+                "engine must be 'naive' or 'burst', not %r" % (engine,))
         self.engine = engine
         self.params = params if params is not None else MultiprocessorParams()
         self.pipeline = pipeline if pipeline is not None else PipelineParams()
@@ -95,18 +110,15 @@ class MultiprocessorSimulator:
         # Resolved scoreboard backend, identical across nodes.
         self.backend = self.processors[0].backend
         self.now = 0
-        # Completion tracking for the event engine: counting HALTs as
-        # they retire beats scanning every context every cycle.
-        self._halted = 0
+        # Completion tracking: counting HALTs as they retire beats
+        # scanning every context every cycle.
+        self._halted = _HaltCounter()
         for proc in self.processors:
-            proc.on_halt = self._note_halt
-
-    def _note_halt(self, ctx, now):
-        self._halted += 1
+            proc.on_halt = self._halted
 
     def all_halted(self):
         """True when every thread of the application has executed HALT."""
-        return self._halted >= len(self.processes)
+        return self._halted.n >= len(self.processes)
 
     def next_event_cycle(self):
         """Event-protocol report for the whole machine: the earliest
@@ -164,22 +176,21 @@ class MultiprocessorSimulator:
     def _advance(self, end):
         if self.engine == "naive":
             self._advance_naive(end)
-        elif self.engine == "burst":
-            self._advance_burst(end)
         else:
-            self._advance_events(end)
+            self._advance_burst(end)
 
     def _advance_naive(self, end):
         """Reference engine: lockstep-step every node every cycle.
 
-        The event engine's contract is defined against this loop — any
+        The fast engine's contract is defined against this loop — any
         run must produce bit-identical statistics and cycle counts.
         """
         procs = self.processors
+        halted = self._halted
         now = self.now
         n_live = len(self.processes)
         while now < end:
-            if self._halted >= n_live:
+            if halted.n >= n_live:
                 break
             for p in procs:
                 p.step(now)
@@ -187,24 +198,31 @@ class MultiprocessorSimulator:
         self.now = now
 
     def _advance_burst(self, end):
-        """Burst engine: the event loop plus one-step burst retire.
+        """Fast engine: park idle nodes, skip mid-burst nodes, jump.
 
-        A node that dispatched a burst is busy — and fully accounted —
-        until its ``burst_until``; it is simply skipped (not stepped,
-        not parked) while other nodes keep their per-cycle lockstep.
-        When every node is parked or mid-burst the loop jumps to the
-        earliest due cycle, which includes burst ends.  Bursts contain
-        no memory or synchronisation operations, so a mid-burst node
-        cannot affect (or, thanks to the dispatch-time wake guards, be
-        affected by) any other node.
+        Each cycle only the nodes with work are stepped (in node order,
+        preserving the lockstep access interleaving exactly).  A node
+        that reports nothing runnable is *parked* — its idle accounting
+        is deferred until it is woken by its own clock (``parked_due``),
+        by a sync handoff (``context_woken``), or by the run ending.  A
+        node that dispatched a burst or charged a hazard-stall window is
+        busy — and fully accounted — until its ``burst_until``; it is
+        simply skipped (not stepped, not parked) while other nodes keep
+        their per-cycle lockstep.  When every node is parked or
+        mid-window the loop jumps to the earliest due cycle.  Windows
+        hold no memory or synchronisation operations, so a mid-window
+        node cannot affect any other node, and the policy's ownership
+        test (``ContextPolicy.owns_window``) vetoes any window a
+        handoff from another node could cut short.
         """
         procs = self.processors
         for p in procs:
             p.burst_limit = end
+        halted = self._halted
         now = self.now
         n_live = len(self.processes)
         while now < end:
-            if self._halted >= n_live:
+            if halted.n >= n_live:
                 break
             stepped = False
             min_due = None
@@ -227,51 +245,6 @@ class MultiprocessorSimulator:
                 stepped = True
                 if p.burst_until > now:
                     continue
-                if idle or p.stall_until > now + 1:
-                    p.park(now + 1)
-            if stepped:
-                now += 1
-                continue
-            if min_due is None:
-                raise SimulationDeadlock(
-                    "all processors blocked on external events at cycle"
-                    " %d" % now)
-            now = min(min_due, end)
-        for p in procs:
-            p.unpark(now)
-        self.now = now
-
-    def _advance_events(self, end):
-        """Event engine: park idle nodes, fast-forward global idle.
-
-        Each cycle only the nodes with work are stepped (in node order,
-        preserving the lockstep access interleaving exactly); a node
-        that reports nothing runnable is *parked* — its idle accounting
-        is deferred until it is woken by its own clock (``parked_due``),
-        by a sync handoff (``context_woken``), or by the run ending.
-        When every node is parked the loop jumps straight to the
-        earliest due cycle.
-        """
-        procs = self.processors
-        now = self.now
-        n_live = len(self.processes)
-        while now < end:
-            if self._halted >= n_live:
-                break
-            stepped = False
-            min_due = None
-            for p in procs:
-                if p._parked_from is not None:
-                    due = p.parked_due()
-                    if due is None:
-                        continue
-                    if due > now:
-                        if min_due is None or due < min_due:
-                            min_due = due
-                        continue
-                    p.unpark(now)
-                idle = p.step(now)
-                stepped = True
                 if idle or p.stall_until > now + 1:
                     p.park(now + 1)
             if stepped:

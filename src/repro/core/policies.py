@@ -1,8 +1,12 @@
 """Context-selection policies: single, blocked, interleaved.
 
 This module is the paper's Sections 2 and 3 in executable form.  A policy
-decides (a) which context owns each issue slot and (b) what a context pays
-to get off the processor when it hits a long-latency event:
+decides (a) which context owns each issue slot, (b) what a context pays
+to get off the processor when it hits a long-latency event, and (c)
+whether the context it selected owns a whole multi-cycle window — the
+question the burst engine asks before retiring a straight-line run or
+charging a hazard-stall window in one step (:meth:`ContextPolicy.
+owns_window`):
 
 **single** (baseline)
     One context.  Loads that miss are stall-on-use (the lockup-free cache
@@ -32,8 +36,9 @@ unchanged), which :func:`make_policy` enforces.
 from repro.core.context import Status, NEVER
 from repro.pipeline.stalls import Stall
 
-# select() and idle_wake_info() run every cycle, so they read enum
-# members through module globals (see the note in repro.core.processor).
+# select(), owns_window() and idle_wake_info() run every cycle, so they
+# read enum members through module globals (see the note in
+# repro.core.processor).
 RUNNING = Status.RUNNING
 DOOMED = Status.DOOMED
 WAITING = Status.WAITING
@@ -42,7 +47,7 @@ IDLE = Stall.IDLE
 
 
 class ContextPolicy:
-    """Base class: slot selection + off-processor costs."""
+    """Base class: slot selection, window ownership + off-processor costs."""
 
     name = "abstract"
     #: Whether late-detected misses squash via the doomed-window mechanism.
@@ -50,6 +55,11 @@ class ContextPolicy:
     #: Cycles charged when a context voluntarily leaves the processor
     #: (explicit switch / backoff instruction, Table 4).
     off_cost = 1
+    #: Whether issue rotates among the selectable contexts every slot.
+    #: Such a policy can give a window to one context only while no other
+    #: is selectable, so the processor skips its fast-path attempts in a
+    #: cycle that starts with two or more.
+    round_robin = False
 
     def __init__(self, n_contexts, params):
         self.n_contexts = n_contexts
@@ -57,6 +67,18 @@ class ContextPolicy:
 
     def select(self, contexts, now):
         """The context owning this issue slot (or None)."""
+        raise NotImplementedError
+
+    def owns_window(self, ctx, contexts, end, extern):
+        """Whether ``ctx``, just selected, owns every issue slot up to
+        cycle ``end`` (exclusive).
+
+        Asked before a burst dispatch or a bulk-charged hazard-stall
+        window, neither of which holds a memory, sync, switch or backoff
+        op, so ``ctx`` stays RUNNING throughout.  ``extern`` marks a
+        machine where another processor's lock or barrier handoff can
+        wake a context here at any time.
+        """
         raise NotImplementedError
 
     def note_unavailable(self, ctx):
@@ -78,6 +100,10 @@ class SinglePolicy(ContextPolicy):
         if ctx.status is RUNNING or ctx.status is DOOMED:
             return ctx
         return None
+
+    def owns_window(self, ctx, contexts, end, extern):
+        """The only context always owns the window."""
+        return True
 
 
 class BlockedPolicy(ContextPolicy):
@@ -104,6 +130,17 @@ class BlockedPolicy(ContextPolicy):
                 return cand
         return None
 
+    def owns_window(self, ctx, contexts, end, extern):
+        """The selected context owns the window, whatever its siblings do.
+
+        ``select`` keeps handing every slot to the current context while
+        it is RUNNING, and nothing in the window can stop it running: a
+        sibling that wakes — by its own clock or by an external handoff —
+        waits for the next switch, and the only DOOMED context is ever
+        the current one.
+        """
+        return True
+
     def force_switch(self, contexts):
         """Explicit SWITCH instruction: move on even though runnable."""
         self.current = (self.current + 1) % self.n_contexts
@@ -117,6 +154,7 @@ class InterleavedPolicy(ContextPolicy):
 
     name = "interleaved"
     uses_doomed_window = True
+    round_robin = True
 
     def __init__(self, n_contexts, params):
         super().__init__(n_contexts, params)
@@ -134,6 +172,23 @@ class InterleavedPolicy(ContextPolicy):
                 self.pointer = (cand.cid + 1) % n
                 return cand
         return None
+
+    def owns_window(self, ctx, contexts, end, extern):
+        """Only a sole runner owns the window: no other context is
+        RUNNING or DOOMED, none wakes before ``end``, and (with
+        ``extern``) none is parked on a lock or barrier that another
+        processor could release inside it."""
+        for other in contexts:
+            if other is ctx:
+                continue
+            status = other.status
+            if status is WAITING:
+                if other.wake_at < end or (extern and
+                                           other.wake_at >= NEVER):
+                    return False
+            elif status is RUNNING or status is DOOMED:
+                return False
+        return True
 
     def reset(self):
         self.pointer = 0

@@ -88,21 +88,26 @@ class Processor:
         self.stall_category = ICACHE
         #: Optional hook fired when a context executes HALT; the
         #: workstation simulator uses it to restart finite processes for
-        #: continuous throughput measurement.
+        #: continuous throughput measurement.  A hook must hold no
+        #: reference back to its simulator: that would close a cycle
+        #: (processor, hook, simulator) that keeps a finished run's whole
+        #: machine alive until a full garbage collection.
         self.on_halt = None
         #: Optional per-slot trace hook ``fn(cycle, ctx_or_None, kind)``
         #: with kind in {"busy", "squash", "stall", "idle"}; used by the
-        #: Figure 2/3 trace reproductions.  None (the default) is free.
+        #: Figure 2/3 trace reproductions.  Setting it disables the fast
+        #: paths (burst dispatch and stall-window skipping) so every slot
+        #: is stepped and reported; None (the default) is free.
         self.trace = None
         #: Optional data-access hook ``fn(cycle, ctx, pc, addr, is_write)``
         #: fired once per retired load/store, before it executes — the
         #: dynamic oracle of the race analysis
         #: (:class:`repro.core.tracing.SharedAccessRecorder`).  Like
-        #: ``trace``, setting it disables burst dispatch so every access
+        #: ``trace``, setting it disables the fast paths so every access
         #: passes through the per-instruction retire path; None (the
         #: default) is free.
         self.access_log = None
-        # Event-engine parking state (see park/unpark below): while
+        # Idle-parking state (see park/unpark below): while
         # parked, idle-slot accounting is deferred and settled lazily so
         # a fast-forwarding loop never steps this processor cycle by
         # cycle through a known-idle window.
@@ -110,13 +115,14 @@ class Processor:
         self._parked_wake = 0
         self._parked_reason = IDLE
         # Burst-engine state: when enabled, straight-line runs whose
-        # precompiled schedule is valid retire in one step (_try_burst)
-        # and the processor is busy — fully accounted — until
-        # burst_until.  burst_limit bounds a dispatch so a burst never
-        # crosses the advance window or a scheduler interrupt, and
-        # extern_wakes marks machines (the multiprocessor) where a
+        # precompiled schedule is valid retire in one step (_try_burst),
+        # hazard-stall windows are charged in one step
+        # (_skip_stall_window), and the processor is busy — fully
+        # accounted — until burst_until.  burst_limit bounds a window so
+        # it never crosses the advance window or a scheduler interrupt,
+        # and extern_wakes marks machines (the multiprocessor) where a
         # lock/barrier handoff from another processor could land inside
-        # a burst window.
+        # a window.
         self.burst_enabled = False
         self.burst_until = 0
         self.burst_limit = NEVER
@@ -163,7 +169,16 @@ class Processor:
             if self.trace is not None:
                 self.trace(now, None, "stall")
             return False
-        self._update_contexts(now)
+        n_ready = self._update_contexts(now)
+        # One check per cycle decides whether this cycle may take a fast
+        # path (a burst dispatch or a bulk-charged hazard window): the
+        # burst engine is on, no per-slot observer is installed, and —
+        # under round-robin issue — no second context is selectable, in
+        # which case the policy could not give the window to one context
+        # anyway.
+        fast = (self.burst_enabled and self.trace is None
+                and self.access_log is None
+                and (n_ready < 2 or not self.policy.round_robin))
         idle = True
         for _slot in range(width):
             ctx = self.policy.select(self.contexts, now)
@@ -181,9 +196,7 @@ class Processor:
                 if self.trace is not None:
                     self.trace(now, ctx, "squash")
                 continue
-            if (_slot == 0 and self.burst_enabled and self.trace is None
-                    and self.access_log is None
-                    and self._try_burst(ctx, now)):
+            if fast and _slot == 0 and self._try_burst(ctx, now):
                 # A dispatched burst accounts every slot of every cycle
                 # in its window, including this cycle's.  (Dispatch is
                 # legal only at slot 0: the packed schedule starts at a
@@ -191,7 +204,7 @@ class Processor:
                 break
             retired_before = stats.retired
             squashed_before = stats.squashed
-            self._try_issue(ctx, now, width - _slot)
+            self._try_issue(ctx, now, width - _slot, fast)
             if self.trace is not None:
                 if stats.squashed != squashed_before:
                     kind = "squash"   # the memory op's own doomed slot
@@ -222,10 +235,8 @@ class Processor:
         """
         if now < self.stall_until:
             return self.stall_until, self.stall_category
-        self._update_contexts(now)
-        for ctx in self.contexts:
-            if ctx.status is RUNNING or ctx.status is DOOMED:
-                return None
+        if self._update_contexts(now):
+            return None
         return idle_wake_info(self.contexts)
 
     def skip_idle(self, now, target, reason):
@@ -237,7 +248,7 @@ class Processor:
         if target > now:
             self.stats.add(reason, (target - now) * self.pp.issue_width)
 
-    # -- event-engine protocol ----------------------------------------------------
+    # -- event protocol ---------------------------------------------------------
 
     def next_event_cycle(self, now):
         """Earliest cycle >= ``now`` at which this processor can issue.
@@ -333,18 +344,29 @@ class Processor:
     # -- internals ---------------------------------------------------------------
 
     def _update_contexts(self, now):
+        """Apply the wakes and miss detections due at ``now``; returns
+        the number of selectable (RUNNING or DOOMED) contexts."""
+        ready = 0
         for ctx in self.contexts:
             status = ctx.status
-            if status is WAITING:
+            if status is RUNNING:
+                ready += 1
+            elif status is WAITING:
                 if ctx.wake_at <= now:
                     ctx.status = RUNNING
-            elif status is DOOMED and now >= ctx.doomed_detect:
+                    ready += 1
+            elif status is DOOMED:
+                if now < ctx.doomed_detect:
+                    ready += 1
+                    continue
                 # WB-stage miss determination: squash and go unavailable.
                 self.stats.context_switches += 1
                 ctx.wait_until(max(ctx.doomed_completion, now), DCACHE)
                 ctx.fetch_valid = False
                 if ctx.wake_at <= now:
                     ctx.status = RUNNING
+                    ready += 1
+        return ready
 
     def _enter_doomed(self, ctx, result, now):
         """A late-detected memory stall: squash-window entry (Table 4).
@@ -414,11 +436,10 @@ class Processor:
           bubble is pending;
         * the window fits under :attr:`burst_limit` (the advance loop's
           horizon / next scheduler interrupt);
-        * this context is the *sole runner* for the whole window — no
-          other context is RUNNING or DOOMED, none wakes before the
-          window ends, and (on machines with external wakes) none is
-          parked on a lock/barrier that another processor could release
-          mid-window;
+        * this context owns every slot of the window, as the policy
+          decides (:meth:`ContextPolicy.owns_window`): always under the
+          single and blocked schemes, only as the sole runner under
+          interleaving;
         * every live-in register is ready early enough that the
           precomputed schedule is exact (scoreboard guard);
         * every instruction line of the run is present in the I-cache
@@ -440,17 +461,9 @@ class Processor:
         end = now + burst.duration
         if end > self.burst_limit:
             return False
-        extern = self.extern_wakes
-        for other in self.contexts:
-            if other is ctx:
-                continue
-            status = other.status
-            if status is WAITING:
-                if other.wake_at < end or (extern and
-                                           other.wake_at >= NEVER):
-                    return False
-            elif status is RUNNING or status is DOOMED:
-                return False
+        if not self.policy.owns_window(ctx, self.contexts, end,
+                                       self.extern_wakes):
+            return False
         if not self.scoreboard.can_dispatch_burst(ctx.cid, burst, now):
             return False
         pc = ctx.state.pc
@@ -488,10 +501,10 @@ class Processor:
         as False).  On the numpy backend the whole batch is one
         vectorised compare over the concatenated precompiled guard
         arrays; the python backend loops.  The dispatch path itself is
-        single-candidate by construction (bursts require a sole runner),
+        single-candidate by construction (one context owns a window),
         so this probe serves the batch consumers: wake-scan heuristics,
         the backend property tests, and the scoreboard benchmark.
-        Guard-only by design — burst_limit, sole-runner, and I-cache
+        Guard-only by design — burst_limit, ownership, and I-cache
         legality stay with :meth:`_try_burst`.
         """
         probe_ids = []
@@ -518,8 +531,9 @@ class Processor:
     def _skip_stall_window(self, ctx, now, until, kind, slots_left):
         """Bulk-charge a hazard-stall window (burst engine only).
 
-        While the stalled context is the sole runner nothing can touch
-        the scoreboard before ``until``, so every stall slot naive
+        While the stalled context owns the window (as the policy decides,
+        see :meth:`_try_burst`) nothing can touch the scoreboard before
+        ``until``, so every stall slot naive
         stepping would charge over ``[now, until)`` is known now: the
         data-cache category for a miss-pending register, otherwise the
         short/long split of the closing gap.  ``slots_left`` is the
@@ -529,23 +543,15 @@ class Processor:
         would charge.  Charges the window (capped at
         :attr:`burst_limit`) in one bulk-add and marks the processor
         busy to its end; returns False — leaving the per-cycle charge to
-        the caller — when the window is trivial or another context could
-        run or wake inside it.
+        the caller — when the window is trivial or the context does not
+        own it.
         """
         tgt = until if until <= self.burst_limit else self.burst_limit
         if tgt <= now + 1:
             return False
-        extern = self.extern_wakes
-        for other in self.contexts:
-            if other is ctx:
-                continue
-            status = other.status
-            if status is WAITING:
-                if other.wake_at < tgt or (extern and
-                                           other.wake_at >= NEVER):
-                    return False
-            elif status is RUNNING or status is DOOMED:
-                return False
+        if not self.policy.owns_window(ctx, self.contexts, tgt,
+                                       self.extern_wakes):
+            return False
         width = self.pp.issue_width
         n = tgt - now                       # stall cycles charged
         stats = self.stats
@@ -569,7 +575,7 @@ class Processor:
         self.burst_until = tgt
         return True
 
-    def _try_issue(self, ctx, now, slots_left=1):
+    def _try_issue(self, ctx, now, slots_left=1, fast=False):
         stats = self.stats
         if now < ctx.next_issue_min:
             # Redirect bubble after a branch mispredict.
@@ -596,8 +602,8 @@ class Processor:
         # Register / functional-unit hazards.
         until, kind = self.scoreboard.hazard_until(ctx.cid, inst, now)
         if until > now:
-            if self.burst_enabled and self._skip_stall_window(
-                    ctx, now, until, kind, slots_left):
+            if fast and self._skip_stall_window(ctx, now, until, kind,
+                                                slots_left):
                 return
             if kind == "memory":
                 stats.add(DCACHE)

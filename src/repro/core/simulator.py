@@ -44,6 +44,18 @@ class Process:
         return "<Process %s retired=%d>" % (self.name, self.retired)
 
 
+def _restart_process(ctx, now):
+    """``on_halt`` hook: restart a finished process for continuous
+    throughput runs.  A plain function, so the processor holds no
+    reference back to its simulator."""
+    process = ctx.process
+    process.completions += 1
+    process.state.pc = process.program.entry
+    process.state.halted = False
+    ctx.status = RUNNING
+    ctx.fetch_valid = False
+
+
 class SimulationDeadlock(RuntimeError):
     """All contexts wait on events that can never fire."""
 
@@ -69,17 +81,16 @@ class WorkstationSimulator:
 
     def __init__(self, processes, scheme="interleaved", n_contexts=1,
                  config=None, seed=1994, app_instances=(), barriers=None,
-                 restart_halted=True, engine="events", backend=None):
+                 restart_halted=True, engine="burst", backend=None):
         if not processes:
             raise ValueError("need at least one process")
-        if engine not in ("events", "naive", "burst"):
+        if engine not in ("naive", "burst"):
             raise ValueError(
-                "engine must be 'events', 'naive' or 'burst', not %r"
-                % (engine,))
-        #: "events" fast-forwards idle windows via the next_event_cycle
-        #: protocol; "burst" additionally retires precompiled straight-
-        #: line runs in one step; "naive" steps every cycle and is the
-        #: reference both fast engines must match bit for bit.
+                "engine must be 'naive' or 'burst', not %r" % (engine,))
+        #: "burst" fast-forwards idle and processor-wide stall windows,
+        #: retires precompiled straight-line runs in one step and
+        #: bulk-charges hazard-stall windows; "naive" steps every cycle
+        #: and is the reference the fast engine must match bit for bit.
         self.engine = engine
         self.config = config if config is not None else SystemConfig.fast()
         self.seed = seed
@@ -105,13 +116,12 @@ class WorkstationSimulator:
         #: ``engine``, an implementation choice with no observable
         #: effect on results, so it stays out of RunResult and caches.
         self.backend = self.processor.backend
-        if engine == "burst":
-            # Schedules are packed per issue width (Program.bursts_for
-            # keys its memo on it), so the Section 7 multi-issue
-            # extension dispatches bursts too.
-            self.processor.burst_enabled = True
+        # Schedules are packed per issue width (Program.bursts_for keys
+        # its memo on it), so the Section 7 multi-issue extension
+        # dispatches bursts too.
+        self.processor.burst_enabled = engine == "burst"
         if restart_halted:
-            self.processor.on_halt = self._restart_process
+            self.processor.on_halt = _restart_process
         self.rng = random.Random(seed)
         self.now = 0
         self._next_resident = 0     # index of the next process to schedule
@@ -124,7 +134,7 @@ class WorkstationSimulator:
         """Opt-in dynamic access log for the race-analysis oracle.
 
         Attaches a :class:`repro.core.tracing.SharedAccessRecorder` to
-        the processor (disabling burst dispatch while installed, like
+        the processor (disabling the fast paths while installed, like
         the slot tracer) and returns it.  Subsequent ``run()`` windows
         attach the JSON-ready log to their core window result as
         ``shared_accesses``.
@@ -135,15 +145,6 @@ class WorkstationSimulator:
         return self.access_recorder
 
     # -- scheduling ------------------------------------------------------------
-
-    def _restart_process(self, ctx, now):
-        """Restart a finished process for continuous throughput runs."""
-        process = ctx.process
-        process.completions += 1
-        process.state.pc = process.program.entry
-        process.state.halted = False
-        ctx.status = RUNNING
-        ctx.fetch_valid = False
 
     def _load_group(self):
         """Load the next group of N processes onto the hardware contexts.
@@ -195,7 +196,7 @@ class WorkstationSimulator:
         """Event-protocol report for the whole workstation.
 
         The earliest of the processor's next issue opportunity and the
-        scheduler's next slice interrupt; the event engine never jumps
+        scheduler's next slice interrupt; the fast engine never jumps
         past this cycle.
         """
         slice_len = self.config.os.time_slice
@@ -239,15 +240,13 @@ class WorkstationSimulator:
     def _advance(self, end):
         if self.engine == "naive":
             self._advance_naive(end)
-        elif self.engine == "burst":
-            self._advance_burst(end)
         else:
-            self._advance_events(end)
+            self._advance_burst(end)
 
     def _advance_naive(self, end):
         """Reference engine: step every cycle.
 
-        The event engine's contract is defined against this loop — any
+        The fast engine's contract is defined against this loop — any
         run must produce bit-identical statistics either way.
         """
         proc = self.processor
@@ -262,57 +261,20 @@ class WorkstationSimulator:
             now += 1
         self.now = now
 
-    def _advance_events(self, end):
-        """Event engine: fast-forward idle windows.
+    def _advance_burst(self, end):
+        """Fast engine: idle fast-forward plus one-step bursts.
 
         The idle probe (``Processor.idle_until`` — the accounting
         variant of ``next_event_cycle``) is only taken when the previous
         step was idle or froze the front end, keeping it off the busy
-        hot path; jumps never cross ``end`` or a scheduler interrupt.
-        """
-        proc = self.processor
-        now = self.now
-        slice_len = self.config.os.time_slice
-        next_interrupt = ((now // slice_len) + 1) * slice_len
-        check_idle = True
-        while now < end:
-            if now >= next_interrupt:
-                self._scheduler_interrupt()
-                next_interrupt += slice_len
-                check_idle = True
-            if check_idle:
-                idle = proc.idle_until(now)
-                if idle is not None:
-                    wake, reason = idle
-                    if wake is None:
-                        if reason is IDLE:
-                            # Everything halted: idle out the window.
-                            proc.skip_idle(now, end, IDLE)
-                            now = end
-                            break
-                        raise SimulationDeadlock(
-                            "all contexts blocked on %s with nothing "
-                            "running" % reason.name)
-                    target = min(wake, end, next_interrupt)
-                    if target > now:
-                        proc.skip_idle(now, target, reason)
-                        now = target
-                        continue
-            check_idle = proc.step(now)
-            now += 1
-            if not check_idle and proc.stall_until > now:
-                check_idle = True
-        self.now = now
-
-    def _advance_burst(self, end):
-        """Burst engine: event fast-forward plus one-step burst retire.
-
-        The event loop with one extra fast path: when ``step`` dispatched
-        a precompiled burst the processor is busy — and fully accounted —
-        until ``burst_until``, so the clock jumps straight there.
-        ``burst_limit`` keeps any dispatch inside both the advance window
-        and the current time slice, so scheduler interrupts fire on
-        exactly the cycle naive stepping would fire them.
+        hot path; an idle jump never crosses ``end`` or a scheduler
+        interrupt.  When ``step`` dispatched a precompiled burst or
+        charged a hazard-stall window the processor is busy — and fully
+        accounted — until ``burst_until``, so the clock jumps straight
+        there.  ``burst_limit`` keeps any such window inside both the
+        advance window and the current time slice, so scheduler
+        interrupts fire on exactly the cycle naive stepping would fire
+        them.
         """
         proc = self.processor
         now = self.now

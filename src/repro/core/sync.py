@@ -64,7 +64,7 @@ class SyncManager:
     @staticmethod
     def _wake(target_proc, target_ctx, wake_at, now, waker):
         """Wake ``target_ctx`` at ``wake_at``, via its processor's
-        event-engine hook when it has one.
+        fast-engine hook when it has one.
 
         ``context_woken`` lets a processor that is fast-forwarded past
         idle cycles settle its deferred accounting at the exact cycle

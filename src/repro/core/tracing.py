@@ -70,9 +70,9 @@ class SharedAccessRecorder:
     """Collects every retired data access with its synchronisation
     context (the ``trace_shared_accesses`` hook).
 
-    Installing the recorder disables burst dispatch on the processor
-    (like the slot tracer) so every load/store passes through the
-    per-instruction retire path.  Each record carries the context id
+    Installing the recorder disables the burst engine's fast paths on
+    the processor (like the slot tracer) so every load/store passes
+    through the per-instruction retire path.  Each record carries the context id
     (``Process.pid``), the cycle, pc, byte address, direction, the lock
     words the context held at that instant, and the global barrier
     episode — exactly the tuple :func:`repro.analysis.dynamic_races`

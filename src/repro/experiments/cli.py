@@ -653,12 +653,12 @@ def main(argv=None, _ready=None):
                         help="uniprocessor measurement window, cycles")
     parser.add_argument("--warmup", type=int, default=None,
                         help="uniprocessor warmup, cycles")
-    parser.add_argument("--engine", choices=("events", "naive", "burst"),
-                        default="events",
+    parser.add_argument("--engine", choices=("burst", "naive"),
+                        default="burst",
                         help="simulation engine for every computed point "
                              "(bit-identical by contract: naive is the "
-                             "per-cycle reference, events fast-forwards "
-                             "idle windows, burst additionally retires "
+                             "per-cycle reference, burst fast-forwards "
+                             "idle and stall windows and retires "
                              "precompiled straight-line runs in one step)")
     parser.add_argument("--backend", choices=("auto", "python", "numpy"),
                         default=None,

@@ -25,7 +25,7 @@ MP_MAX_CYCLES = 20_000_000
 
 
 def compute_uniproc(workload, scheme, n_contexts, config, seed,
-                    warmup, measure, engine="events", backend=None):
+                    warmup, measure, engine="burst", backend=None):
     """Measured run of a Table 5 workload; returns (RunResult, sim)."""
     simulation = Simulation.from_config(
         config, scheme=scheme, n_contexts=n_contexts,
@@ -35,7 +35,7 @@ def compute_uniproc(workload, scheme, n_contexts, config, seed,
 
 
 def compute_dedicated(kernel_name, config, seed, warmup, measure,
-                      engine="events", backend=None):
+                      engine="burst", backend=None):
     """Calibration run of one application alone; returns RunResult."""
     simulation = Simulation.from_config(
         config, scheme="single", n_contexts=1,
@@ -44,7 +44,7 @@ def compute_dedicated(kernel_name, config, seed, warmup, measure,
 
 
 def compute_mp(app_name, scheme, n_contexts, mp_params, seed,
-               max_cycles=MP_MAX_CYCLES, engine="events", backend=None):
+               max_cycles=MP_MAX_CYCLES, engine="burst", backend=None):
     """Run-to-completion of a SPLASH stand-in; returns MPResult."""
     simulation = Simulation.from_config(
         mp_params, scheme=scheme, n_contexts=n_contexts,
@@ -85,7 +85,7 @@ class ExperimentContext:
 
     def __init__(self, config=None, mp_params=None, seed=1994,
                  warmup=UNIPROC_WARMUP, measure=UNIPROC_MEASURE,
-                 cache=None, engine="events", backend=None):
+                 cache=None, engine="burst", backend=None):
         self.config = config if config is not None else SystemConfig.fast()
         self.mp_params = (mp_params if mp_params is not None
                           else MultiprocessorParams())

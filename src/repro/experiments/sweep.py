@@ -77,7 +77,7 @@ def _cost_rank(point):
 
 def _compute_point_state(kind, name, scheme, n_contexts, config,
                          mp_params, seed, warmup, measure,
-                         engine="events", backend=None):
+                         engine="burst", backend=None):
     """Worker entry: compute one point, return its serialised state.
 
     Runs in a forked/spawned process; must only touch its arguments.

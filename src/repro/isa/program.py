@@ -96,7 +96,7 @@ class Program:
         self.annotations = dict(annotations) if annotations else {}
         # Burst tables (repro.isa.segments), memoised per
         # (stall threshold, issue width); built on demand so
-        # naive/event-engine runs never pay the segmentation cost.
+        # naive-engine runs never pay the segmentation cost.
         self._burst_tables = {}
         # Static-analysis memos (repro.analysis.absint fixpoint, race
         # access lists), same contract as the burst tables: the

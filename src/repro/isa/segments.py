@@ -250,9 +250,9 @@ def build_burst_table(program, threshold, width=1):
     when ``width > 1``), or None when that run is shorter than
     :data:`MIN_BURST`.
 
-    When numpy is available each burst's guard/write array pairs are
-    compiled here, so the memoised table (keyed ``(threshold, width)``
-    on the program) carries them and the dispatch path never compiles.
+    The numpy guard/write array pairs are compiled lazily, on a burst's
+    first :meth:`Burst.guard_arrays`/:meth:`Burst.write_arrays` call:
+    the default python scoreboard never reads them.
     """
     insts = program.instructions
     n = len(insts)
@@ -266,9 +266,6 @@ def build_burst_table(program, threshold, width=1):
         while j < n and burstable(insts[j]):
             j += 1
         for s in range(i, j - MIN_BURST + 1):
-            burst = schedule_burst(insts[s:j], s, threshold, width)
-            if burst is not None and _np is not None:
-                burst._compile_arrays()
-            table[s] = burst
+            table[s] = schedule_burst(insts[s:j], s, threshold, width)
         i = j
     return table

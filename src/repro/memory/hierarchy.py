@@ -211,7 +211,7 @@ class MemorySystem:
     def next_event_cycle(self, now):
         """Earliest future cycle any hierarchy component changes state.
 
-        Part of the event-engine protocol: the minimum over outstanding
+        Part of the event protocol: the minimum over outstanding
         MSHR fills, cache port/fill-buffer occupancy, and bus/bank
         reservations — or None when the hierarchy is quiescent.  The
         processor folds this into its own ``next_event_cycle`` through

@@ -40,7 +40,7 @@ class Resource:
     def next_event_cycle(self, now):
         """Cycle at which the current reservation drains, or None.
 
-        Part of the event-engine protocol (docs/architecture.md): every
+        Part of the event protocol (docs/architecture.md): every
         timed component reports the earliest future cycle at which its
         state changes by itself, so a fast-forwarding loop knows how far
         it may safely jump.

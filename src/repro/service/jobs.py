@@ -69,7 +69,7 @@ class JobSpec:
     seed: int = 1994
     warmup: int = UNIPROC_WARMUP
     measure: int = UNIPROC_MEASURE
-    engine: str = "events"
+    engine: str = "burst"
     #: Scoreboard backend for the workers ("python" | "numpy" | "auto" |
     #: None).  Bit-identical by contract, so — like ``engine`` — it does
     #: not enter cache keys, and a server that predates the knob can
@@ -82,9 +82,9 @@ class JobSpec:
         self.points = tuple(dedupe(SweepPoint(*p) for p in self.points))
         if not self.points:
             raise ValueError("a job needs at least one point")
-        if self.engine not in ("events", "naive", "burst"):
-            raise ValueError("engine must be 'events', 'naive' or "
-                             "'burst', not %r" % (self.engine,))
+        if self.engine not in ("naive", "burst"):
+            raise ValueError("engine must be 'naive' or 'burst', not %r"
+                             % (self.engine,))
         if self.backend not in (None, "auto", "python", "numpy"):
             raise ValueError("backend must be 'python', 'numpy', 'auto' "
                              "or None, not %r" % (self.backend,))
@@ -159,6 +159,11 @@ class JobSpec:
                   else SystemConfig.fast())
         mp_params = MultiprocessorParams(
             n_nodes=int(payload.get("nodes", 8)))
+        engine = payload.get("engine", "burst")
+        if engine == "events":
+            # Older spools and clients name the engine that was folded
+            # into "burst" (the same event loop without burst jumps).
+            engine = "burst"
         return cls(
             points=tuple(SweepPoint(k, n, s, int(c))
                          for k, n, s, c in payload["points"]),
@@ -167,7 +172,7 @@ class JobSpec:
             seed=int(payload.get("seed", 1994)),
             warmup=int(payload.get("warmup", UNIPROC_WARMUP)),
             measure=int(payload.get("measure", UNIPROC_MEASURE)),
-            engine=payload.get("engine", "events"),
+            engine=engine,
             backend=payload.get("backend"),
             timeout=payload.get("timeout"),
             max_retries=int(payload.get("max_retries", 2)),

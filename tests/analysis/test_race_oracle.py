@@ -5,7 +5,7 @@ cycle-accurate simulator's shared-access log through the Eraser-style
 happens-before checker (:func:`repro.analysis.dynamic_races`) and
 assert every dynamic race is reported by some static R7xx finding
 (:func:`repro.analysis.uncovered_races` empty).  The matrix spans every
-generator sharing pattern x both multithreading schemes x all three
+generator sharing pattern x both multithreading schemes x both
 engines, so the oracle exercises the same program space and execution
 paths the differential harness does.
 
@@ -27,7 +27,7 @@ _SMALL = dict(block_size=12, loop_iterations=4, footprint_words=64)
 
 SHARINGS = ("private", "read", "rw", "lock", "rw-locked")
 SCHEMES = ("blocked", "interleaved")
-ENGINES = ("naive", "events", "burst")
+ENGINES = ("naive", "burst")
 
 
 def _spec(sharing):
@@ -79,7 +79,7 @@ def test_payload_round_trips_record_fields(engine):
 
 
 def test_lock_pattern_records_held_locks():
-    _procs, recorder = _run("lock", "interleaved", "events")
+    _procs, recorder = _run("lock", "interleaved", "burst")
     locked = [r for r in recorder.records if r.locks]
     assert locked, "no access was recorded inside a critical section"
     from repro.workloads.generator import SHARED_LOCK

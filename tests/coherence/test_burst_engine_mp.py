@@ -2,10 +2,12 @@
 
 Same contract as the workstation side (tests/core/test_burst_engine.py):
 ``engine="burst"`` must reproduce the naive per-cycle loop bit for bit.
-On the multiprocessor, burst dispatch additionally requires that no
-*external* wake (lock handoff, barrier release — wake_at pinned to
-NEVER) could land mid-burst, so these runs exercise the conservative
-sole-runner veto on real lock/barrier-heavy SPLASH stand-ins.
+On the multiprocessor another node's lock handoff or barrier release
+(a context parked with wake_at pinned to NEVER) can land mid-window, so
+these runs exercise the policies' ownership tests — the interleaved
+sole-runner veto on such contexts, the blocked scheme's current-context
+ownership that no handoff can cut short — on real lock/barrier-heavy
+SPLASH stand-ins.
 """
 
 import dataclasses

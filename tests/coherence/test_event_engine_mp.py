@@ -1,10 +1,10 @@
-"""Multiprocessor event engine vs the naive lockstep reference.
+"""Multiprocessor fast-engine event loop vs the naive lockstep reference.
 
 Same contract as the workstation side (tests/core/test_event_engine.py):
-``engine="events"`` must reproduce the naive per-cycle loop bit for bit
+``engine="burst"`` must reproduce the naive per-cycle loop bit for bit
 — including the RNG-sensitive interconnect latencies, which is why the
-event loop steps runnable nodes in node order every cycle and only
-jumps when *every* node is parked.
+event loop steps runnable nodes in node order every cycle, parks idle
+ones, and only jumps when *every* node is parked or mid-window.
 """
 
 import dataclasses
@@ -16,8 +16,8 @@ from repro.config import MultiprocessorParams
 
 SMALL_PARAMS = MultiprocessorParams(n_nodes=2)
 
-#: Memory-latency-bound machine (~4x DASH latencies) where the event
-#: engine's fast-forward dominates; mirrors benchmarks.
+#: Memory-latency-bound machine (~4x DASH latencies) where the fast
+#: engine's idle fast-forward dominates; mirrors benchmarks.
 STRESS_PARAMS = MultiprocessorParams(
     n_nodes=4,
     local_memory=(120, 160),
@@ -44,48 +44,47 @@ def run_app(app, scheme, n_contexts, engine, params=SMALL_PARAMS,
 class TestBitIdentical:
     @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
     def test_splash_interleaved(self, app):
-        events = run_app(app, "interleaved", 2, "events")
+        fast = run_app(app, "interleaved", 2, "burst")
         naive = run_app(app, "interleaved", 2, "naive")
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
+        assert fast.completed and naive.completed
+        assert comparable(fast) == comparable(naive)
 
     def test_mp3d_blocked(self):
-        events = run_app("mp3d", "blocked", 2, "events")
+        fast = run_app("mp3d", "blocked", 2, "burst")
         naive = run_app("mp3d", "blocked", 2, "naive")
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
+        assert fast.completed and naive.completed
+        assert comparable(fast) == comparable(naive)
 
     def test_mp3d_single_context(self):
-        events = run_app("mp3d", "single", 1, "events")
+        fast = run_app("mp3d", "single", 1, "burst")
         naive = run_app("mp3d", "single", 1, "naive")
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
+        assert fast.completed and naive.completed
+        assert comparable(fast) == comparable(naive)
 
     @pytest.mark.parametrize("app,n_contexts", [("locus", 8), ("pthor", 2)])
     def test_blocked_sync_wake_in_switch_tail(self, app, n_contexts):
         """Sync wakes reaching a node parked in the blocked scheme's
         switch tail, on the default 8-node DSM (locus blocked-8 at seed
-        1994 once ended at cycle 18328 under events, 18272 under naive).
+        1994 once ended at cycle 18328 under the event loop, 18272 under
+        naive).
         """
-        runs = {engine: run_app(app, "blocked", n_contexts, engine,
-                                params=MultiprocessorParams(), scale=1.0,
-                                seed=1994)
-                for engine in ("naive", "events", "burst")}
-        naive = runs.pop("naive")
+        fast, naive = (run_app(app, "blocked", n_contexts, engine,
+                               params=MultiprocessorParams(), scale=1.0,
+                               seed=1994)
+                       for engine in ("burst", "naive"))
         assert naive.completed
-        for engine, result in runs.items():
-            assert comparable(result) == comparable(naive), engine
+        assert comparable(fast) == comparable(naive)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
     def test_memory_bound_stress_machine(self, app):
         """The benchmark-gate configuration, where jumps are longest."""
-        events = run_app(app, "interleaved", 2, "events",
-                         params=STRESS_PARAMS, scale=0.5, seed=1994)
+        fast = run_app(app, "interleaved", 2, "burst",
+                       params=STRESS_PARAMS, scale=0.5, seed=1994)
         naive = run_app(app, "interleaved", 2, "naive",
                         params=STRESS_PARAMS, scale=0.5, seed=1994)
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
+        assert fast.completed and naive.completed
+        assert comparable(fast) == comparable(naive)
 
 
 class TestUnifiedRunAPI:
@@ -127,3 +126,5 @@ class TestUnifiedRunAPI:
     def test_engine_argument_validated(self):
         with pytest.raises(ValueError, match="engine"):
             self._sim(engine="warp")
+        with pytest.raises(ValueError, match="engine"):
+            self._sim(engine="events")

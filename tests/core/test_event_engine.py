@@ -1,12 +1,15 @@
-"""Event-driven fast-forward engine vs the naive per-cycle reference.
+"""The fast engine's event loop vs the naive per-cycle reference.
 
-The contract (docs/architecture.md, "The event engine"): for any
-workload and configuration, ``engine="events"`` must produce statistics
-*bit-identical* to ``engine="naive"`` — the fast-forward is an
-optimisation, never an approximation.  These tests enforce the contract
-over every Table 5 uniprocessor workload and across schemes, check the
-``next_event_cycle`` protocol property with hypothesis, and pin the
-deprecation shims of the old run APIs.
+The contract (docs/architecture.md, "The fast engine"): for any
+workload and configuration, ``engine="burst"`` — whose advance loop
+fast-forwards idle and processor-wide stall windows through the
+``next_event_cycle`` protocol — must produce statistics *bit-identical*
+to ``engine="naive"``; the fast-forward is an optimisation, never an
+approximation.  These tests enforce the contract over every Table 5
+uniprocessor workload and across schemes, check the
+``next_event_cycle`` protocol property with hypothesis, pin the
+deadlock detector the jumping loop needs, and pin the deprecation
+shims of the old run APIs.
 """
 
 import dataclasses
@@ -42,32 +45,32 @@ def run_workload(workload, scheme, n_contexts, engine,
 
 
 class TestBitIdentical:
-    """Events == naive, bit for bit, on all seven paper workloads."""
+    """Fast == naive, bit for bit, on all seven paper workloads."""
 
     @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
     def test_all_workloads_interleaved(self, workload):
-        events = run_workload(workload, "interleaved", 4, "events")
+        fast = run_workload(workload, "interleaved", 4, "burst")
         naive = run_workload(workload, "interleaved", 4, "naive")
-        assert comparable(events) == comparable(naive)
+        assert comparable(fast) == comparable(naive)
 
     @pytest.mark.parametrize("scheme,n_contexts",
                              [("single", 1), ("blocked", 2),
                               ("blocked", 4), ("interleaved", 2)])
     @pytest.mark.parametrize("workload", ("DC", "R1"))
     def test_scheme_matrix(self, workload, scheme, n_contexts):
-        events = run_workload(workload, scheme, n_contexts, "events")
+        fast = run_workload(workload, scheme, n_contexts, "burst")
         naive = run_workload(workload, scheme, n_contexts, "naive")
-        assert comparable(events) == comparable(naive)
+        assert comparable(fast) == comparable(naive)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
     def test_full_experiment_window(self, workload):
         """The exact window the experiment layer measures."""
-        events = run_workload(workload, "interleaved", 4, "events",
-                              warmup=30_000, measure=120_000)
+        fast = run_workload(workload, "interleaved", 4, "burst",
+                            warmup=30_000, measure=120_000)
         naive = run_workload(workload, "interleaved", 4, "naive",
                              warmup=30_000, measure=120_000)
-        assert comparable(events) == comparable(naive)
+        assert comparable(fast) == comparable(naive)
 
 
 class TestNextEventProtocol:
@@ -133,14 +136,14 @@ class TestDeadlockSemantics:
         sim.sync.try_acquire(lock_addr, "phantom", HardwareContext(9))
         return sim
 
-    def test_events_engine_raises(self):
-        sim = self._blocked_sim("events")
+    def test_fast_engine_raises(self):
+        sim = self._blocked_sim("burst")
         with pytest.raises(SimulationDeadlock):
             sim.run(until=50_000)
 
     def test_naive_engine_burns_to_the_bound(self):
         # The reference loop has no deadlock detector: it charges SYNC
-        # idle slots until the bound.  The event engine adds detection
+        # idle slots until the bound.  The fast engine adds detection
         # because jumping would otherwise spin forever at one cycle.
         sim = self._blocked_sim("naive")
         result = sim.run(until=50_000)
@@ -200,3 +203,6 @@ class TestUnifiedRunAPI:
     def test_engine_argument_validated(self):
         with pytest.raises(ValueError, match="engine"):
             self._sim(engine="warp")
+        # The events loop was folded into the burst engine.
+        with pytest.raises(ValueError, match="engine"):
+            self._sim(engine="events")

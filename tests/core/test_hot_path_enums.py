@@ -28,9 +28,10 @@ HOT_PATHS = {
         "step", "idle_until", "context_woken", "_update_contexts",
         "_retire", "_try_burst", "_skip_stall_window", "_try_issue",
         "_access_satisfied"},
-    "core/policies.py": {"select", "idle_wake_info"},
-    "core/simulator.py": {"_restart_process", "_advance_events",
+    "core/policies.py": {"select", "owns_window", "idle_wake_info"},
+    "core/simulator.py": {"_restart_process", "_advance_naive",
                           "_advance_burst"},
+    "core/mpsimulator.py": {"__call__", "_advance_naive", "_advance_burst"},
 }
 
 

@@ -111,7 +111,7 @@ class TestSwitchInstruction:
 
 class TestParkedSyncWake:
     """A lock handoff or barrier release reaching a parked processor
-    (``context_woken``, the event engines' path) must resume the park
+    (``context_woken``, the fast engine's path) must resume the park
     where naive stepping would next issue."""
 
     def _blocked(self):

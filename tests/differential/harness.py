@@ -1,11 +1,12 @@
-"""Cross-engine differential harness: one result, three engines.
+"""Cross-engine differential harness: one result, two engines.
 
-Every engine (``naive`` per-cycle, ``events`` fast-forward, ``burst``
-precompiled segments) claims to implement the same machine.  The proof
-obligation is *bit identity*: for any workload, scheme, context count,
-and issue width, ``RunResult.to_json()`` must be byte-for-byte equal
-across engines.  The naive per-cycle loop is the reference; the other
-two are accelerations of it.
+Both engines (``naive`` per-cycle, ``burst`` fast-forward with
+precompiled segments and bulk-charged stall windows) claim to implement
+the same machine.  The proof obligation is *bit identity*: for any
+workload, scheme, context count, and issue width,
+``RunResult.to_json()`` must be byte-for-byte equal across engines.
+The naive per-cycle loop is the reference; the burst engine is an
+acceleration of it.
 
 The helpers here give the matrix tests and the hypothesis
 random-program tests a shared vocabulary:

@@ -20,7 +20,7 @@ from repro.workloads.uniprocessor import WORKLOAD_ORDER
 
 from .harness import assert_identical, run_mp, run_workstation
 
-ENGINES = ("naive", "events", "burst")
+ENGINES = ("naive", "burst")
 
 #: Backend axis; the numpy column skips when the extra is absent.
 BACKENDS = ("python", "numpy")
@@ -52,7 +52,7 @@ def _assert_grid_identical(results, context):
 class TestWorkloadBackendMatrix:
     @needs_numpy
     def test_backends_bit_identical(self, workload):
-        """All seven workloads x three engines x both backends."""
+        """All seven workloads x both engines x both backends."""
         _assert_grid_identical(
             _matrix(workload, "interleaved", 4),
             context="%s interleaved x4 backend grid" % workload)
@@ -77,10 +77,9 @@ def test_multiprocessor_backends_bit_identical():
     """mp3d on the 2-node machine: both backends, burst vs naive."""
     results = {"naive": run_mp("mp3d", "interleaved", 2, "naive",
                                backend="python")}
-    for engine in ("events", "burst"):
-        for backend in BACKENDS:
-            results["%s/%s" % (engine, backend)] = run_mp(
-                "mp3d", "interleaved", 2, engine, backend=backend)
+    for backend in BACKENDS:
+        results["burst/%s" % backend] = run_mp(
+            "mp3d", "interleaved", 2, "burst", backend=backend)
     assert_identical(results, context="mp3d interleaved x2 backend grid")
 
 

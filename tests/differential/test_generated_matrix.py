@@ -8,8 +8,8 @@ multi-block loop bodies, loop nests, cross-context sharing and
 spin-locks) — must produce byte-identical ``RunResult.to_json()``
 payloads across
 
-* all three engines (``naive`` per-cycle reference, ``events``
-  fast-forward, ``burst`` precompiled segments),
+* both engines (``naive`` per-cycle reference, ``burst``
+  fast-forward with precompiled segments),
 * issue widths 1/2/4 (the Section 7 extension study), and
 * both scoreboard backends (pure-python and numpy), when numpy is
   installed.
@@ -36,7 +36,7 @@ from .harness import (
     run_spec,
 )
 
-ENGINES = ("naive", "events", "burst")
+ENGINES = ("naive", "burst")
 
 #: All sharing patterns the generator can emit; multi-context points
 #: draw from the full set so the lock/CAS paths get fuzzed too.
@@ -102,23 +102,20 @@ def test_generated_programs_backend_identical(spec, width):
         listing=listing_for(spec))
 
 
-@given(spec=gen_specs(sharing=("lock",)),
-       engine=st.sampled_from(("events", "burst")))
+@given(spec=gen_specs(sharing=("lock",)))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=(HealthCheck.too_slow,))
-def test_generated_lock_contention_bit_identical(spec, engine):
+def test_generated_lock_contention_bit_identical(spec):
     """Spin-lock contention point: 4 contexts hammering one lock word.
 
     The sharing="lock" pattern is the hardest case for the accelerated
     engines (backoff timing, CAS failure paths), so it gets a dedicated
     always-contended probe beyond its share of the main sweep.
     """
-    results = {
-        "naive": run_spec(spec, "interleaved", 4, "naive"),
-        engine: run_spec(spec, "interleaved", 4, engine),
-    }
+    results = {engine: run_spec(spec, "interleaved", 4, engine)
+               for engine in ENGINES}
     assert_identical(results,
-                     context="lock contention %s spec=%r" % (engine, spec),
+                     context="lock contention spec=%r" % (spec,),
                      listing=listing_for(spec))
 
 

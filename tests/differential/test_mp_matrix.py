@@ -1,19 +1,19 @@
 """DSM multiprocessor engine-identity matrix.
 
 mp3d and cholesky (the lock- and barrier-heavy SPLASH stand-ins) run to
-completion on a 2-node machine at 0.25 scale; all three engines must
-agree bit for bit at every issue width.  On the multiprocessor the
-burst engine additionally exercises the external-wake veto (another
-node's lock handoff or barrier release landing mid-window), and the
-event engine the cross-node lockstep protocol, so this matrix is where
-width x synchronisation interactions would surface.
+completion on a 2-node machine at 0.25 scale; both engines must agree
+bit for bit at every issue width.  On the multiprocessor the burst
+engine additionally exercises the external-wake veto (another node's
+lock handoff or barrier release landing mid-window) and the cross-node
+lockstep protocol of its event loop, so this matrix is where width x
+synchronisation interactions would surface.
 """
 
 import pytest
 
 from .harness import WIDTHS, assert_identical, run_mp
 
-ENGINES = ("naive", "events", "burst")
+ENGINES = ("naive", "burst")
 
 
 @pytest.mark.parametrize("width", WIDTHS)

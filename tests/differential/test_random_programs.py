@@ -4,7 +4,7 @@ Hypothesis drives the synthetic stream generator (the machinery behind
 the Table 5 R0/R1 workloads) across the timing-relevant axes —
 dependency distance, FP/divide pressure, branch density, memory
 footprint and stride — and every drawn program must produce
-bit-identical stats on all three engines at the drawn scheme, context
+bit-identical stats on both engines at the drawn scheme, context
 count, and issue width.  Failures report the first diverging stat and
 the offending program listing (see harness.assert_identical), so
 hypothesis shrinking yields a minimal counterexample.
@@ -27,7 +27,7 @@ from .harness import (
     stream_specs,
 )
 
-ENGINES = ("naive", "events", "burst")
+ENGINES = ("naive", "burst")
 
 #: Example budget for the slow deep sweep; the nightly lane raises it.
 DEEP_EXAMPLES = int(os.environ.get("DIFFERENTIAL_DEEP_EXAMPLES", "40"))

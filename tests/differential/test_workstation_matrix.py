@@ -1,7 +1,7 @@
 """Workstation engine-identity matrix (the acceptance grid).
 
 Every Table 5 workload mix x issue width 1/2/4 must produce
-bit-identical stats on all three engines; a scheme x context sweep on
+bit-identical stats on both engines; a scheme x context sweep on
 one representative mix covers the scheduling-policy axis.  The naive
 per-cycle loop is the reference (see harness.py).
 """
@@ -12,7 +12,7 @@ from repro.workloads.uniprocessor import WORKLOAD_ORDER
 
 from .harness import WIDTHS, assert_identical, run_workstation
 
-ENGINES = ("naive", "events", "burst")
+ENGINES = ("naive", "burst")
 
 
 @pytest.mark.parametrize("width", WIDTHS)

@@ -32,6 +32,13 @@ def test_empty_job_rejected():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         _spec((("uniproc", "R1", "single", 1),), engine="warp")
+    # The events engine is gone; only a stored spec may still name it.
+    with pytest.raises(ValueError):
+        _spec((("uniproc", "R1", "single", 1),), engine="events")
+
+
+def test_default_engine_is_burst():
+    assert _spec((("uniproc", "R1", "single", 1),)).engine == "burst"
 
 
 def test_sweep_classmethod_covers_default_points():
@@ -74,6 +81,22 @@ def test_spool_dict_round_trip():
     assert back.engine == "burst"
     assert back.timeout == 12.5
     assert back.max_retries == 4
+
+
+def test_spool_dict_reads_stored_events_engine_as_burst():
+    """Spools and clients from before the engines merged wrote
+    ``"engine": "events"``; they still parse, as the burst engine that
+    absorbed the events loop, and round-trip from there."""
+    payload = _spec((("uniproc", "R1", "single", 1),),
+                    seed=7).to_dict()
+    payload["engine"] = "events"
+    back = JobSpec.from_dict(payload)
+    assert back.engine == "burst"
+    again = JobSpec.from_dict(back.to_dict())
+    assert again.engine == "burst"
+    assert (again.points, again.seed) == (back.points, 7)
+    payload.pop("engine")
+    assert JobSpec.from_dict(payload).engine == "burst"
 
 
 def test_spool_dict_rejects_unknown_schema():

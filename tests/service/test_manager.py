@@ -49,7 +49,7 @@ def test_smoke_bit_identical_to_serial_sweep(tmp_path):
     for scheme, n in (("single", 1), ("interleaved", 2)):
         result = Simulation.from_config(
             FAST, scheme=scheme, n_contexts=n, seed=1994,
-            engine="events").load("R1").run(warmup=1_000, measure=6_000)
+            engine="burst").load("R1").run(warmup=1_000, measure=6_000)
         serial[("R1", scheme, n)] = result.to_json()
     assert _by_point(payloads) == serial
 
@@ -244,10 +244,10 @@ def test_cross_worker_burst_cache_hits(tmp_path):
     assert status["burst_cache"]["stores"] > 0
     assert status["burst_cache"]["rejected"] == 0
 
-    # ... and stays bit-identical to the events engine (service-level
+    # ... and stays bit-identical to the naive engine (service-level
     # restatement of the engines' bit-identity contract).
-    events = _spec()
     with JobManager(workers=2) as mgr:
-        baseline = mgr.results(mgr.submit(events), timeout=240)
+        baseline = mgr.results(mgr.submit(_spec(engine="naive")),
+                               timeout=240)
     assert sorted(json.loads(p)["cycles"] for p in payloads) \
         == sorted(json.loads(p)["cycles"] for p in baseline)

@@ -37,8 +37,8 @@ def _serial_payloads(points):
     for _, name, scheme, n in points:
         result = Simulation.from_config(
             FAST, scheme=scheme, n_contexts=n, seed=1994,
-            engine="events").load(name).run(warmup=WARMUP,
-                                            measure=MEASURE)
+            engine="burst").load(name).run(warmup=WARMUP,
+                                           measure=MEASURE)
         out[(name, scheme, n)] = result.to_json()
     return out
 
@@ -96,7 +96,8 @@ def test_cli_socket_round_trip(tmp_path, capsys, monkeypatch):
         # _serve exercises the real CLI wiring; ready fires post-bind.
         cli_main(["serve", "--listen", "127.0.0.1:0", "--workers", "2",
                   "--serve-seconds", "60",
-                  "--cache-dir", str(tmp_path / "rc")],
+                  "--cache-dir", str(tmp_path / "rc"),
+                  "--burst-cache-dir", str(tmp_path / "bc")],
                  _ready=lambda h, p: (bound.update(host=h, port=p),
                                       ready.set()))
 
