@@ -9,7 +9,9 @@ Submits the same burst-engine sweep job twice through a
   recomputes its simulation but loads its burst tables from the shared
   cache (validated by ``audit_bursts``) instead of compiling.
 
-then runs the same job a third time as a **net** case: a TCP
+then resubmits it as a **warm hit** into the warm run's result cache
+(every point must be read from the cache, none computed or rewritten),
+and runs the same job once more as a **net** case: a TCP
 :class:`~repro.service.net.ServiceServer` fronting the manager, with a
 :class:`~repro.service.client.ServiceClient` submitting and streaming
 the results over a real socket (warm burst tables, fresh result cache
@@ -20,10 +22,12 @@ Records submit-to-first-result latency and points/sec for every run
 plus two host-independent ratios CI gates against a checked-in
 baseline (``BENCH_service_baseline.json``): ``warm_speedup`` (warm /
 cold points-per-sec) and ``net_vs_warm_speedup`` (net / warm — how
-much throughput the TCP hop costs).  Three correctness gates are
+much throughput the TCP hop costs).  Four correctness gates are
 unconditional: the warm run must *hit* the table cache on every point,
-no run may reject a cached entry, and the streamed TCP payloads must
-be byte-identical to the manager's in-process results.
+no run may reject a cached entry, the warm-hit resubmit must serve
+every point from the result cache without storing anything and stream
+payloads byte-identical to the warm run's, and the streamed TCP
+payloads must be byte-identical to the manager's in-process results.
 
 Usage::
 
@@ -63,32 +67,33 @@ MEASURE = 12_000
 WORKERS = 2
 
 
-def _run_once(burst_dir, result_dir):
-    """One submit -> drain cycle; returns the timing/stat dict."""
+def _run_once(burst_dir, cache):
+    """One submit -> drain cycle; returns (timing/stat dict, payloads)."""
     spec = JobSpec(points=POINTS, config=SystemConfig.fast(),
                    mp_params=MultiprocessorParams(n_nodes=2),
                    warmup=WARMUP, measure=MEASURE, engine="burst")
-    with JobManager(workers=WORKERS, cache=ResultCache(result_dir),
+    with JobManager(workers=WORKERS, cache=cache,
                     burst_dir=burst_dir) as manager:
         t0 = time.perf_counter()
         job_id = manager.submit(spec)
         first = None
-        n = 0
-        for _payload in manager.iter_results(job_id, timeout=600):
+        payloads = []
+        for payload in manager.iter_results(job_id, timeout=600):
             if first is None:
                 first = time.perf_counter() - t0
-            n += 1
+            payloads.append(payload)
         total = time.perf_counter() - t0
         status = manager.status(job_id)
-    if status["status"] != "completed" or n != len(POINTS):
+    if status["status"] != "completed" or len(payloads) != len(POINTS):
         raise RuntimeError("benchmark job did not complete: %r"
                            % (status,))
     return {
         "submit_to_first_result_seconds": round(first, 3),
         "total_seconds": round(total, 3),
-        "points_per_second": round(n / total, 3),
+        "points_per_second": round(len(payloads) / total, 3),
         "burst": status["burst_cache"],
-    }
+        "cache_hits": status["cache_hits"],
+    }, payloads
 
 
 def _run_net(burst_dir, result_dir):
@@ -140,16 +145,26 @@ def run_benchmark():
     root = tempfile.mkdtemp(prefix="bench_service_")
     try:
         burst_dir = os.path.join(root, "bursts")
-        cold = _run_once(burst_dir, os.path.join(root, "rc_cold"))
+        cold, _ = _run_once(burst_dir,
+                            ResultCache(os.path.join(root, "rc_cold")))
         # Fresh result cache: the simulations recompute, only the
         # compiled burst tables carry over.
-        warm = _run_once(burst_dir, os.path.join(root, "rc_warm"))
+        warm_cache = ResultCache(os.path.join(root, "rc_warm"))
+        warm, warm_payloads = _run_once(burst_dir, warm_cache)
+        # The same job again into the now-warm result cache: a hit is
+        # read and validated, never written back.
+        stores = warm_cache.stores
+        warm_hit, hit_payloads = _run_once(burst_dir, warm_cache)
+        warm_hit["stores"] = warm_cache.stores - stores
+        warm_hit["identical"] = sorted(hit_payloads) == sorted(
+            warm_payloads)
         net = _run_net(burst_dir, os.path.join(root, "rc_net"))
     finally:
         shutil.rmtree(root, ignore_errors=True)
     sweep_case = {
         "cold": cold,
         "warm": warm,
+        "warm_hit": warm_hit,
         "warm_speedup": round(warm["points_per_second"]
                               / cold["points_per_second"], 3),
     }
@@ -184,6 +199,17 @@ def check(payload, baseline, max_regression):
         if case[phase]["burst"]["rejected"]:
             failures.append("%s run rejected %d cached burst tables"
                             % (phase, case[phase]["burst"]["rejected"]))
+    hit = case["warm_hit"]
+    if hit["cache_hits"] < payload["n_points"]:
+        failures.append("warm-hit resubmit read %d/%d points from the "
+                        "result cache" % (hit["cache_hits"],
+                                          payload["n_points"]))
+    if hit["stores"]:
+        failures.append("warm-hit resubmit stored %d result-cache "
+                        "entries (a hit must not be rewritten)"
+                        % (hit["stores"],))
+    if not hit["identical"]:
+        failures.append("warm-hit payloads differ from the warm run's")
     net = payload["cases"]["service_net_stream"]["net"]
     if net["burst"]["rejected"]:
         failures.append("net run rejected %d cached burst tables"
@@ -236,6 +262,8 @@ def main(argv=None):
             for phase in ("cold", "warm")},
         "warm_speedup": case["warm_speedup"],
         "warm_burst": case["warm"]["burst"],
+        "warm_hit": {key: case["warm_hit"][key]
+                     for key in ("cache_hits", "stores", "identical")},
         "net": {
             "submit_to_first_result_seconds":
                 net_case["net"]["submit_to_first_result_seconds"],

@@ -77,14 +77,40 @@ def point_key(kind, name, scheme, n_contexts, config, mp_params, seed,
     Any change to any field — any config value, the seed, the window, or
     the simulator source (``version``) — produces a different key.
     """
+    return hash_point_key(kind, name, scheme, n_contexts,
+                          canonical_configs(config, mp_params)[2], seed,
+                          warmup, measure, version)
+
+
+def canonical_configs(config, mp_params, memo=None):
+    """``(config, mp_params, canonical pair)`` for :func:`hash_point_key`.
+
+    Walking a whole :class:`~repro.config.SystemConfig` costs most of a
+    key, so owners that key many points (a job, an experiment context)
+    pass their previous return value back as ``memo``.  It is reused
+    while it was built from these very objects: configs are frozen, so
+    the same object has the same content, and a reassigned config is
+    canonicalised afresh.
+    """
+    if memo is not None and memo[0] is config and memo[1] is mp_params:
+        return memo
+    return (config, mp_params,
+            (to_canonical(config), to_canonical(mp_params)))
+
+
+def hash_point_key(kind, name, scheme, n_contexts, canonical, seed,
+                   warmup, measure, version=None):
+    """:func:`point_key` over an already-canonical (config, mp_params)
+    pair; the same bytes, so the same key."""
+    config, mp_params = canonical
     payload = {
         "schema": CACHE_SCHEMA,
         "kind": kind,
         "name": name,
         "scheme": scheme,
         "n_contexts": n_contexts,
-        "config": to_canonical(config),
-        "mp_params": to_canonical(mp_params),
+        "config": config,
+        "mp_params": mp_params,
         "seed": seed,
         "warmup": warmup,
         "measure": measure,

@@ -106,6 +106,7 @@ class ExperimentContext:
         self._uniproc = {}
         self._dedicated = {}
         self._mp = {}
+        self._canonical = None
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -116,8 +117,10 @@ class ExperimentContext:
             warmup, measure = 0, MP_MAX_CYCLES
         else:
             warmup, measure = self.warmup, self.measure
-        return cache_mod.point_key(
-            kind, name, scheme, n_contexts, self.config, self.mp_params,
+        self._canonical = cache_mod.canonical_configs(
+            self.config, self.mp_params, self._canonical)
+        return cache_mod.hash_point_key(
+            kind, name, scheme, n_contexts, self._canonical[2],
             self.seed, warmup, measure)
 
     def _cache_get(self, kind, name, scheme, n_contexts):

@@ -17,7 +17,8 @@ system:
   ``iter_results`` and an ``async`` ``stream`` of per-point
   ``RunResult.to_json`` payloads.  Worker death is retried with
   exponential backoff; jobs carry a wall-clock timeout; shutdown is
-  graceful (completed points are flushed to the result cache).
+  graceful (computed points are flushed to the result cache; a cache
+  hit is read and validated, never rewritten).
 * :class:`BurstTableCache` shares compiled burst tables across workers,
   keyed by :func:`repro.analysis.program_fingerprint` plus the
   ``(short_stall_threshold, issue_width)`` schedule key, and every

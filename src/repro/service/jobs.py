@@ -77,6 +77,10 @@ class JobSpec:
     backend: str = None
     timeout: float = None
     max_retries: int = 2
+    #: Canonical config pair behind :meth:`cache_key`, computed once per
+    #: config object (see :func:`repro.experiments.cache.canonical_configs`).
+    _canonical: tuple = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.points = tuple(dedupe(SweepPoint(*p) for p in self.points))
@@ -107,9 +111,11 @@ class JobSpec:
         batch sweep path, so service and batch runs feed one cache)."""
         from repro.experiments import cache as cache_mod
         warmup, measure = self.point_window(point)
-        return cache_mod.point_key(
+        self._canonical = cache_mod.canonical_configs(
+            self.config, self.mp_params, self._canonical)
+        return cache_mod.hash_point_key(
             point.kind, point.name, point.scheme, point.n_contexts,
-            self.config, self.mp_params, self.seed, warmup, measure)
+            self._canonical[2], self.seed, warmup, measure)
 
     # -- spool (JSON) form ------------------------------------------------
 
@@ -183,7 +189,7 @@ class PointState:
     """Progress of one point inside a job."""
 
     __slots__ = ("point", "status", "source", "attempts", "seconds",
-                 "error", "state", "payload", "flushed")
+                 "error", "state", "payload", "key", "flushed")
 
     def __init__(self, point):
         self.point = point
@@ -194,7 +200,8 @@ class PointState:
         self.error = None
         self.state = None            # serialised result (cache format)
         self.payload = None          # RunResult.to_json() string
-        self.flushed = False         # written to the ResultCache?
+        self.key = None              # ResultCache key, when there is a cache
+        self.flushed = False         # in the ResultCache (read or written)?
 
     def to_dict(self):
         p = self.point

@@ -7,7 +7,8 @@ the rest across a bounded pool of worker *processes* — one process per
 point attempt (see :mod:`repro.service.worker`).  A single scheduler
 thread owns all mutable scheduling state: it fills free worker slots,
 multiplexes result pipes with :func:`multiprocessing.connection.wait`,
-writes completed states through to the result cache, and enforces the
+writes computed states through to the result cache (a hit was read and
+validated there, so it is never rewritten), and enforces the
 robustness rules:
 
 * **worker death** (crash, OOM-kill, injected fault) retries the point
@@ -18,7 +19,7 @@ robustness rules:
   ``timeout``), its workers killed, its queue drained;
 * ``cancel(job_id)`` does the same with status ``cancelled``;
 * ``shutdown()`` is graceful: in-flight attempts finish and their
-  completed points are flushed to the result cache before the
+  computed points are flushed to the result cache before the
   scheduler exits; never-started jobs are cancelled.
 
 Clients observe jobs through ``status`` snapshots, blocking
@@ -27,6 +28,7 @@ Clients observe jobs through ``status`` snapshots, blocking
 """
 
 import asyncio
+import dataclasses
 import itertools
 import multiprocessing
 import threading
@@ -34,7 +36,6 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as conn_wait
 
-from repro.service import jobs as jobs_mod
 from repro.service.jobs import (JobRecord, JobSpec, PENDING, RUNNING,
                                 COMPLETED, FAILED, CANCELLED, TIMEOUT)
 from repro.service.results import payload_from_state
@@ -116,12 +117,7 @@ class JobManager:
         if isinstance(spec, dict):
             spec = JobSpec.from_dict(spec)
         if spec.timeout is None and self.default_timeout is not None:
-            spec = jobs_mod.JobSpec(
-                points=spec.points, config=spec.config,
-                mp_params=spec.mp_params, seed=spec.seed,
-                warmup=spec.warmup, measure=spec.measure,
-                engine=spec.engine, timeout=self.default_timeout,
-                max_retries=spec.max_retries)
+            spec = dataclasses.replace(spec, timeout=self.default_timeout)
         now = time.monotonic()
         with self._lock:
             if self._stopping:
@@ -141,10 +137,8 @@ class JobManager:
             for point in spec.points:
                 state = None
                 if self.cache is not None:
-                    key = spec.cache_key(point)
-                    cached = self.cache.get_state(key, point.kind)
-                    if cached is not None:
-                        state = cached
+                    key = record.points[point].key = spec.cache_key(point)
+                    state = self.cache.get_state(key, point.kind)
                 if state is not None:
                     self._complete_point(record, point, state,
                                          source="cache", seconds=0.0)
@@ -252,7 +246,7 @@ class JobManager:
         return [r.snapshot() for r in records]
 
     def flush_completed(self):
-        """Write any completed-but-unflushed point states to the cache."""
+        """Write any computed-but-unflushed point states to the cache."""
         if self.cache is None:
             return 0
         with self._lock:
@@ -435,7 +429,9 @@ class JobManager:
         if burst:
             for k, v in burst.items():
                 record.burst_stats[k] = record.burst_stats.get(k, 0) + v
-        if self.cache is not None:
+        if source == "cache":
+            ps.flushed = True          # read and validated: not rewritten
+        elif self.cache is not None:
             self._cache_put(spec, ps)
         record.payloads.append(ps.payload)
         record.cond.notify_all()
@@ -444,7 +440,7 @@ class JobManager:
         point = ps.point
         try:
             self.cache.put_state(
-                spec.cache_key(point), point.kind, ps.state,
+                ps.key, point.kind, ps.state,
                 meta={"kind": point.kind, "name": point.name,
                       "scheme": point.scheme,
                       "n_contexts": point.n_contexts, "seed": spec.seed,

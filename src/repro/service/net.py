@@ -345,9 +345,13 @@ class ServiceServer:
         return True
 
     async def _send(self, writer, obj):
+        self._write(writer, obj)
+        await writer.drain()
+
+    def _write(self, writer, obj):
+        """Buffer one frame; the caller drains once per batch."""
         data = encode_frame(obj)
         writer.write(data)
-        await writer.drain()
         self.stats.add("bytes_out", len(data))
         self.stats.add("frames_out")
 
@@ -425,30 +429,41 @@ class ServiceServer:
             self.stats.add("resumes")
         sent = 0
         while True:
-            self._maybe_inject_drop(sent, writer)
-            payload = await asyncio.to_thread(self.manager.wait_payload,
-                                              job_id, index)
-            if payload is None:
-                break
-            await self._send(writer, {"id": rid, "type": "point",
-                                      "index": index,
-                                      "payload": payload})
-            index += 1
-            sent += 1
+            # Every payload that already exists goes out in one batch
+            # with one drain; only a payload still to come needs the
+            # blocking wait, and so a thread.
+            ready = self.manager.payloads(job_id, index)
+            if not ready:
+                await self._maybe_inject_drop(sent, writer)
+                payload = await asyncio.to_thread(
+                    self.manager.wait_payload, job_id, index)
+                if payload is None:
+                    break
+                ready = [payload]
+            for payload in ready:
+                await self._maybe_inject_drop(sent, writer)
+                self._write(writer, {"id": rid, "type": "point",
+                                     "index": index, "payload": payload})
+                index += 1
+                sent += 1
+            await writer.drain()
         status = self.manager.status(job_id)
         await self._send(writer, {"id": rid, "type": "end",
                                   "ok": status["status"] == COMPLETED,
                                   "status": status})
         return True
 
-    def _maybe_inject_drop(self, sent, writer):
+    async def _maybe_inject_drop(self, sent, writer):
         """Fault injection: abort the connection once ``sent`` point
         frames have gone out (``_stream_drop_after=0`` drops before any
-        progress, exercising the client's retry-budget exhaustion)."""
+        progress, exercising the client's retry-budget exhaustion).
+        The frames already buffered are drained first, so exactly
+        ``sent`` of them leave before the drop."""
         if (self._stream_drop_times > 0
                 and self._stream_drop_after is not None
                 and sent >= self._stream_drop_after):
             self._stream_drop_times -= 1
+            await writer.drain()
             transport = writer.transport
             if transport is not None:
                 transport.abort()

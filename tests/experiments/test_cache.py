@@ -79,6 +79,31 @@ class TestPointKey:
         deep = SystemConfig.fast().with_pipeline(issue_width=2)
         assert _key(config=deep) != _key()
 
+    @pytest.mark.parametrize("profile,point,window,digest", [
+        ("fast", ("uniproc", "DC", "interleaved", 4), (30_000, 120_000),
+         "fe4ea0e0e9d708f20674a9f038d884b340ca227d7d997833346efe834c19a050"),
+        ("fast", ("mp", "mp3d", "blocked", 2), (0, 20_000_000),
+         "3498bb87a5fac373eb9887a4c087c657ff2cf4c7367a1adb5bf5b32e9976dcec"),
+        ("paper", ("uniproc", "DC", "interleaved", 4), (30_000, 120_000),
+         "55eb5f109601b06f9dab0d81f2f7c405c6d33efa9fc8cd73e759a246d2d6e393"),
+        ("paper", ("mp", "mp3d", "blocked", 2), (0, 20_000_000),
+         "e3b2dbd204c1538bed3504d2e0d4f04f8772ff9550c92e483f975444d43299b0"),
+    ])
+    def test_key_bytes_are_pinned(self, monkeypatch, profile, point,
+                                  window, digest):
+        """Every key path hashes the same bytes as ever: a changed
+        digest would orphan every existing cache entry and spool."""
+        from repro.experiments.runner import ExperimentContext
+        config = getattr(SystemConfig, profile)()
+        mpp = MultiprocessorParams()
+        assert point_key(*point, config, mpp, 1994, *window,
+                         version="0" * 64) == digest
+        monkeypatch.setattr(cache_mod, "code_version", lambda: "0" * 64)
+        ctx = ExperimentContext(config=config, mp_params=mpp, seed=1994,
+                                warmup=30_000, measure=120_000)
+        assert ctx.point_cache_key(*point) == digest
+        assert ctx.point_cache_key(*point) == digest    # memoised
+
     def test_code_version_component(self):
         """Default version comes from hashing the simulator sources."""
         v = code_version()

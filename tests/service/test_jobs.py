@@ -58,14 +58,42 @@ def test_mp_points_use_the_mp_window():
 
 def test_cache_keys_interchangeable_with_batch_context():
     """The acceptance contract: service cache entries ARE batch entries."""
-    spec = _spec((("uniproc", "R1", "interleaved", 2),
-                  ("mp", "cholesky", "single", 1)),
-                 warmup=1_000, measure=6_000)
-    ctx = ExperimentContext(config=FAST, mp_params=MPP,
-                            warmup=1_000, measure=6_000)
-    for point in spec.points:
-        assert spec.cache_key(point) == ctx.point_cache_key(
-            point.kind, point.name, point.scheme, point.n_contexts)
+    from repro.experiments.cache import point_key
+    for config in (FAST, SystemConfig.paper()):
+        for mpp in (MPP, MultiprocessorParams()):
+            spec = _spec((("uniproc", "R1", "interleaved", 2),
+                          ("mp", "cholesky", "single", 1)),
+                         config=config, mp_params=mpp,
+                         warmup=1_000, measure=6_000)
+            ctx = ExperimentContext(config=config, mp_params=mpp,
+                                    warmup=1_000, measure=6_000)
+            for point in spec.points:
+                key = spec.cache_key(point)
+                assert key == ctx.point_cache_key(*point)
+                assert key == point_key(*point, config, mpp, 1994,
+                                        *spec.point_window(point))
+
+
+def test_cache_key_follows_reassigned_config():
+    """Keys memoise the canonical configs per config object, so a
+    reassigned config keys afresh on both paths."""
+    point = ("uniproc", "R1", "single", 1)
+    spec = _spec((point,))
+    ctx = ExperimentContext(config=FAST, mp_params=MPP)
+    fast_key = spec.cache_key(spec.points[0])
+    assert ctx.point_cache_key(*point) == fast_key
+    paper = SystemConfig.paper()
+    spec.config = ctx.config = paper
+    paper_key = spec.cache_key(spec.points[0])
+    assert paper_key != fast_key
+    assert ctx.point_cache_key(*point) == paper_key
+    assert paper_key == _spec((point,), config=paper).cache_key(
+        spec.points[0])
+    spec.mp_params = ctx.mp_params = MultiprocessorParams()
+    mp_point = spec.points[0]._replace(kind="mp")
+    assert spec.cache_key(mp_point) == ctx.point_cache_key(*mp_point)
+    assert spec.cache_key(mp_point) != _spec((point,), config=paper
+                                             ).cache_key(mp_point)
 
 
 def test_spool_dict_round_trip():

@@ -65,9 +65,13 @@ def test_cache_read_through_and_warm_resubmit(tmp_path):
         job_id = mgr.submit(spec)
         second = mgr.results(job_id, timeout=60)
         status = mgr.status(job_id)
+        # A hit is read and validated, never written back.
+        assert mgr.flush_completed() == 0
     # All points satisfied from cache, byte-identical payload stream.
     assert status["cache_hits"] == 2
+    assert {p["source"] for p in status["points"]} == {"cache"}
     assert sorted(second) == sorted(first)
+    assert cache.stores == 2
 
 
 def test_service_entries_readable_by_batch_cache_get(tmp_path):
@@ -80,6 +84,18 @@ def test_service_entries_readable_by_batch_cache_get(tmp_path):
     result = cache.get(spec.cache_key(point), point.kind)
     assert result is not None
     assert result.duration == 6_000
+
+
+def test_default_timeout_keeps_every_spec_field(tmp_path):
+    spec = _spec(points=(("uniproc", "R1", "single", 1),),
+                 backend="python", max_retries=4)
+    with JobManager(workers=1, default_timeout=120.0) as mgr:
+        job_id = mgr.submit(spec)
+        admitted = mgr._record(job_id).spec
+        mgr.cancel(job_id)
+    assert admitted.timeout == 120.0
+    assert admitted.backend == "python"
+    assert admitted.max_retries == 4
 
 
 def test_worker_death_is_retried(tmp_path):

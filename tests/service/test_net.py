@@ -182,6 +182,31 @@ def test_stream_from_index_replays_exact_suffix(client):
     assert list(client.stream(job_id, from_index=0)) == payloads
 
 
+def test_stream_of_finished_job_writes_ready_frames_in_one_batch(
+        manager, server, monkeypatch):
+    """Payloads that already exist go out without a thread hop each:
+    a stream of a finished job waits at most once (for its end)."""
+    job_id = manager.submit(_spec(UNIPROC_3PT))
+    payloads = manager.results(job_id, timeout=240)
+    waits = []
+    real_wait = manager.wait_payload
+
+    def spy(job, index, timeout=None):
+        waits.append(index)
+        return real_wait(job, index, timeout=timeout)
+    monkeypatch.setattr(manager, "wait_payload", spy)
+    sock, file, _hello = _raw_connection(server)
+    sock.sendall(encode_frame({"id": 1, "verb": "stream",
+                               "job_id": job_id}))
+    frames = [json.loads(file.readline()) for _ in range(4)]
+    sock.close()
+    assert [f["type"] for f in frames] == ["point"] * 3 + ["end"]
+    assert [f["index"] for f in frames[:3]] == [0, 1, 2]
+    assert [f["payload"] for f in frames[:3]] == payloads
+    assert frames[3]["ok"] is True
+    assert len(waits) <= 1
+
+
 def test_injected_drop_resumes_without_loss_or_duplication(tmp_path):
     """A mid-stream connection drop must replay exactly the missing
     suffix: every point once, bytes identical to an undropped stream."""
