@@ -9,19 +9,11 @@ machine — so CI can gate on them: the checked-in baseline
 (``BENCH_burst_baseline.json``) records the expected ratios and the
 gate fails when any case regresses by more than the allowed fraction.
 
-When numpy is installed the run also times the vectorised scoreboard
-backend against the pure-python one on the compute stream's precompiled
-bursts (the stall-window probe pattern: one candidate set, many probe
-cycles) and records ``numpy_vs_python_speedup``; the
-``BENCH_numpy_baseline.json`` baseline gates it the same way.  Without
-numpy the case and its gate are skipped with a note.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/core_timing.py --out BENCH_core.json
     PYTHONPATH=src python benchmarks/core_timing.py \
         --burst-baseline benchmarks/BENCH_burst_baseline.json \
-        --numpy-baseline benchmarks/BENCH_numpy_baseline.json \
         --max-regression 0.20
 """
 
@@ -120,76 +112,6 @@ def _run_case(spec, engine):
     return result, elapsed
 
 
-#: The scoreboard-backend case: contexts per batch and probe cycles.
-#: 32 contexts is the parked-context scale the batched stall-window
-#: probe exists for (well past any single workstation's context count,
-#: the whole point of vectorising).
-BACKEND_CASE = dict(n_contexts=32, rounds=6_000, threshold=4)
-
-
-def _compute_bursts(threshold):
-    """The compute stream's precompiled bursts (guard/write arrays)."""
-    from repro.isa.segments import build_burst_table
-    from repro.workloads.generator import GenSpec, generate_process
-    program = generate_process(GenSpec(**_COMPUTE_SPEC),
-                               index=0).program
-    return [b for b in build_burst_table(program, threshold)
-            if b is not None]
-
-
-def _drive_backend(backend, bursts, n_contexts, rounds):
-    """Stall-window probe loop on one backend; returns (sb, verdicts,
-    seconds).
-
-    One stable candidate set (context -> burst at its resume PC) probed
-    across ``rounds`` advancing cycles, with a context teardown per
-    round — the batched bulk ops the numpy backend vectorises.  The
-    final verdict list and scoreboard state let the caller assert both
-    backends computed the same machine before trusting the ratio.
-    """
-    from repro.pipeline.scoreboard import make_scoreboard
-    sb = make_scoreboard(n_contexts, backend)
-    ctx_ids = list(range(n_contexts))
-    cand = [bursts[i % len(bursts)] for i in range(n_contexts)]
-    verdicts = None
-    t0 = time.perf_counter()
-    for r in range(rounds):
-        verdicts = sb.can_dispatch_bursts(ctx_ids, cand, 10_000 + r)
-        sb.clear_context(r % n_contexts)
-    return sb, verdicts, time.perf_counter() - t0
-
-
-def run_backend_case():
-    """Time the scoreboard backends against each other; one case dict.
-
-    Returns None when numpy is not installed (the case needs both
-    backends).
-    """
-    from repro.pipeline.scoreboard import HAVE_NUMPY
-    if not HAVE_NUMPY:
-        return None
-    spec = BACKEND_CASE
-    bursts = _compute_bursts(spec["threshold"])
-    args = (bursts, spec["n_contexts"], spec["rounds"])
-    _drive_backend("python", *args)          # warm both paths
-    _drive_backend("numpy", *args)
-    py_sb, py_verdicts, py_s = _drive_backend("python", *args)
-    np_sb, np_verdicts, np_s = _drive_backend("numpy", *args)
-    if (py_verdicts != np_verdicts
-            or list(py_sb.reg_ready) != np_sb.reg_ready.tolist()
-            or bytes(py_sb.reg_mem) != bytes(np_sb.reg_mem.tolist())):
-        raise AssertionError(
-            "scoreboard backends disagree on the benchmark case")
-    return {
-        "contexts": spec["n_contexts"],
-        "rounds": spec["rounds"],
-        "bursts": len(bursts),
-        "python_seconds": round(py_s, 3),
-        "numpy_seconds": round(np_s, 3),
-        "numpy_vs_python_speedup": round(py_s / np_s, 3),
-    }
-
-
 #: Runs per case and engine; the fastest one is kept.  Host contention
 #: only ever adds time, and the fast engines' runs are short enough
 #: (well under a second) that one slow run would move a ratio past its
@@ -231,11 +153,6 @@ def run_cases():
             "burst_seconds": round(burst_s, 3),
             "burst_speedup": round(naive_s / burst_s, 3),
         }
-    backend_case = run_backend_case()
-    if backend_case is not None:
-        cases["compute_scoreboard_32ctx"] = backend_case
-    else:
-        print("numpy not installed: skipping the scoreboard-backend case")
     return {
         "benchmark": "core_timing",
         "cases": cases,
@@ -281,9 +198,6 @@ def main(argv=None):
                         help="burst-engine baseline JSON to gate against "
                              "(omit to skip the gate, e.g. when "
                              "regenerating it)")
-    parser.add_argument("--numpy-baseline", default=None,
-                        help="scoreboard-backend baseline JSON to gate "
-                             "against (skipped when numpy is absent)")
     parser.add_argument("--max-regression", type=float, default=0.20,
                         help="allowed fractional speedup regression vs "
                              "the baseline (default 0.20)")
@@ -297,25 +211,18 @@ def main(argv=None):
                      indent=2))
     print("wrote %s" % args.out)
 
-    numpy_baseline = args.numpy_baseline
-    if numpy_baseline and "compute_scoreboard_32ctx" not in payload["cases"]:
-        print("numpy not installed: skipping the backend baseline gate")
-        numpy_baseline = None
-    failures = []
-    for path in (args.burst_baseline, numpy_baseline):
-        if not path:
-            continue
-        with open(path) as fh:
-            baseline = json.load(fh)
-        failures.extend(check_against_baseline(payload, baseline,
-                                               args.max_regression))
+    if not args.burst_baseline:
+        return 0
+    with open(args.burst_baseline) as fh:
+        baseline = json.load(fh)
+    failures = check_against_baseline(payload, baseline,
+                                      args.max_regression)
     if failures:
         for failure in failures:
             print("REGRESSION: %s" % failure, file=sys.stderr)
         return 1
-    if args.burst_baseline or numpy_baseline:
-        print("baseline gate passed (max regression %.0f%%)"
-              % (args.max_regression * 100))
+    print("baseline gate passed (max regression %.0f%%)"
+          % (args.max_regression * 100))
     return 0
 
 

@@ -85,11 +85,6 @@ CATALOG = {
                     "(use '# lint: allow(CODE) -- why')"),
     "L502": (WARNING, "allowlist directive names an unknown diagnostic "
                       "code"),
-    # -- scoreboard backend parity ----------------------------------------
-    "L601": (ERROR, "backend parity: the python and numpy scoreboard "
-                    "backends expose different method sets"),
-    "L602": (ERROR, "backend parity: the python and numpy scoreboard "
-                    "backends declare different __slots__ state"),
     # -- cross-context data races ------------------------------------------
     "R701": (ERROR, "write/write data race: overlapping shared writes "
                     "from different contexts with disjoint locksets and "
@@ -112,7 +107,6 @@ RULE_CATEGORIES = {
     "L3": "determinism",
     "L4": "stats-parity",
     "L5": "allowlist",
-    "L6": "backend-parity",
     "R7": "races",
 }
 

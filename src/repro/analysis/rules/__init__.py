@@ -17,7 +17,7 @@ to the right list below, and add one triggering and one passing test
 under ``tests/analysis/`` (see ``docs/static-analysis.md``).
 """
 
-from repro.analysis.rules import backend_parity, determinism, stats_parity
+from repro.analysis.rules import determinism, stats_parity
 
 #: fn(relpath, tree, lines) -> list[Diagnostic]
 FILE_RULES = (determinism.check_determinism,)
@@ -25,7 +25,6 @@ FILE_RULES = (determinism.check_determinism,)
 #: fn(root) -> list[Diagnostic]
 PROJECT_RULES = (stats_parity.check_stats_parity,
                  stats_parity.check_counter_registration,
-                 stats_parity.check_dsm_counter_parity,
-                 backend_parity.check_backend_parity)
+                 stats_parity.check_dsm_counter_parity)
 
 __all__ = ["FILE_RULES", "PROJECT_RULES"]

@@ -168,7 +168,7 @@ class Simulation:
     """
 
     def __init__(self, config=None, *, scheme="interleaved", n_contexts=1,
-                 seed=1994, engine="burst", pipeline=None, backend=None):
+                 seed=1994, engine="burst", pipeline=None):
         if config is None:
             config = SystemConfig.fast()
         if isinstance(config, MultiprocessorParams):
@@ -185,12 +185,6 @@ class Simulation:
         self.n_contexts = n_contexts
         self.seed = seed
         self.engine = engine
-        #: Scoreboard backend knob ("python" | "numpy" | "auto" | None,
-        #: None deferring to $REPRO_BACKEND).  Like ``engine`` it is an
-        #: implementation choice with no observable effect on results —
-        #: the differential harness's backend axis enforces this — so it
-        #: appears in neither RunResult nor any cache key.
-        self.backend = backend
         self.pipeline = pipeline
         self.workload = None
         self.simulator = None
@@ -231,7 +225,7 @@ class Simulation:
                 generate_processes(spec, max(1, self.n_contexts)),
                 scheme=self.scheme, n_contexts=self.n_contexts,
                 config=self.config, seed=self.seed,
-                engine=self.engine, backend=self.backend)
+                engine=self.engine)
             return
         if workload in WORKLOADS:
             processes, instances, barriers = build_workload(
@@ -246,7 +240,7 @@ class Simulation:
             processes, scheme=self.scheme, n_contexts=self.n_contexts,
             config=self.config, seed=self.seed,
             app_instances=instances, barriers=barriers,
-            engine=self.engine, backend=self.backend)
+            engine=self.engine)
 
     def _load_multiprocessor(self, workload, scale):
         from repro.core.mpsimulator import MultiprocessorSimulator
@@ -258,7 +252,7 @@ class Simulation:
         self.simulator = MultiprocessorSimulator(
             app, scheme=self.scheme, n_contexts=self.n_contexts,
             params=self.config, pipeline=self.pipeline, seed=self.seed,
-            engine=self.engine, backend=self.backend)
+            engine=self.engine)
 
     # -- running ---------------------------------------------------------------
 

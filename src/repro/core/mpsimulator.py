@@ -57,8 +57,7 @@ class MultiprocessorSimulator:
     DEFAULT_MAX_CYCLES = 50_000_000
 
     def __init__(self, app_instance, scheme="interleaved", n_contexts=1,
-                 params=None, pipeline=None, seed=None, engine="burst",
-                 backend=None):
+                 params=None, pipeline=None, seed=None, engine="burst"):
         if engine not in ("naive", "burst"):
             raise ValueError(
                 "engine must be 'naive' or 'burst', not %r" % (engine,))
@@ -94,7 +93,7 @@ class MultiprocessorSimulator:
             proc = Processor(scheme, n_contexts, self.pipeline,
                              self.machine.nodes[node_id],
                              self.machine.memory, sync=self.sync,
-                             proc_id=node_id, backend=backend)
+                             proc_id=node_id)
             if engine == "burst":
                 proc.burst_enabled = True
                 # Another node's lock release or barrier arrival can
@@ -107,8 +106,6 @@ class MultiprocessorSimulator:
             process = Process("%s.t%d" % (app_instance.name, t), program)
             self.processes.append(process)
             self.processors[node_id].load_process(slot, process)
-        # Resolved scoreboard backend, identical across nodes.
-        self.backend = self.processors[0].backend
         self.now = 0
         # Completion tracking: counting HALTs as they retire beats
         # scanning every context every cycle.

@@ -34,7 +34,7 @@ from repro.isa.instruction import (
     KIND_BARRIER, KIND_BACKOFF, KIND_SWITCH,
 )
 from repro.pipeline.btb import BranchTargetBuffer
-from repro.pipeline.scoreboard import make_scoreboard
+from repro.pipeline.scoreboard import Scoreboard
 from repro.pipeline.stalls import Stall
 from repro.core.context import HardwareContext, Status, NEVER
 from repro.core.stats import CycleStats
@@ -67,17 +67,12 @@ class Processor:
     """An N-context processor attached to a memory system."""
 
     def __init__(self, scheme, n_contexts, pipeline_params, memsys,
-                 memory, sync=None, proc_id=0, backend=None):
+                 memory, sync=None, proc_id=0):
         self.scheme = scheme
         self.pp = pipeline_params
         self.policy = make_policy(scheme, n_contexts, pipeline_params)
         self.contexts = [HardwareContext(i) for i in range(n_contexts)]
-        # Scoreboard backend ("python" list-based or "numpy" vectorised;
-        # see repro.pipeline.scoreboard).  Bit-identical by contract —
-        # the differential harness's backend axis enforces it — so the
-        # choice never enters config fingerprints or cache keys.
-        self.scoreboard = make_scoreboard(n_contexts, backend)
-        self.backend = self.scoreboard.backend
+        self.scoreboard = Scoreboard(n_contexts)
         self.btb = BranchTargetBuffer(pipeline_params.btb_entries)
         self.memsys = memsys
         self.memory = memory          # functional memory (shared image)
@@ -475,7 +470,7 @@ class Processor:
         memory = self.memory
         for inst in burst.instructions:
             execute(state, inst, memory)
-        self.scoreboard.apply_burst_compiled(ctx.cid, now, burst)
+        self.scoreboard.apply_burst(ctx.cid, now, burst.writes_out)
         stats = self.stats
         n = burst.n
         stats.add(BUSY, n)
@@ -491,42 +486,6 @@ class Processor:
         ctx.fetch_valid = False
         self.burst_until = end
         return True
-
-    def can_dispatch_bursts(self, ctx_ids, now):
-        """Batched scoreboard guard probe over several contexts at once.
-
-        For each context id, answers whether the burst at that context's
-        current PC passes the scoreboard guard at ``now`` (None — no
-        burst compiled at the PC, or a pending redirect bubble — probes
-        as False).  On the numpy backend the whole batch is one
-        vectorised compare over the concatenated precompiled guard
-        arrays; the python backend loops.  The dispatch path itself is
-        single-candidate by construction (one context owns a window),
-        so this probe serves the batch consumers: wake-scan heuristics,
-        the backend property tests, and the scoreboard benchmark.
-        Guard-only by design — burst_limit, ownership, and I-cache
-        legality stay with :meth:`_try_burst`.
-        """
-        probe_ids = []
-        probe_bursts = []
-        slots = []                      # position in `out` per probe
-        out = [False] * len(ctx_ids)
-        for pos, cid in enumerate(ctx_ids):
-            ctx = self.contexts[cid]
-            if ctx.burst_table is None or now < ctx.next_issue_min:
-                continue
-            burst = ctx.burst_table[ctx.state.pc]
-            if burst is None:
-                continue
-            probe_ids.append(cid)
-            probe_bursts.append(burst)
-            slots.append(pos)
-        if probe_ids:
-            verdicts = self.scoreboard.can_dispatch_bursts(
-                probe_ids, probe_bursts, now)
-            for pos, ok in zip(slots, verdicts):
-                out[pos] = ok
-        return out
 
     def _skip_stall_window(self, ctx, now, until, kind, slots_left):
         """Bulk-charge a hazard-stall window (burst engine only).

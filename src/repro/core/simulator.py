@@ -81,7 +81,7 @@ class WorkstationSimulator:
 
     def __init__(self, processes, scheme="interleaved", n_contexts=1,
                  config=None, seed=1994, app_instances=(), barriers=None,
-                 restart_halted=True, engine="burst", backend=None):
+                 restart_halted=True, engine="burst"):
         if not processes:
             raise ValueError("need at least one process")
         if engine not in ("naive", "burst"):
@@ -110,12 +110,7 @@ class WorkstationSimulator:
         self.n_contexts = n_contexts
         self.processor = Processor(scheme, n_contexts,
                                    self.config.pipeline, self.memsys,
-                                   self.memory, sync=self.sync,
-                                   backend=backend)
-        #: Resolved scoreboard backend ("python" or "numpy") — like
-        #: ``engine``, an implementation choice with no observable
-        #: effect on results, so it stays out of RunResult and caches.
-        self.backend = self.processor.backend
+                                   self.memory, sync=self.sync)
         # Schedules are packed per issue width (Program.bursts_for keys
         # its memo on it), so the Section 7 multi-issue extension
         # dispatches bursts too.

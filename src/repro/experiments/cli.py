@@ -197,7 +197,6 @@ def _service_spec(args):
             n_nodes=args.nodes if args.nodes is not None else 8),
         "seed": args.seed,
         "engine": args.engine,
-        "backend": args.backend,
         "timeout": args.job_timeout,
         "max_retries": args.max_retries,
     }
@@ -660,14 +659,6 @@ def main(argv=None, _ready=None):
                              "per-cycle reference, burst fast-forwards "
                              "idle and stall windows and retires "
                              "precompiled straight-line runs in one step)")
-    parser.add_argument("--backend", choices=("auto", "python", "numpy"),
-                        default=None,
-                        help="scoreboard backend for every computed point "
-                             "(bit-identical by contract: python is the "
-                             "list-based reference, numpy vectorises the "
-                             "register files — needs the repro[fast] "
-                             "extra; auto picks numpy when available; "
-                             "default: $REPRO_BACKEND or python)")
     parser.add_argument("--cprofile", nargs="?", metavar="PATH",
                         const=os.path.join("results", "profile.pstats"),
                         default=None,
@@ -810,7 +801,7 @@ def main(argv=None, _ready=None):
     config = (SystemConfig.paper() if args.profile == "paper"
               else SystemConfig.fast())
     kwargs = {"config": config, "seed": args.seed,
-              "engine": args.engine, "backend": args.backend}
+              "engine": args.engine}
     if args.nodes is not None:
         kwargs["mp_params"] = MultiprocessorParams(n_nodes=args.nodes)
     if args.measure is not None:

@@ -25,30 +25,30 @@ MP_MAX_CYCLES = 20_000_000
 
 
 def compute_uniproc(workload, scheme, n_contexts, config, seed,
-                    warmup, measure, engine="burst", backend=None):
+                    warmup, measure, engine="burst"):
     """Measured run of a Table 5 workload; returns (RunResult, sim)."""
     simulation = Simulation.from_config(
         config, scheme=scheme, n_contexts=n_contexts,
-        seed=seed, engine=engine, backend=backend).load(workload)
+        seed=seed, engine=engine).load(workload)
     result = simulation.run(warmup=warmup, measure=measure)
     return result.raw, simulation.simulator
 
 
 def compute_dedicated(kernel_name, config, seed, warmup, measure,
-                      engine="burst", backend=None):
+                      engine="burst"):
     """Calibration run of one application alone; returns RunResult."""
     simulation = Simulation.from_config(
         config, scheme="single", n_contexts=1,
-        seed=seed, engine=engine, backend=backend).load(kernel_name)
+        seed=seed, engine=engine).load(kernel_name)
     return simulation.run(warmup=warmup, measure=measure).raw
 
 
 def compute_mp(app_name, scheme, n_contexts, mp_params, seed,
-               max_cycles=MP_MAX_CYCLES, engine="burst", backend=None):
+               max_cycles=MP_MAX_CYCLES, engine="burst"):
     """Run-to-completion of a SPLASH stand-in; returns MPResult."""
     simulation = Simulation.from_config(
         mp_params, scheme=scheme, n_contexts=n_contexts,
-        seed=seed, engine=engine, backend=backend).load(app_name)
+        seed=seed, engine=engine).load(app_name)
     result = simulation.run(until=max_cycles)
     if not result.completed:
         raise RuntimeError(
@@ -85,7 +85,7 @@ class ExperimentContext:
 
     def __init__(self, config=None, mp_params=None, seed=1994,
                  warmup=UNIPROC_WARMUP, measure=UNIPROC_MEASURE,
-                 cache=None, engine="burst", backend=None):
+                 cache=None, engine="burst"):
         self.config = config if config is not None else SystemConfig.fast()
         self.mp_params = (mp_params if mp_params is not None
                           else MultiprocessorParams())
@@ -99,9 +99,6 @@ class ExperimentContext:
         #: NOT enter the cache keys: points computed under one engine
         #: are valid hits for any other.
         self.engine = engine
-        #: Scoreboard backend for every point; bit-identical across
-        #: backends by the same contract, so it too stays out of keys.
-        self.backend = backend
         self.sim_count = 0
         self._uniproc = {}
         self._dedicated = {}
@@ -172,8 +169,7 @@ class ExperimentContext:
                 return self._uniproc[key]
         result, sim = compute_uniproc(
             workload, scheme, n_contexts, self.config, self.seed,
-            self.warmup, self.measure, engine=self.engine,
-            backend=self.backend)
+            self.warmup, self.measure, engine=self.engine)
         self.sim_count += 1
         self._cache_put("uniproc", workload, scheme, n_contexts, result)
         self._uniproc[key] = UniprocRun(result, sim)
@@ -191,8 +187,7 @@ class ExperimentContext:
             if result is None:
                 result = compute_dedicated(
                     kernel_name, self.config, self.seed, self.warmup,
-                    self.measure, engine=self.engine,
-                    backend=self.backend)
+                    self.measure, engine=self.engine)
                 self.sim_count += 1
                 self._cache_put("dedicated", kernel_name, "single", 1,
                                 result)
@@ -230,8 +225,7 @@ class ExperimentContext:
             if result is None:
                 result = compute_mp(app_name, scheme, n_contexts,
                                     self.mp_params, self.seed,
-                                    engine=self.engine,
-                                    backend=self.backend)
+                                    engine=self.engine)
                 self.sim_count += 1
                 self._cache_put("mp", app_name, scheme, n_contexts, result)
             self._mp[key] = result

@@ -77,7 +77,7 @@ def _cost_rank(point):
 
 def _compute_point_state(kind, name, scheme, n_contexts, config,
                          mp_params, seed, warmup, measure,
-                         engine="burst", backend=None):
+                         engine="burst"):
     """Worker entry: compute one point, return its serialised state.
 
     Runs in a forked/spawned process; must only touch its arguments.
@@ -85,15 +85,13 @@ def _compute_point_state(kind, name, scheme, n_contexts, config,
     if kind == "uniproc":
         result, _ = runner_mod.compute_uniproc(
             name, scheme, n_contexts, config, seed, warmup, measure,
-            engine=engine, backend=backend)
+            engine=engine)
     elif kind == "dedicated":
         result = runner_mod.compute_dedicated(
-            name, config, seed, warmup, measure, engine=engine,
-            backend=backend)
+            name, config, seed, warmup, measure, engine=engine)
     elif kind == "mp":
         result = runner_mod.compute_mp(name, scheme, n_contexts,
-                                       mp_params, seed, engine=engine,
-                                       backend=backend)
+                                       mp_params, seed, engine=engine)
     else:
         raise ValueError("unknown point kind %r" % kind)
     return cache_mod.SERIALIZERS[kind][0](result)
@@ -172,7 +170,7 @@ class SweepEngine:
             warmup, measure = ctx.warmup, ctx.measure
         return (point.kind, point.name, point.scheme, point.n_contexts,
                 ctx.config, ctx.mp_params, ctx.seed, warmup, measure,
-                ctx.engine, ctx.backend)
+                ctx.engine)
 
     def _store(self, point, state):
         """Cache + memoise one worker-computed state dict."""

@@ -49,11 +49,6 @@ maximal run, keyed by entry PC.
 from repro.isa.opcodes import Op, FU
 from repro.isa.instruction import KIND_PLAIN
 
-try:  # pragma: no cover - exercised by the no-numpy CI lane
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: Units whose structural (cross-context, shared ``fu_busy``) hazards a
 #: per-context precomputed schedule cannot resolve.
 _NON_PIPELINED = (FU.MULDIV, FU.FPDIV)
@@ -83,19 +78,10 @@ class Burst:
     scoreboard bulk-update: after a dispatch at T, ``reg_ready[reg] =
     T + delta`` (the final in-burst write's completion time, computed
     against the packed multi-issue schedule).
-
-    When numpy is available the guard and write schedules are also
-    compiled to index/value array pairs (:meth:`guard_arrays` /
-    :meth:`write_arrays`) so the numpy scoreboard backend can evaluate
-    the guard as one vectorised compare and the bulk-update as one
-    fancy-indexed scatter.  Compilation is lazy — first dispatch pays
-    it once — and survives the :class:`BurstTableCache` round-trip for
-    free because cached bursts are rebuilt through this constructor.
     """
 
     __slots__ = ("start", "n", "instructions", "duration", "width",
-                 "short_stalls", "long_stalls", "guard", "writes_out",
-                 "_arrays")
+                 "short_stalls", "long_stalls", "guard", "writes_out")
 
     def __init__(self, start, instructions, duration, short_stalls,
                  long_stalls, guard, writes_out, width=1):
@@ -108,36 +94,6 @@ class Burst:
         self.long_stalls = long_stalls
         self.guard = guard
         self.writes_out = writes_out
-        self._arrays = None
-
-    def _compile_arrays(self):
-        if _np is None:
-            raise RuntimeError(
-                "burst array compilation requires numpy (repro[fast])")
-        # int64 matches the scoreboard's reg_ready dtype so guard
-        # compares and write scatters never promote.
-        guard_regs = _np.fromiter((r for r, _ in self.guard),
-                                  dtype=_np.int64, count=len(self.guard))
-        guard_slacks = _np.fromiter((s for _, s in self.guard),
-                                    dtype=_np.int64, count=len(self.guard))
-        write_regs = _np.fromiter((r for r, _ in self.writes_out),
-                                  dtype=_np.int64,
-                                  count=len(self.writes_out))
-        write_deltas = _np.fromiter((d for _, d in self.writes_out),
-                                    dtype=_np.int64,
-                                    count=len(self.writes_out))
-        self._arrays = (guard_regs, guard_slacks, write_regs, write_deltas)
-        return self._arrays
-
-    def guard_arrays(self):
-        """``(regs, slacks)`` int64 arrays mirroring :attr:`guard`."""
-        arrays = self._arrays or self._compile_arrays()
-        return arrays[0], arrays[1]
-
-    def write_arrays(self):
-        """``(regs, deltas)`` int64 arrays mirroring :attr:`writes_out`."""
-        arrays = self._arrays or self._compile_arrays()
-        return arrays[2], arrays[3]
 
     def __repr__(self):
         return ("<Burst pc=%d n=%d duration=%d width=%d stalls=%d/%d>"
@@ -249,10 +205,6 @@ def build_burst_table(program, threshold, width=1):
     next non-burstable instruction (truncated to a cycle-aligned prefix
     when ``width > 1``), or None when that run is shorter than
     :data:`MIN_BURST`.
-
-    The numpy guard/write array pairs are compiled lazily, on a burst's
-    first :meth:`Burst.guard_arrays`/:meth:`Burst.write_arrays` call:
-    the default python scoreboard never reads them.
     """
     insts = program.instructions
     n = len(insts)

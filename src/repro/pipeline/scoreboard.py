@@ -1,4 +1,4 @@
-"""Issue scoreboard — pure-python and vectorised numpy backends.
+"""Issue scoreboard: register and functional-unit hazard tracking.
 
 The paper's simulator "models all major pipeline dependencies, including
 load, execution result, execution issue, and control-transfer hazards ...
@@ -20,48 +20,9 @@ Register state is kept in flat arrays indexed ``(ctx_id << 6) | reg``
 (ready-times plus miss-pending flags): one index computation replaces
 the per-access inner-list lookup on the hot path, and the burst engine's
 bulk updates write straight into the flat arrays.
-
-Two interchangeable backends implement the same method set over that
-layout (the L601/L602 lint rules prove the surfaces stay identical, the
-differential harness proves the results do):
-
-* :class:`Scoreboard` (``backend="python"``) — an int list and a
-  bytearray; the reference implementation, zero dependencies.
-* :class:`NumpyScoreboard` (``backend="numpy"``) — ``int64`` ready-times
-  and ``uint8`` miss flags as ndarrays.  ``clear_context`` is a slice
-  assignment, ``apply_burst_compiled`` a fancy-indexed scatter over the
-  burst's precompiled index/value arrays, the burst guard a single
-  vectorised compare, and :meth:`can_dispatch_bursts` probes a whole
-  batch of contexts in one comparison.  Scalar per-issue queries cast
-  back to python ints so no ``np.int64`` ever escapes into simulator
-  state (cycle counters and stats must stay JSON-serialisable).
-
-Backend selection (:func:`make_scoreboard` / :func:`resolve_backend`):
-an explicit ``"python"``/``"numpy"`` wins; ``"auto"`` picks numpy when
-importable and silently falls back otherwise; ``None`` defers to the
-``REPRO_BACKEND`` environment variable and defaults to ``"python"``.
-numpy is deliberately an *optional* dependency (the ``repro[fast]``
-extra): asking for ``"numpy"`` without it installed raises, everything
-else degrades gracefully.
 """
 
-import os
-
 from repro.isa.opcodes import FU
-
-try:  # pragma: no cover - exercised by the no-numpy CI lane
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: True when the vectorised backend can be built in this interpreter.
-HAVE_NUMPY = _np is not None
-
-#: The selectable backend names (``"auto"``/None resolve to one of these).
-BACKENDS = ("python", "numpy")
-
-#: Environment default consulted when no explicit backend is passed.
-BACKEND_ENV = "REPRO_BACKEND"
 
 #: Units that are not pipelined and therefore block subsequent issues.
 _NON_PIPELINED = (FU.MULDIV, FU.FPDIV)
@@ -69,54 +30,16 @@ _NON_PIPELINED = (FU.MULDIV, FU.FPDIV)
 #: Registers per hardware context in the flat arrays (32 int + 32 fp).
 _REGS = 64
 
-#: Reusable zero blocks for the python backend's clear_context slice
-#: assignment (one context's worth of ready-times / miss flags).
+#: Reusable zero blocks for clear_context's slice assignment (one
+#: context's worth of ready-times / miss flags).
 _ZERO_READY = (0,) * _REGS
 _ZERO_MEM = bytes(_REGS)
 
 
-def resolve_backend(backend=None):
-    """Resolve a backend request to ``"python"`` or ``"numpy"``.
-
-    ``None`` defers to ``$REPRO_BACKEND`` (itself defaulting to
-    ``"auto"`` semantics when set to ``"auto"``, ``"python"`` when
-    unset).  ``"auto"`` picks numpy when importable, python otherwise.
-    An explicit ``"numpy"`` without numpy installed raises — a silent
-    fallback there would misreport every benchmark it was asked for.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "python"
-    if backend == "auto":
-        return "numpy" if HAVE_NUMPY else "python"
-    if backend not in BACKENDS:
-        raise ValueError("backend must be one of %s, 'auto' or None, "
-                         "not %r" % ((BACKENDS,) + (backend,)))
-    if backend == "numpy" and not HAVE_NUMPY:
-        raise RuntimeError(
-            "backend='numpy' requested but numpy is not installed; "
-            "install the repro[fast] extra or use backend='auto'")
-    return backend
-
-
-def make_scoreboard(n_contexts, backend=None):
-    """Build the scoreboard for ``backend`` (see :func:`resolve_backend`)."""
-    if resolve_backend(backend) == "numpy":
-        return NumpyScoreboard(n_contexts)
-    return Scoreboard(n_contexts)
-
-
 class Scoreboard:
-    """Register and functional-unit hazard tracking for all contexts.
+    """Register and functional-unit hazard tracking for all contexts."""
 
-    The pure-python reference backend; :class:`NumpyScoreboard` must
-    mirror every method and state slot here (lint rules L601/L602).
-    """
-
-    __slots__ = ("n_contexts", "reg_ready", "reg_mem", "fu_busy",
-                 "_probe_cache")
-
-    #: Backend name this class implements (the resolved knob value).
-    backend = "python"
+    __slots__ = ("n_contexts", "reg_ready", "reg_mem", "fu_busy")
 
     def __init__(self, n_contexts):
         self.n_contexts = n_contexts
@@ -127,9 +50,6 @@ class Scoreboard:
         # data-cache category rather than to a pipeline dependency.
         self.reg_mem = bytearray(_REGS * n_contexts)
         self.fu_busy = [0] * (max(FU) + 1)
-        # Unused here; the numpy backend memoises its assembled probe
-        # batch under this name and L602 keeps the slot sets identical.
-        self._probe_cache = None
 
     def hazard_until(self, ctx_id, inst, now):
         """Earliest cycle ``inst`` could issue, and the limiting kind.
@@ -198,15 +118,6 @@ class Scoreboard:
             ready[idx] = now + delta
             mem[idx] = 0
 
-    def apply_burst_compiled(self, ctx_id, now, burst):
-        """Commit a precompiled :class:`~repro.isa.segments.Burst`.
-
-        The processor's dispatch path: the python backend walks the
-        pair tuple, the numpy backend scatters the burst's precompiled
-        index/value arrays.
-        """
-        self.apply_burst(ctx_id, now, burst.writes_out)
-
     def can_dispatch_burst(self, ctx_id, burst, now):
         """True when every live-in register of ``burst`` is ready early
         enough that the precompiled schedule is exact (see
@@ -221,18 +132,6 @@ class Scoreboard:
             if ready[base + reg] > now + slack:
                 return False
         return True
-
-    def can_dispatch_bursts(self, ctx_ids, bursts, now):
-        """Batched multi-context guard probe.
-
-        ``ctx_ids`` and ``bursts`` are parallel sequences; returns a
-        list of booleans, element ``i`` being exactly
-        ``can_dispatch_burst(ctx_ids[i], bursts[i], now)``.  The numpy
-        backend answers the whole batch with one vectorised compare
-        over the concatenated precompiled guard arrays.
-        """
-        return [self.can_dispatch_burst(c, b, now)
-                for c, b in zip(ctx_ids, bursts)]
 
     def set_ready(self, ctx_id, reg, cycle, memory=False):
         """Override a register's ready time (used for load-miss returns)."""
@@ -256,175 +155,4 @@ class Scoreboard:
         self.reg_mem[base:base + _REGS] = _ZERO_MEM
 
 
-class NumpyScoreboard:
-    """Vectorised scoreboard: the same machine on ndarray state.
-
-    ``reg_ready`` is ``int64`` (cycle counts fit comfortably — the
-    parked-context sentinel is ``1 << 62``), ``reg_mem`` is ``uint8``.
-    Scalar queries (:meth:`hazard_until`) cast results back to python
-    ints at the boundary; bulk operations are where the backend earns
-    its keep (see the module docstring).  Method set and state slots
-    must mirror :class:`Scoreboard` exactly — lint rules L601/L602
-    fail the build when either backend drifts.
-    """
-
-    __slots__ = ("n_contexts", "reg_ready", "reg_mem", "fu_busy",
-                 "_probe_cache")
-
-    backend = "numpy"
-
-    def __init__(self, n_contexts):
-        self.n_contexts = n_contexts
-        self.reg_ready = _np.zeros(_REGS * n_contexts, dtype=_np.int64)
-        self.reg_mem = _np.zeros(_REGS * n_contexts, dtype=_np.uint8)
-        # The handful of shared non-pipelined units stays a python list:
-        # it is indexed one scalar at a time on the issue path.
-        self.fu_busy = [0] * (max(FU) + 1)
-        # Single-entry memo for can_dispatch_bursts: the assembled batch
-        # arrays for the last candidate set (see the method docstring).
-        self._probe_cache = None
-
-    def hazard_until(self, ctx_id, inst, now):
-        """See :meth:`Scoreboard.hazard_until` (same contract).
-
-        Reads cast through ``int()`` so the returned ready cycle is a
-        python int — it flows into ``stall_until``/``burst_until`` and
-        from there into serialised results.
-        """
-        base = ctx_id << 6
-        ready = self.reg_ready
-        mem = self.reg_mem
-        latest = now
-        kind = None
-        for r in inst.reads:
-            t = int(ready[base + r])
-            if t > latest:
-                latest = t
-                kind = "memory" if mem[base + r] else "data"
-        w = inst.writes
-        if w >= 0:
-            t = int(ready[base + w]) - inst.info.latency
-            if t > latest:
-                latest = t
-                kind = "memory" if mem[base + w] else "data"
-        unit = inst.info.unit
-        if unit in _NON_PIPELINED:
-            t = self.fu_busy[unit]
-            if t > latest:
-                latest = t
-                kind = "structural"
-        if latest > now:
-            return latest, kind
-        return now, None
-
-    def issue(self, ctx_id, inst, now):
-        """See :meth:`Scoreboard.issue` (same contract)."""
-        w = inst.writes
-        if w >= 0:
-            idx = (ctx_id << 6) + w
-            self.reg_ready[idx] = now + inst.info.latency
-            self.reg_mem[idx] = 0
-        unit = inst.info.unit
-        if unit in _NON_PIPELINED:
-            self.fu_busy[unit] = now + inst.info.issue
-
-    def apply_burst(self, ctx_id, now, writes_out):
-        """See :meth:`Scoreboard.apply_burst` (pair-tuple form)."""
-        base = ctx_id << 6
-        ready = self.reg_ready
-        mem = self.reg_mem
-        for reg, delta in writes_out:
-            idx = base + reg
-            ready[idx] = now + delta
-            mem[idx] = 0
-
-    def apply_burst_compiled(self, ctx_id, now, burst):
-        """Fancy-indexed scatter of the burst's precompiled write arrays."""
-        regs, deltas = burst.write_arrays()
-        if regs.size == 0:
-            return
-        idx = regs + (ctx_id << 6)
-        self.reg_ready[idx] = deltas + now
-        self.reg_mem[idx] = 0
-
-    def can_dispatch_burst(self, ctx_id, burst, now):
-        """One vectorised compare over the burst's precompiled guard."""
-        regs, slacks = burst.guard_arrays()
-        if regs.size == 0:
-            return True
-        return bool(
-            (self.reg_ready[regs + (ctx_id << 6)] <= slacks + now).all())
-
-    def can_dispatch_bursts(self, ctx_ids, bursts, now):
-        """Batched multi-context guard probe, one compare for the batch.
-
-        Concatenates every candidate's precompiled guard arrays, offsets
-        the register indices by each context's base in one vectorised
-        add (``repeat`` over the per-burst guard lengths), compares once
-        against the flat register file, and folds the per-burst verdicts
-        with a single ``logical_and.reduceat``.
-
-        The assembled batch (flat indices, slack bounds, reduceat
-        starts) depends only on the candidate *set*, not on ``now`` or
-        register state, so it is memoised single-entry: the stall-window
-        pattern re-probes one candidate set over many cycles, and on a
-        repeat the probe is just fancy-index, compare, reduceat.  The
-        key holds the candidate tuples themselves (bursts compare by
-        identity and are pinned by the key, so the memo can never alias
-        a recycled object).  Semantically identical to the python
-        backend's per-candidate loop.
-        """
-        key = (tuple(ctx_ids), tuple(bursts))
-        cached = self._probe_cache
-        if cached is not None and cached[0] == key:
-            idx, slack_cat, starts, slots, n_out = cached[1]
-        else:
-            reg_parts = []
-            slack_parts = []
-            bases = []
-            counts = []
-            slots = []
-            for slot, (ctx_id, burst) in enumerate(zip(ctx_ids, bursts)):
-                regs, slacks = burst.guard_arrays()
-                if regs.size:
-                    reg_parts.append(regs)
-                    slack_parts.append(slacks)
-                    bases.append(ctx_id << 6)
-                    counts.append(regs.size)
-                    slots.append(slot)
-            n_out = len(ctx_ids)
-            if reg_parts:
-                idx = _np.concatenate(reg_parts)
-                idx += _np.repeat(_np.asarray(bases, dtype=_np.int64),
-                                  _np.asarray(counts))
-                slack_cat = _np.concatenate(slack_parts)
-                starts = _np.zeros(len(counts), dtype=_np.intp)
-                _np.cumsum(counts[:-1], out=starts[1:])
-            else:
-                idx = slack_cat = starts = None
-            self._probe_cache = (key, (idx, slack_cat, starts, slots,
-                                       n_out))
-        verdicts = [True] * n_out
-        if idx is None:
-            return verdicts
-        ok = self.reg_ready[idx] <= slack_cat + now
-        folded = _np.logical_and.reduceat(ok, starts).tolist()
-        for slot, verdict in zip(slots, folded):
-            verdicts[slot] = verdict
-        return verdicts
-
-    def set_ready(self, ctx_id, reg, cycle, memory=False):
-        """See :meth:`Scoreboard.set_ready` (same contract)."""
-        idx = (ctx_id << 6) + reg
-        self.reg_ready[idx] = cycle
-        self.reg_mem[idx] = 1 if memory else 0
-
-    def clear_context(self, ctx_id):
-        """See :meth:`Scoreboard.clear_context`: one slice assignment."""
-        base = ctx_id << 6
-        self.reg_ready[base:base + _REGS] = 0
-        self.reg_mem[base:base + _REGS] = 0
-
-
-__all__ = ["Scoreboard", "NumpyScoreboard", "make_scoreboard",
-           "resolve_backend", "BACKENDS", "BACKEND_ENV", "HAVE_NUMPY"]
+__all__ = ["Scoreboard"]

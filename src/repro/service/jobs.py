@@ -70,11 +70,6 @@ class JobSpec:
     warmup: int = UNIPROC_WARMUP
     measure: int = UNIPROC_MEASURE
     engine: str = "burst"
-    #: Scoreboard backend for the workers ("python" | "numpy" | "auto" |
-    #: None).  Bit-identical by contract, so — like ``engine`` — it does
-    #: not enter cache keys, and a server that predates the knob can
-    #: ignore it without changing any result.
-    backend: str = None
     timeout: float = None
     max_retries: int = 2
     #: Canonical config pair behind :meth:`cache_key`, computed once per
@@ -89,9 +84,6 @@ class JobSpec:
         if self.engine not in ("naive", "burst"):
             raise ValueError("engine must be 'naive' or 'burst', not %r"
                              % (self.engine,))
-        if self.backend not in (None, "auto", "python", "numpy"):
-            raise ValueError("backend must be 'python', 'numpy', 'auto' "
-                             "or None, not %r" % (self.backend,))
 
     @classmethod
     def sweep(cls, workloads=None, apps=None, **kwargs):
@@ -144,7 +136,6 @@ class JobSpec:
             "warmup": self.warmup,
             "measure": self.measure,
             "engine": self.engine,
-            "backend": self.backend,
             "timeout": self.timeout,
             "max_retries": self.max_retries,
             "points": [[p.kind, p.name, p.scheme, p.n_contexts]
@@ -170,6 +161,7 @@ class JobSpec:
             # Older spools and clients name the engine that was folded
             # into "burst" (the same event loop without burst jumps).
             engine = "burst"
+        # An old spec's "backend" key named a removed knob; it is ignored.
         return cls(
             points=tuple(SweepPoint(k, n, s, int(c))
                          for k, n, s, c in payload["points"]),
@@ -179,7 +171,6 @@ class JobSpec:
             warmup=int(payload.get("warmup", UNIPROC_WARMUP)),
             measure=int(payload.get("measure", UNIPROC_MEASURE)),
             engine=engine,
-            backend=payload.get("backend"),
             timeout=payload.get("timeout"),
             max_retries=int(payload.get("max_retries", 2)),
         )

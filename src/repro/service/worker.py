@@ -46,7 +46,6 @@ def make_task(spec, point, attempt=0, burst_dir=None, fail_times=0):
         "warmup": warmup,
         "measure": measure,
         "engine": spec.engine,
-        "backend": spec.backend,
         "attempt": attempt,
         "burst_dir": burst_dir,
         #: Fault injection (soak tests): die this many times before
@@ -63,9 +62,6 @@ def compute_point(task):
     """
     kind = task["kind"]
     engine = task["engine"]
-    # Absent in tasks from pre-backend clients: default to None (the
-    # env/python resolution) — either backend computes identical bits.
-    backend = task.get("backend")
     burst_cache = None
     from repro.api import Simulation
     from repro.isa.program import Program
@@ -79,14 +75,13 @@ def compute_point(task):
             simulation = Simulation.from_config(
                 task["config"], scheme=task["scheme"],
                 n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine, backend=backend).load(task["name"])
+                engine=engine).load(task["name"])
             result = simulation.run(warmup=task["warmup"],
                                     measure=task["measure"])
         elif kind == "dedicated":
             simulation = Simulation.from_config(
                 task["config"], scheme="single", n_contexts=1,
-                seed=task["seed"], engine=engine,
-                backend=backend).load(task["name"])
+                seed=task["seed"], engine=engine).load(task["name"])
             result = simulation.run(warmup=task["warmup"],
                                     measure=task["measure"])
         elif kind == "gen":
@@ -97,15 +92,14 @@ def compute_point(task):
             simulation = Simulation.from_config(
                 task["config"], scheme=task["scheme"],
                 n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine, backend=backend).load(
-                    "gen:" + task["name"])
+                engine=engine).load("gen:" + task["name"])
             result = simulation.run(warmup=task["warmup"],
                                     measure=task["measure"])
         elif kind == "mp":
             simulation = Simulation.from_config(
                 task["mp_params"], scheme=task["scheme"],
                 n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine, backend=backend).load(task["name"])
+                engine=engine).load(task["name"])
             result = simulation.run(until=MP_MAX_CYCLES)
             if not result.completed:
                 raise RuntimeError(

@@ -7,7 +7,8 @@ On the multiprocessor another node's lock handoff or barrier release
 these runs exercise the policies' ownership tests — the interleaved
 sole-runner veto on such contexts, the blocked scheme's current-context
 ownership that no handoff can cut short — on real lock/barrier-heavy
-SPLASH stand-ins.
+SPLASH stand-ins.  The run API and its deprecation shims are pinned
+here too.
 """
 
 import dataclasses
@@ -18,6 +19,15 @@ from repro.api import Simulation
 from repro.config import MultiprocessorParams
 
 SMALL_PARAMS = MultiprocessorParams(n_nodes=2)
+
+#: Memory-latency-bound machine (~4x DASH latencies) where the fast
+#: engine's idle fast-forward dominates; mirrors benchmarks.
+STRESS_PARAMS = MultiprocessorParams(
+    n_nodes=4,
+    local_memory=(120, 160),
+    remote_memory=(400, 520),
+    remote_cache=(520, 640),
+)
 
 
 def comparable(result):
@@ -55,6 +65,31 @@ class TestBitIdentical:
         assert burst.completed and naive.completed
         assert comparable(burst) == comparable(naive)
 
+    @pytest.mark.parametrize("app,n_contexts", [("locus", 8), ("pthor", 2)])
+    def test_blocked_sync_wake_in_switch_tail(self, app, n_contexts):
+        """Sync wakes reaching a node parked in the blocked scheme's
+        switch tail, on the default 8-node DSM (locus blocked-8 at seed
+        1994 once ended at cycle 18328 under the event loop, 18272 under
+        naive).
+        """
+        fast, naive = (run_app(app, "blocked", n_contexts, engine,
+                               params=MultiprocessorParams(), scale=1.0,
+                               seed=1994)
+                       for engine in ("burst", "naive"))
+        assert naive.completed
+        assert comparable(fast) == comparable(naive)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
+    def test_memory_bound_stress_machine(self, app):
+        """The benchmark-gate configuration, where jumps are longest."""
+        fast = run_app(app, "interleaved", 2, "burst",
+                       params=STRESS_PARAMS, scale=0.5, seed=1994)
+        naive = run_app(app, "interleaved", 2, "naive",
+                        params=STRESS_PARAMS, scale=0.5, seed=1994)
+        assert fast.completed and naive.completed
+        assert comparable(fast) == comparable(naive)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
     @pytest.mark.parametrize("scheme,n_contexts",
@@ -68,3 +103,46 @@ class TestBitIdentical:
         naive = run_app(app, scheme, n_contexts, "naive")
         assert burst.completed and naive.completed
         assert comparable(burst) == comparable(naive)
+
+
+class TestUnifiedRunAPI:
+    def _sim(self, **kwargs):
+        return Simulation.from_config(
+            SMALL_PARAMS, scheme="interleaved", n_contexts=2, seed=7,
+            **kwargs).load("mp3d", scale=0.25).simulator
+
+    def test_positional_cycles_warns(self):
+        sim = self._sim()
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            result = sim.run(1_000)
+        assert sim.now <= 1_000
+        assert result.completed is (sim.now < 1_000)
+
+    def test_run_defaults_to_completion(self):
+        from repro.api import RunResult
+        sim = self._sim()
+        result = sim.run()
+        assert isinstance(result, RunResult)
+        assert result.kind == "multiprocessor"
+        assert result.completed
+        assert result.cycles == sim.now
+
+    def test_run_to_completion_shim_warns_and_returns_mpresult(self):
+        from repro.core.mpsimulator import MPResult
+        sim = self._sim()
+        with pytest.warns(DeprecationWarning, match="run_to_completion"):
+            result = sim.run_to_completion(max_cycles=10_000_000)
+        assert isinstance(result, MPResult)
+        assert result.cycles == sim.now
+
+    def test_run_to_completion_shim_raises_on_timeout(self):
+        sim = self._sim()
+        with pytest.warns(DeprecationWarning):
+            with pytest.raises(RuntimeError, match="did not finish"):
+                sim.run_to_completion(max_cycles=10)
+
+    def test_engine_argument_validated(self):
+        with pytest.raises(ValueError, match="engine"):
+            self._sim(engine="warp")
+        with pytest.raises(ValueError, match="engine"):
+            self._sim(engine="events")

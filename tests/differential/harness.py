@@ -102,33 +102,27 @@ def assert_identical(results, context="", listing=None):
 # -- run helpers ---------------------------------------------------------------
 
 def run_workstation(workload, scheme, n_contexts, engine, width=1,
-                    warmup=1_000, measure=5_000, seed=1994,
-                    backend=None):
-    """One workstation window for an (engine, width) matrix point.
-
-    ``backend`` extends the matrix with the scoreboard-backend axis
-    (python/numpy), which must be just as bit-identical as the engines.
-    """
+                    warmup=1_000, measure=5_000, seed=1994):
+    """One workstation window for an (engine, width) matrix point."""
     config = SystemConfig.fast().with_pipeline(issue_width=width)
     sim = Simulation.from_config(config, scheme=scheme,
                                  n_contexts=n_contexts, seed=seed,
-                                 engine=engine,
-                                 backend=backend).load(workload)
+                                 engine=engine).load(workload)
     return sim.run(warmup=warmup, measure=measure)
 
 
 def run_mp(app, scheme, n_contexts, engine, width=1,
-           params=SMALL_MP_PARAMS, scale=0.25, seed=7, backend=None):
+           params=SMALL_MP_PARAMS, scale=0.25, seed=7):
     """One multiprocessor completion run for an (engine, width) point."""
     sim = Simulation.from_config(
         params, scheme=scheme, n_contexts=n_contexts, seed=seed,
-        engine=engine, backend=backend,
+        engine=engine,
         pipeline=PipelineParams(issue_width=width)).load(app, scale=scale)
     return sim.run()
 
 
 def run_spec(spec, scheme, n_contexts, engine, width=1,
-             cycles=6_000, seed=11, backend=None):
+             cycles=6_000, seed=11):
     """Run a generated spec on the workstation simulator.
 
     Processes are (re)built *inside* this helper: ``Process`` carries
@@ -147,7 +141,7 @@ def run_spec(spec, scheme, n_contexts, engine, width=1,
     config = SystemConfig.fast().with_pipeline(issue_width=width)
     sim = WorkstationSimulator(processes, scheme=scheme,
                                n_contexts=n_contexts, config=config,
-                               seed=seed, engine=engine, backend=backend)
+                               seed=seed, engine=engine)
     window = sim.measure(cycles)
     return workstation_run_result(sim, window, workload="random")
 

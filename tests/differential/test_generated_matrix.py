@@ -9,10 +9,8 @@ spin-locks) — must produce byte-identical ``RunResult.to_json()``
 payloads across
 
 * both engines (``naive`` per-cycle reference, ``burst``
-  fast-forward with precompiled segments),
-* issue widths 1/2/4 (the Section 7 extension study), and
-* both scoreboard backends (pure-python and numpy), when numpy is
-  installed.
+  fast-forward with precompiled segments), and
+* issue widths 1/2/4 (the Section 7 extension study).
 
 The PR lane runs these deterministically through the
 ``differential-ci`` hypothesis profile (tests/conftest.py); nightly
@@ -26,8 +24,6 @@ import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-
-from repro.pipeline.scoreboard import HAVE_NUMPY
 
 from .harness import (
     assert_identical,
@@ -45,22 +41,17 @@ SHARING = ("private", "read", "rw", "lock")
 #: Example budget for the slow deep sweep; the nightly lane raises it.
 DEEP_EXAMPLES = int(os.environ.get("DIFFERENTIAL_DEEP_EXAMPLES", "40"))
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed "
-                                        "(repro[fast] extra)")
 
-
-def _check_engines(spec, scheme, n_contexts, width, backend=None):
-    """All engines at one (scheme, contexts, width, backend) point."""
+def _check_engines(spec, scheme, n_contexts, width):
+    """All engines at one (scheme, contexts, width) point."""
     results = {
-        engine: run_spec(spec, scheme, n_contexts, engine, width=width,
-                         backend=backend)
+        engine: run_spec(spec, scheme, n_contexts, engine, width=width)
         for engine in ENGINES
     }
     assert_identical(
         results,
-        context="%s x%d width=%d backend=%s spec=%r"
-                % (scheme, n_contexts, width, backend, spec),
+        context="%s x%d width=%d spec=%r"
+                % (scheme, n_contexts, width, spec),
         listing=listing_for(spec))
 
 
@@ -76,30 +67,6 @@ def test_generated_programs_bit_identical(spec, scheme, n_contexts,
     if scheme == "single":
         n_contexts = 1
     _check_engines(spec, scheme, n_contexts, width)
-
-
-@needs_numpy
-@given(spec=gen_specs(sharing=SHARING),
-       width=st.sampled_from((1, 2, 4)))
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=(HealthCheck.too_slow,))
-def test_generated_programs_backend_identical(spec, width):
-    """Engine x backend grid on the interleaved 4-context machine.
-
-    The numpy scoreboard must be invisible: every engine on the numpy
-    backend matches the naive/python reference bit for bit.
-    """
-    reference = run_spec(spec, "interleaved", 4, "naive", width=width,
-                         backend="python")
-    results = {"naive": reference}
-    for engine in ENGINES:
-        results["%s/numpy" % engine] = run_spec(
-            spec, "interleaved", 4, engine, width=width, backend="numpy")
-    assert_identical(
-        results,
-        context="interleaved x4 width=%d backend grid spec=%r"
-                % (width, spec),
-        listing=listing_for(spec))
 
 
 @given(spec=gen_specs(sharing=("lock",)))
@@ -123,13 +90,9 @@ def test_generated_lock_contention_bit_identical(spec):
 @given(spec=gen_specs(sharing=SHARING),
        scheme=st.sampled_from(("blocked", "interleaved")),
        n_contexts=st.sampled_from((2, 4)),
-       width=st.sampled_from((2, 4)),
-       backend=st.sampled_from(("python", "numpy")))
+       width=st.sampled_from((2, 4)))
 @settings(max_examples=DEEP_EXAMPLES, deadline=None,
           suppress_health_check=(HealthCheck.too_slow,))
-def test_generated_programs_deep(spec, scheme, n_contexts, width,
-                                 backend):
+def test_generated_programs_deep(spec, scheme, n_contexts, width):
     """Deep sweep over the full grid, multi-issue multi-context corner."""
-    if backend == "numpy" and not HAVE_NUMPY:
-        backend = "python"
-    _check_engines(spec, scheme, n_contexts, width, backend=backend)
+    _check_engines(spec, scheme, n_contexts, width)

@@ -1,6 +1,6 @@
 """Scoreboard hazard detection (Table 3 issue-to-issue distances)."""
 
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import FU, Op
 from repro.isa.instruction import Instruction
 from repro.pipeline.scoreboard import Scoreboard
 
@@ -100,6 +100,23 @@ class TestContextIsolation:
         until, _ = sb.hazard_until(0, I(Op.FADD, rd=36, rs1=33,
                                         rs2=34), 1)
         assert until == 1
+
+    def test_clear_context_is_isolated(self):
+        sb = Scoreboard(2)
+        sb.issue(0, I(Op.FDIV, rd=33, rs1=34, rs2=35), 0)
+        sb.issue(1, I(Op.FDIV, rd=36, rs1=37, rs2=38), 70)
+        sb.set_ready(0, 8, 40, memory=True)
+        sb.clear_context(0)
+        # Context 0 forgets its ready times and miss flags ...
+        assert sb.reg_ready[:64] == [0] * 64
+        assert sb.reg_mem[:64] == bytes(64)
+        # ... context 1's pending divide keeps its ready time ...
+        assert sb.reg_ready[(1 << 6) + 36] == 70 + 61
+        # ... and the shared unit stays busy with that divide.
+        assert sb.fu_busy[FU.FPDIV] == 70 + 61
+        until, kind = sb.hazard_until(0, I(Op.FDIV, rd=40, rs1=41,
+                                           rs2=42), 80)
+        assert until == 70 + 61 and kind == "structural"
 
     def test_normal_write_clears_memory_flag(self):
         sb = Scoreboard(1)

@@ -9,6 +9,16 @@ from repro.service.jobs import JobSpec
 FAST = SystemConfig.fast()
 MPP = MultiprocessorParams(n_nodes=2)
 
+#: A spool payload as ``to_dict`` wrote it while jobs could pick a
+#: scoreboard implementation: every current field plus ``"backend"``.
+OLD_SPEC = {
+    "schema": 1, "schema_version": 1, "profile": "fast", "nodes": 2,
+    "seed": 7, "warmup": 500, "measure": 2_000, "engine": "burst",
+    "backend": "python", "timeout": 12.5, "max_retries": 4,
+    "points": [["uniproc", "R1", "single", 1],
+               ["mp", "cholesky", "interleaved", 2]],
+}
+
 
 def _spec(points, **kwargs):
     kwargs.setdefault("config", FAST)
@@ -125,6 +135,21 @@ def test_spool_dict_reads_stored_events_engine_as_burst():
     assert (again.points, again.seed) == (back.points, 7)
     payload.pop("engine")
     assert JobSpec.from_dict(payload).engine == "burst"
+
+
+@pytest.mark.parametrize("value", ["python", "numpy", "auto", None])
+def test_spool_dict_ignores_old_backend_key(value):
+    """Older spools and clients wrote a ``backend`` key; whatever it
+    names, the spec parses as if the key were absent, keys the same
+    cache entries and writes itself back without the key."""
+    without = dict(OLD_SPEC)
+    del without["backend"]
+    reference = JobSpec.from_dict(without)
+    old = JobSpec.from_dict(dict(OLD_SPEC, backend=value))
+    assert old == reference
+    assert ([old.cache_key(p) for p in old.points]
+            == [reference.cache_key(p) for p in reference.points])
+    assert old.to_dict() == without
 
 
 def test_spool_dict_rejects_unknown_schema():

@@ -70,6 +70,23 @@ def test_serve_once_runs_queued_jobs(tmp_path):
                                                           "interleaved"}
 
 
+def test_serve_once_runs_an_old_format_queue_file(tmp_path):
+    """A queue file written before the scoreboard knob was removed
+    still carries a ``backend`` key; it is served to completion."""
+    spool = Spool(tmp_path / "sp")
+    spool.queue_dir.mkdir(parents=True)
+    old = _spec().to_dict()
+    old["backend"] = "numpy"
+    (spool.queue_dir / "sj-00001.json").write_text(json.dumps(old))
+    manager = JobManager(workers=1, cache=ResultCache(tmp_path / "rc"))
+    assert serve_forever(spool, manager, once=True, poll=0.02) == 1
+    status = spool.read_status("sj-00001")
+    assert status["status"] == "completed"
+    assert status["completed"] == 1
+    (payload,) = spool.read_results("sj-00001")
+    assert json.loads(payload)["workload"] == "R1"
+
+
 def test_cli_submit_serve_jobs_round_trip(tmp_path, capsys):
     spool_dir = str(tmp_path / "sp")
     rc = cli_main(["submit", "--spool", spool_dir,

@@ -6,9 +6,7 @@ suite can give (the timing simulator is separately proven equivalent to
 the functional interpreter in test_scheme_equivalence).
 """
 
-import pytest
-
-np = pytest.importorskip("numpy", exc_type=ImportError)
+import numpy as np
 
 from repro.isa.executor import run_functional
 from repro.workloads.kernels.linalg import (

@@ -1,8 +1,7 @@
 """Spec89 stand-in kernels: functional correctness and properties."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.isa.executor import run_functional, Memory
 from repro.isa.encoding import encode, decode
