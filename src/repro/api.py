@@ -131,12 +131,12 @@ def workstation_run_result(sim, window, workload=None):
     )
 
 
-def multiprocessor_run_result(sim, mp_result, workload=None):
+def multiprocessor_run_result(sim, mp_result):
     """Wrap a multiprocessor run as a :class:`RunResult`."""
     stats = mp_result.stats
     return RunResult(
         kind="multiprocessor",
-        workload=workload if workload is not None else sim.app.name,
+        workload=sim.app.name,
         scheme=sim.scheme,
         n_contexts=sim.n_contexts,
         seed=sim.seed,
@@ -273,11 +273,7 @@ class Simulation:
             if warmup or measure is not None:
                 raise ValueError("warmup/measure only apply to "
                                  "workstation simulations")
-            bound = (until if until is not None
-                     else sim.now + DEFAULT_MP_MAX_CYCLES)
-            sim._advance(bound)
-            return multiprocessor_run_result(sim, sim._result(),
-                                             workload=self.workload)
+            return sim.run(until=until).with_workload(self.workload)
         if measure is None:
             if until is None:
                 raise TypeError("workstation run() needs measure=<n> "

@@ -6,8 +6,6 @@ hardware contexts; more contexts per processor means the application is
 partitioned into proportionally more threads (n_nodes × n_contexts).
 """
 
-import warnings
-
 from repro.config import MultiprocessorParams, PipelineParams
 from repro.coherence.dsm import DSMachine
 from repro.core.processor import Processor
@@ -52,9 +50,6 @@ class _HaltCounter:
 
 class MultiprocessorSimulator:
     """Run a parallel application instance on the DASH-like machine."""
-
-    #: Default completion bound of :meth:`run` (cycles).
-    DEFAULT_MAX_CYCLES = 50_000_000
 
     def __init__(self, app_instance, scheme="interleaved", n_contexts=1,
                  params=None, pipeline=None, seed=None, engine="burst"):
@@ -122,53 +117,23 @@ class MultiprocessorSimulator:
         cycle any node can issue (NEVER when fully halted/blocked)."""
         return min(p.next_event_cycle(self.now) for p in self.processors)
 
-    def run(self, cycles=None, *, until=None):
+    def run(self, *, until=None):
         """Advance until completion or ``until``; returns a
         :class:`repro.api.RunResult`.
 
         The unified entry point shared with the workstation simulator:
-        ``until`` is an *absolute* cycle bound; the run stops early when
-        every thread has halted, and the result's ``completed`` flag
-        records which happened.  The historical relative form
-        ``run(n_cycles)`` is accepted but deprecated.
+        ``until`` is an *absolute* cycle bound (default: now plus
+        :data:`repro.api.DEFAULT_MP_MAX_CYCLES`); the run stops early
+        when every thread has halted, and the result's ``completed``
+        flag records which happened.
         """
-        if cycles is not None:
-            if until is not None:
-                raise TypeError(
-                    "pass either cycles (deprecated) or until, not both")
-            warnings.warn(
-                "MultiprocessorSimulator.run(cycles) is deprecated; use "
-                "run(until=<absolute cycle>) or repro.api.Simulation",
-                DeprecationWarning, stacklevel=2)
-            until = self.now + cycles
+        from repro.api import DEFAULT_MP_MAX_CYCLES, multiprocessor_run_result
         if until is None:
-            until = self.now + self.DEFAULT_MAX_CYCLES
-        from repro.api import multiprocessor_run_result
+            until = self.now + DEFAULT_MP_MAX_CYCLES
         self._advance(until)
-        return multiprocessor_run_result(self, self._result())
-
-    def run_to_completion(self, max_cycles=50_000_000):
-        """Deprecated shim: step all nodes until every thread halts.
-
-        Returns the historical :class:`MPResult` and raises when the
-        application does not finish within ``max_cycles``.  New code
-        should call ``run(until=...)`` (or the :class:`repro.api.
-        Simulation` facade) and inspect ``RunResult.completed``.
-        """
-        warnings.warn(
-            "run_to_completion(max_cycles) is deprecated; use "
-            "run(until=<absolute cycle>) or repro.api.Simulation",
-            DeprecationWarning, stacklevel=2)
-        self._advance(self.now + max_cycles)
-        if not self.all_halted():
-            raise RuntimeError(
-                "application %r did not finish within %d cycles"
-                % (self.app.name, max_cycles))
-        return self._result()
-
-    def _result(self):
-        return MPResult(self.now, [p.stats for p in self.processors],
-                        self.machine)
+        return multiprocessor_run_result(
+            self, MPResult(self.now, [p.stats for p in self.processors],
+                           self.machine))
 
     def _advance(self, end):
         if self.engine == "naive":

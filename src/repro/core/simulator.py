@@ -8,7 +8,6 @@ time; its only modelled effect is the cache pollution.
 """
 
 import random
-import warnings
 
 from repro.isa.executor import ArchState, Memory
 from repro.config import SystemConfig
@@ -199,26 +198,13 @@ class WorkstationSimulator:
         return min(self.processor.next_event_cycle(self.now),
                    next_interrupt)
 
-    def run(self, cycles=None, *, until=None):
+    def run(self, *, until):
         """Advance the machine; returns a :class:`repro.api.RunResult`.
 
         The unified entry point shared with the multiprocessor
         simulator: ``run(until=cycle)`` advances to the *absolute* cycle
-        ``until``.  The historical relative form ``run(n_cycles)`` still
-        works but is deprecated — use ``until`` or the
-        :class:`repro.api.Simulation` facade.
+        ``until``.
         """
-        if cycles is not None:
-            if until is not None:
-                raise TypeError(
-                    "pass either cycles (deprecated) or until, not both")
-            warnings.warn(
-                "WorkstationSimulator.run(cycles) is deprecated; use "
-                "run(until=<absolute cycle>) or repro.api.Simulation",
-                DeprecationWarning, stacklevel=2)
-            until = self.now + cycles
-        if until is None:
-            raise TypeError("run() requires until=<absolute cycle>")
         from repro.api import workstation_run_result
         start = self.now
         stats_before = self.processor.stats.snapshot()

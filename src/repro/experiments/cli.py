@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 import time
-import warnings
 
 from repro.experiments import (
     figure2,
@@ -234,34 +233,12 @@ def _service_spec(args):
     return JobSpec.sweep(workloads=workloads, apps=apps, **kwargs)
 
 
-def _spool_root(args):
-    """The spool directory, honouring the deprecated positional form.
-
-    ``repro-experiments submit <dir>`` (the spool directory as the
-    positional action) predates ``--spool``; it still works but warns,
-    mirroring the ``run(cycles)`` deprecation shim on the simulators.
-    """
-    if args.action is not None:
-        looks_like_path = (os.sep in args.action
-                           or args.action in (".", "..")
-                           or os.path.isdir(args.action))
-        if args.experiment in ("submit", "serve") or (
-                args.experiment == "jobs" and looks_like_path):
-            warnings.warn(
-                "passing the spool directory positionally is "
-                "deprecated; use --spool %s" % args.action,
-                DeprecationWarning, stacklevel=2)
-            root, args.action = args.action, None
-            return root
-    return args.spool
-
-
 def _client_transport(args):
     """The Transport a client verb should use: TCP or spool."""
     from repro.service import connect, open_spool
     if args.connect:
         return connect(args.connect)
-    return open_spool(_spool_root(args))
+    return open_spool(args.spool)
 
 
 def _transport_name(transport):
@@ -329,7 +306,7 @@ def _serve(args, _ready=None):
               % (stats["requests"], stats["connections"]),
               file=sys.stderr)
         return 0
-    spool = Spool(_spool_root(args))
+    spool = Spool(args.spool)
     print("serving spool %s with %d worker(s)%s"
           % (spool.root, args.workers, " (once)" if args.once else ""),
           file=sys.stderr)
@@ -790,6 +767,10 @@ def main(argv=None, _ready=None):
             parser.error("--verify and --no-verify are mutually "
                          "exclusive")
         return _generate(args)
+    if args.experiment in ("submit", "serve") and args.action is not None:
+        parser.error("%s takes no positional argument; name the spool "
+                     "directory with --spool %s"
+                     % (args.experiment, args.action))
     if args.experiment == "submit":
         return _submit(args)
     if args.experiment == "serve":

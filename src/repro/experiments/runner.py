@@ -8,11 +8,13 @@ ResultCache`, reads/writes a content-addressed on-disk cache so the same
 simulation is never computed twice across processes or invocations.
 
 The module-level ``compute_*`` functions are the *only* way a simulation
-point is ever produced: the serial context calls them directly and the
-parallel :class:`~repro.experiments.sweep.SweepEngine` calls them inside
-worker processes, so parallel results are bit-identical to serial ones
-by construction (each point is seeded independently from the context's
-seed; no state is shared between points).
+point is ever produced: the serial context calls them directly, and
+both the parallel :class:`~repro.experiments.sweep.SweepEngine` pool and
+the service's worker processes go through :func:`compute_point_state`,
+which dispatches to them.  Parallel and service results are therefore
+bit-identical to serial ones by construction (each point is seeded
+independently from the context's seed; no state is shared between
+points).
 """
 
 from repro.api import Simulation
@@ -55,6 +57,45 @@ def compute_mp(app_name, scheme, n_contexts, mp_params, seed,
             "application %r did not finish within %d cycles"
             % (app_name, max_cycles))
     return result.raw
+
+
+def point_window(kind, warmup, measure):
+    """The (warmup, measure) window a point of ``kind`` runs and is
+    cached under: an mp point runs to completion, so its window is
+    ``(0, MP_MAX_CYCLES)``; every other kind measures
+    ``(warmup, measure)``."""
+    if kind == "mp":
+        return 0, MP_MAX_CYCLES
+    return warmup, measure
+
+
+def compute_point_state(kind, name, scheme, n_contexts, config, mp_params,
+                        seed, warmup, measure, engine="burst"):
+    """Compute one point of any kind; returns its serialised state.
+
+    The one point dispatcher behind the sweep's process pool and the
+    service's workers.  ``warmup``/``measure`` is the point's
+    :func:`point_window`; a ``gen`` point's ``name`` is its
+    :class:`~repro.workloads.generator.GenSpec` text.  Touches only its
+    arguments, so it may run in any process, in any order.
+    """
+    from repro.experiments import cache as cache_mod
+    if kind == "uniproc":
+        result, _ = compute_uniproc(name, scheme, n_contexts, config, seed,
+                                    warmup, measure, engine=engine)
+    elif kind == "gen":
+        result, _ = compute_uniproc("gen:" + name, scheme, n_contexts,
+                                    config, seed, warmup, measure,
+                                    engine=engine)
+    elif kind == "dedicated":
+        result = compute_dedicated(name, config, seed, warmup, measure,
+                                   engine=engine)
+    elif kind == "mp":
+        result = compute_mp(name, scheme, n_contexts, mp_params, seed,
+                            engine=engine)
+    else:
+        raise ValueError("unknown point kind %r" % (kind,))
+    return cache_mod.SERIALIZERS[kind][0](result)
 
 
 def dedicated_rate_of(result):
@@ -110,10 +151,7 @@ class ExperimentContext:
     def point_cache_key(self, kind, name, scheme="single", n_contexts=1):
         """The on-disk cache key of one of this context's points."""
         from repro.experiments import cache as cache_mod
-        if kind == "mp":
-            warmup, measure = 0, MP_MAX_CYCLES
-        else:
-            warmup, measure = self.warmup, self.measure
+        warmup, measure = point_window(kind, self.warmup, self.measure)
         self._canonical = cache_mod.canonical_configs(
             self.config, self.mp_params, self._canonical)
         return cache_mod.hash_point_key(

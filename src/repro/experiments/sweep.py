@@ -75,28 +75,6 @@ def _cost_rank(point):
     return (point.kind == "mp", point.n_contexts)
 
 
-def _compute_point_state(kind, name, scheme, n_contexts, config,
-                         mp_params, seed, warmup, measure,
-                         engine="burst"):
-    """Worker entry: compute one point, return its serialised state.
-
-    Runs in a forked/spawned process; must only touch its arguments.
-    """
-    if kind == "uniproc":
-        result, _ = runner_mod.compute_uniproc(
-            name, scheme, n_contexts, config, seed, warmup, measure,
-            engine=engine)
-    elif kind == "dedicated":
-        result = runner_mod.compute_dedicated(
-            name, config, seed, warmup, measure, engine=engine)
-    elif kind == "mp":
-        result = runner_mod.compute_mp(name, scheme, n_contexts,
-                                       mp_params, seed, engine=engine)
-    else:
-        raise ValueError("unknown point kind %r" % kind)
-    return cache_mod.SERIALIZERS[kind][0](result)
-
-
 class SweepReport:
     """What a sweep did: per-point outcomes and aggregate timings."""
 
@@ -164,10 +142,8 @@ class SweepEngine:
 
     def _task_args(self, point):
         ctx = self.ctx
-        if point.kind == "mp":
-            warmup, measure = 0, runner_mod.MP_MAX_CYCLES
-        else:
-            warmup, measure = ctx.warmup, ctx.measure
+        warmup, measure = runner_mod.point_window(point.kind, ctx.warmup,
+                                                  ctx.measure)
         return (point.kind, point.name, point.scheme, point.n_contexts,
                 ctx.config, ctx.mp_params, ctx.seed, warmup, measure,
                 ctx.engine)
@@ -244,7 +220,7 @@ class SweepEngine:
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             submitted = time.perf_counter()
-            futures = {pool.submit(_compute_point_state,
+            futures = {pool.submit(runner_mod.compute_point_state,
                                    *self._task_args(p)): p
                        for p in pending}
             for future in as_completed(futures):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.runner import (UNIPROC_WARMUP, UNIPROC_MEASURE,
-                                      MP_MAX_CYCLES)
+                                      point_window)
 from repro.experiments.sweep import SweepPoint, dedupe
 
 #: Job lifecycle states.
@@ -94,9 +94,7 @@ class JobSpec:
 
     def point_window(self, point):
         """(warmup, measure) for ``point``, as the batch path uses them."""
-        if point.kind == "mp":
-            return 0, MP_MAX_CYCLES
-        return self.warmup, self.measure
+        return point_window(point.kind, self.warmup, self.measure)
 
     def cache_key(self, point):
         """The point's on-disk :class:`ResultCache` key (shared with the
@@ -126,9 +124,6 @@ class JobSpec:
                 "only the 'fast'/'paper' profiles round-trip through the "
                 "spool; submit custom configs through JobManager.submit")
         return {
-            # "schema" is the historical name of this field; both are
-            # written so pre-network spools and new clients interoperate.
-            "schema": SPEC_SCHEMA,
             "schema_version": SPEC_SCHEMA,
             "profile": profile,
             "nodes": self.mp_params.n_nodes,
@@ -144,24 +139,16 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload):
-        # Either field name is accepted (old spools wrote "schema",
-        # the wire protocol writes "schema_version") but every version
-        # present must match — a disagreement means a corrupt payload.
-        versions = {payload[k] for k in ("schema", "schema_version")
-                    if k in payload} or {None}
-        if versions != {SPEC_SCHEMA}:
-            raise ValueError("unsupported job spec schema %r"
-                             % (sorted(versions, key=repr),))
+        version = payload.get("schema_version")
+        if version != SPEC_SCHEMA:
+            raise ValueError("unsupported job spec schema_version %r "
+                             "(expected %d)" % (version, SPEC_SCHEMA))
         config = (SystemConfig.paper() if payload.get("profile") == "paper"
                   else SystemConfig.fast())
         mp_params = MultiprocessorParams(
             n_nodes=int(payload.get("nodes", 8)))
-        engine = payload.get("engine", "burst")
-        if engine == "events":
-            # Older spools and clients name the engine that was folded
-            # into "burst" (the same event loop without burst jumps).
-            engine = "burst"
-        # An old spec's "backend" key named a removed knob; it is ignored.
+        # Unknown keys are ignored (an old spec's "backend" key named a
+        # removed knob); __post_init__ rejects an unknown engine.
         return cls(
             points=tuple(SweepPoint(k, n, s, int(c))
                          for k, n, s, c in payload["points"]),
@@ -170,7 +157,7 @@ class JobSpec:
             seed=int(payload.get("seed", 1994)),
             warmup=int(payload.get("warmup", UNIPROC_WARMUP)),
             measure=int(payload.get("measure", UNIPROC_MEASURE)),
-            engine=engine,
+            engine=payload.get("engine", "burst"),
             timeout=payload.get("timeout"),
             max_retries=int(payload.get("max_retries", 2)),
         )

@@ -2,16 +2,18 @@
 
 One worker process computes one point per attempt: the manager spawns
 ``multiprocessing.Process(target=worker_main, ...)`` with a one-way
-pipe, the worker runs the simulation exactly as the batch path would,
-and sends back a single result message.  Process-per-attempt keeps the
-failure domain small — a dying worker loses exactly one attempt of one
-point, which the manager retries with backoff — and makes the kill
-injection used by the CI soak test trivially safe.
+pipe, the worker computes the point with the batch path's own
+dispatcher, and sends back a single result message.
+Process-per-attempt keeps the failure domain small — a dying worker
+loses exactly one attempt of one point, which the manager retries with
+backoff — and makes the kill injection used by the CI soak test
+trivially safe.
 
 Determinism contract: the simulation inputs in a task are precisely the
-arguments :mod:`repro.experiments.runner`'s ``compute_*`` functions
-receive on the batch path (same configs, same per-point seed, same
-windows), so a service-computed point is bit-identical to a serial
+arguments :func:`repro.experiments.runner.compute_point_state` receives
+from the batch sweep's process pool (same configs, same per-point seed,
+same windows), and the worker calls that same function, so a
+service-computed point is bit-identical to a serial
 :class:`~repro.experiments.sweep.SweepEngine` one and their cache
 entries are interchangeable.
 
@@ -28,8 +30,8 @@ import os
 import time
 import traceback
 
-from repro.experiments import cache as cache_mod
-from repro.experiments.runner import MP_MAX_CYCLES
+from repro.experiments.runner import compute_point_state
+from repro.isa.program import Program
 
 
 def make_task(spec, point, attempt=0, burst_dir=None, fail_times=0):
@@ -60,63 +62,27 @@ def compute_point(task):
     Pure function of the task (no shared state): the manager may run it
     in any worker, in any order, any number of times.
     """
-    kind = task["kind"]
-    engine = task["engine"]
     burst_cache = None
-    from repro.api import Simulation
-    from repro.isa.program import Program
-    if task.get("burst_dir") is not None and engine == "burst":
+    if task.get("burst_dir") is not None and task["engine"] == "burst":
         from repro.service.burst_cache import BurstTableCache
         burst_cache = BurstTableCache(task["burst_dir"])
         Program.burst_provider = burst_cache
     t0 = time.perf_counter()
     try:
-        if kind == "uniproc":
-            simulation = Simulation.from_config(
-                task["config"], scheme=task["scheme"],
-                n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine).load(task["name"])
-            result = simulation.run(warmup=task["warmup"],
-                                    measure=task["measure"])
-        elif kind == "dedicated":
-            simulation = Simulation.from_config(
-                task["config"], scheme="single", n_contexts=1,
-                seed=task["seed"], engine=engine).load(task["name"])
-            result = simulation.run(warmup=task["warmup"],
-                                    measure=task["measure"])
-        elif kind == "gen":
-            # A generated family: the point's name is the GenSpec's
-            # canonical text ("" = default spec); programs are built on
-            # the worker (deterministic from the spec) and verified at
-            # birth, so a bad spec fails the point loudly.
-            simulation = Simulation.from_config(
-                task["config"], scheme=task["scheme"],
-                n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine).load("gen:" + task["name"])
-            result = simulation.run(warmup=task["warmup"],
-                                    measure=task["measure"])
-        elif kind == "mp":
-            simulation = Simulation.from_config(
-                task["mp_params"], scheme=task["scheme"],
-                n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine).load(task["name"])
-            result = simulation.run(until=MP_MAX_CYCLES)
-            if not result.completed:
-                raise RuntimeError(
-                    "application %r did not finish within %d cycles"
-                    % (task["name"], MP_MAX_CYCLES))
-        else:
-            raise ValueError("unknown point kind %r" % (kind,))
+        # Only the serialised state travels back: the manager derives
+        # the streamed payload from it (repro.service.results), the same
+        # pure function it applies to cache hits — so cold and warm runs
+        # stream byte-identical payloads.
+        state = compute_point_state(
+            task["kind"], task["name"], task["scheme"], task["n_contexts"],
+            task["config"], task["mp_params"], task["seed"],
+            task["warmup"], task["measure"], engine=task["engine"])
     finally:
         if burst_cache is not None:
             Program.burst_provider = None
-    # Only the serialised state travels back: the manager derives the
-    # streamed payload from it (repro.service.results), the same pure
-    # function it applies to cache hits — so cold and warm runs stream
-    # byte-identical payloads.
     return {
         "ok": True,
-        "state": cache_mod.SERIALIZERS[kind][0](result.raw),
+        "state": state,
         "seconds": time.perf_counter() - t0,
         "burst": (burst_cache.session_stats() if burst_cache is not None
                   else None),

@@ -25,11 +25,6 @@ from repro.workloads.generator import (
     generate_family,
     verify_generated,
 )
-from repro.workloads.synthetic import (
-    StreamSpec,
-    build_stream,
-    build_stream_process,
-)
 from repro.workloads.characterize import (
     profile_program,
     profile_kernel,
@@ -50,9 +45,6 @@ __all__ = [
     "generate_processes",
     "generate_family",
     "verify_generated",
-    "StreamSpec",
-    "build_stream",
-    "build_stream_process",
     "profile_program",
     "profile_kernel",
     "characterization_table",

@@ -4,11 +4,10 @@ All 56 committed programs are hand-written; this module generates
 unbounded *families* of programs with controlled statistical properties
 along exactly the axes the paper's results hinge on (Tables 7/10,
 Figures 6-9): instruction mix, dependency distance, memory footprint,
-branch/loop structure, and — new over the old ad-hoc
-:class:`~repro.workloads.synthetic.StreamSpec` randomisation — integer
-multiply/shift pressure, multi-block loop bodies (instruction-cache
-footprint), two-deep loop nests, and a multi-context *sharing pattern*
-(private / shared-read / shared-read-write / lock-protected counter).
+branch/loop structure, integer multiply/shift pressure, multi-block
+loop bodies (instruction-cache footprint), two-deep loop nests, and a
+multi-context *sharing pattern* (private / shared-read /
+shared-read-write / lock-protected counter).
 
 Design contract:
 
@@ -32,10 +31,10 @@ Design contract:
   state.)
 
 The emission machinery here is the single source of truth for random
-streams: the deprecated ``build_stream``/``build_stream_process`` shims
-in :mod:`repro.workloads.synthetic` delegate to it with a compatible
-spec, drawing the *same* random sequence the old generator drew, so
-legacy callers keep their exact programs.
+streams.  Its RNG draw order is pinned by the golden corpus
+(``tests/isa/golden/``), whose ``s-*`` members are the historical
+synthetic-stream seeds, so old seeds keep producing their exact
+programs.
 """
 
 import json
@@ -233,11 +232,11 @@ _FP_POOL = ("f2", "f3", "f4", "f5", "f6", "f7", "f8")
 class _Emitter:
     """Emits one spec's loop-body blocks into an :class:`AsmBuilder`.
 
-    The draw order is load-bearing: for the StreamSpec-compatible knob
-    subset (mul/shift fractions 0, one block, flat nest, private
-    sharing) it consumes the random sequence exactly as the historical
-    ``synthetic._Generator`` did, which keeps the deprecated
-    ``build_stream`` shim bit-identical for its callers.
+    The draw order is load-bearing and pinned by the golden corpus:
+    for the historical stream knob subset (mul/shift fractions 0, one
+    block, flat nest, private sharing) it consumes the random sequence
+    exactly as the original synthetic-stream generator did, so the
+    corpus's ``s-*`` seeds regenerate bit-identically.
     """
 
     def __init__(self, spec, builder, rng):
@@ -418,8 +417,8 @@ def generate_program(spec, code_base=0, data_base=0x100000,
     runs the loop body that many times and falls through to HALT.
     ``verify=True`` (the default) runs :func:`verify_generated` — the
     verifier is the generator's oracle, so birth verification is only
-    skipped by explicit request (the deprecated StreamSpec shim, hot
-    loops that already verified the family head).
+    skipped by explicit request (hot loops that already verified the
+    family head).
     """
     spec.validate()
     rng = random.Random(spec.seed)

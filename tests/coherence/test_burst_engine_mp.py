@@ -7,8 +7,7 @@ On the multiprocessor another node's lock handoff or barrier release
 these runs exercise the policies' ownership tests — the interleaved
 sole-runner veto on such contexts, the blocked scheme's current-context
 ownership that no handoff can cut short — on real lock/barrier-heavy
-SPLASH stand-ins.  The run API and its deprecation shims are pinned
-here too.
+SPLASH stand-ins.  The keyword-only run API is pinned here too.
 """
 
 import dataclasses
@@ -111,12 +110,11 @@ class TestUnifiedRunAPI:
             SMALL_PARAMS, scheme="interleaved", n_contexts=2, seed=7,
             **kwargs).load("mp3d", scale=0.25).simulator
 
-    def test_positional_cycles_warns(self):
+    def test_positional_cycles_rejected(self):
         sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result = sim.run(1_000)
-        assert sim.now <= 1_000
-        assert result.completed is (sim.now < 1_000)
+        with pytest.raises(TypeError):
+            sim.run(1_000)
+        assert sim.now == 0
 
     def test_run_defaults_to_completion(self):
         from repro.api import RunResult
@@ -126,20 +124,6 @@ class TestUnifiedRunAPI:
         assert result.kind == "multiprocessor"
         assert result.completed
         assert result.cycles == sim.now
-
-    def test_run_to_completion_shim_warns_and_returns_mpresult(self):
-        from repro.core.mpsimulator import MPResult
-        sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="run_to_completion"):
-            result = sim.run_to_completion(max_cycles=10_000_000)
-        assert isinstance(result, MPResult)
-        assert result.cycles == sim.now
-
-    def test_run_to_completion_shim_raises_on_timeout(self):
-        sim = self._sim()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RuntimeError, match="did not finish"):
-                sim.run_to_completion(max_cycles=10)
 
     def test_engine_argument_validated(self):
         with pytest.raises(ValueError, match="engine"):

@@ -11,7 +11,7 @@ step (a precompiled schedule must retire instructions in program order
 and charge exactly the stall slots, in exactly the categories, the
 per-cycle scoreboard loop would) and the ``next_event_cycle``
 protocol, pin the deadlock detector the jumping loop needs, and pin
-the deprecation shims of the old run APIs.
+the keyword-only run API.
 """
 
 import dataclasses
@@ -414,7 +414,7 @@ class TestDeadlockSemantics:
 
 
 class TestUnifiedRunAPI:
-    """run(until=...) is the one entry point; run(cycles) is shimmed."""
+    """run(until=...) is the one entry point; the bound is keyword-only."""
 
     def _sim(self, **kwargs):
         b = AsmBuilder("p", code_base=0x1000, data_base=0x400000)
@@ -426,14 +426,11 @@ class TestUnifiedRunAPI:
                                     scheme="single", n_contexts=1,
                                     config=SystemConfig.fast(), **kwargs)
 
-    def test_positional_cycles_warns_and_is_relative(self):
+    def test_positional_cycles_rejected(self):
         sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
+        with pytest.raises(TypeError):
             sim.run(1_000)
-        assert sim.now == 1_000
-        with pytest.warns(DeprecationWarning):
-            sim.run(1_000)
-        assert sim.now == 2_000
+        assert sim.now == 0
 
     def test_until_is_absolute_and_does_not_warn(self):
         import warnings
@@ -442,11 +439,6 @@ class TestUnifiedRunAPI:
             warnings.simplefilter("error")
             sim.run(until=1_500)
         assert sim.now == 1_500
-
-    def test_both_forms_rejected(self):
-        sim = self._sim()
-        with pytest.raises(TypeError):
-            sim.run(1_000, until=2_000)
 
     def test_neither_form_rejected(self):
         sim = self._sim()

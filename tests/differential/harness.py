@@ -21,8 +21,7 @@ random-program tests a shared vocabulary:
 * :func:`gen_specs` is a hypothesis strategy over the parameterised
   workload generator's :class:`~repro.workloads.generator.GenSpec`,
   spanning stall-prone short dependency distances, FP-divide pressure,
-  branches, memory footprints, and — beyond what the deprecated
-  ``StreamSpec`` could express — multiply/shift pressure, multi-block
+  branches, memory footprints, multiply/shift pressure, multi-block
   bodies, loop nests, and cross-context sharing patterns.
 """
 
@@ -187,11 +186,6 @@ def gen_specs(draw, sharing=("private",)):
         sharing=draw(st.sampled_from(sharing)),
         seed=draw(st.integers(min_value=0, max_value=2**16)),
     ).validate()
-
-
-#: Deprecated alias — ported to the generator strategy (same axes plus
-#: the new knobs); kept so older callers keep importing.
-stream_specs = gen_specs
 
 
 def listing_for(spec):

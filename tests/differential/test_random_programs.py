@@ -1,7 +1,7 @@
 """Random-program differential fuzzing across engines and widths.
 
-Hypothesis drives the synthetic stream generator (the machinery behind
-the Table 5 R0/R1 workloads) across the timing-relevant axes —
+Hypothesis drives the parameterised workload generator
+(:func:`harness.gen_specs`) across the timing-relevant axes —
 dependency distance, FP/divide pressure, branch density, memory
 footprint and stride — and every drawn program must produce
 bit-identical stats on both engines at the drawn scheme, context
@@ -22,9 +22,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from .harness import (
     assert_identical,
+    gen_specs,
     listing_for,
     run_spec,
-    stream_specs,
 )
 
 ENGINES = ("naive", "burst")
@@ -47,7 +47,7 @@ def _check(spec, scheme, n_contexts, width):
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=(HealthCheck.too_slow,))
-@given(spec=stream_specs(),
+@given(spec=gen_specs(),
        scheme=st.sampled_from(("single", "blocked", "interleaved")),
        n_contexts=st.sampled_from((1, 2, 4)),
        width=st.sampled_from((1, 2, 4)))
@@ -60,7 +60,7 @@ def test_random_streams_bit_identical(spec, scheme, n_contexts, width):
 @pytest.mark.slow
 @settings(max_examples=DEEP_EXAMPLES, deadline=None,
           suppress_health_check=(HealthCheck.too_slow,))
-@given(spec=stream_specs(),
+@given(spec=gen_specs(),
        scheme=st.sampled_from(("blocked", "interleaved")),
        n_contexts=st.sampled_from((2, 4)),
        width=st.sampled_from((2, 4)))

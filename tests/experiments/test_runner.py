@@ -58,3 +58,11 @@ class TestMPSpeedup:
 
     def test_base_speedup_is_one(self, ctx):
         assert ctx.mp_speedup("cholesky", "interleaved", 1) == 1.0
+
+
+def test_compute_mp_raises_when_the_run_does_not_finish():
+    """The unfinished-run check the sweep and the service share."""
+    from repro.experiments.runner import compute_mp
+    with pytest.raises(RuntimeError, match="did not finish"):
+        compute_mp("cholesky", "single", 1,
+                   MultiprocessorParams(n_nodes=2), 1994, max_cycles=10)

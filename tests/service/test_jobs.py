@@ -12,7 +12,7 @@ MPP = MultiprocessorParams(n_nodes=2)
 #: A spool payload as ``to_dict`` wrote it while jobs could pick a
 #: scoreboard implementation: every current field plus ``"backend"``.
 OLD_SPEC = {
-    "schema": 1, "schema_version": 1, "profile": "fast", "nodes": 2,
+    "schema_version": 1, "profile": "fast", "nodes": 2,
     "seed": 7, "warmup": 500, "measure": 2_000, "engine": "burst",
     "backend": "python", "timeout": 12.5, "max_retries": 4,
     "points": [["uniproc", "R1", "single", 1],
@@ -121,18 +121,14 @@ def test_spool_dict_round_trip():
     assert back.max_retries == 4
 
 
-def test_spool_dict_reads_stored_events_engine_as_burst():
-    """Spools and clients from before the engines merged wrote
-    ``"engine": "events"``; they still parse, as the burst engine that
-    absorbed the events loop, and round-trip from there."""
-    payload = _spec((("uniproc", "R1", "single", 1),),
-                    seed=7).to_dict()
+def test_spool_dict_rejects_events_engine():
+    """The events engine was folded into burst; a stored spec naming it
+    is rejected like any unknown engine, and a spec without an engine
+    takes the default."""
+    payload = _spec((("uniproc", "R1", "single", 1),)).to_dict()
     payload["engine"] = "events"
-    back = JobSpec.from_dict(payload)
-    assert back.engine == "burst"
-    again = JobSpec.from_dict(back.to_dict())
-    assert again.engine == "burst"
-    assert (again.points, again.seed) == (back.points, 7)
+    with pytest.raises(ValueError, match="engine"):
+        JobSpec.from_dict(payload)
     payload.pop("engine")
     assert JobSpec.from_dict(payload).engine == "burst"
 
@@ -154,8 +150,8 @@ def test_spool_dict_ignores_old_backend_key(value):
 
 def test_spool_dict_rejects_unknown_schema():
     payload = _spec((("uniproc", "R1", "single", 1),)).to_dict()
-    payload["schema"] = 999
-    with pytest.raises(ValueError):
+    payload["schema_version"] = 999
+    with pytest.raises(ValueError, match="schema_version"):
         JobSpec.from_dict(payload)
 
 

@@ -55,6 +55,23 @@ def test_smoke_bit_identical_to_serial_sweep(tmp_path):
     assert _by_point(payloads) == serial
 
 
+def test_gen_point_matches_the_batch_dispatcher():
+    """A worker serves a ``gen`` point through the batch path's own
+    dispatcher, so its stream equals the payload built from it."""
+    from repro.experiments.runner import compute_point_state
+    from repro.service.results import payload_from_state
+    spec = _spec(points=(("gen", "block_size=16;footprint_words=64;"
+                          "loop_iterations=8;seed=3", "interleaved", 2),),
+                 measure=4_000)
+    with JobManager(workers=1) as mgr:
+        payloads = mgr.results(mgr.submit(spec), timeout=240)
+    (point,) = spec.points
+    state = compute_point_state(*point, FAST, MPP, spec.seed,
+                                *spec.point_window(point))
+    assert payloads == [payload_from_state(point, spec, state)]
+    assert json.loads(payloads[0])["retired"] > 0
+
+
 def test_cache_read_through_and_warm_resubmit(tmp_path):
     cache = ResultCache(tmp_path / "rc")
     spec = _spec()

@@ -314,7 +314,7 @@ def test_wrong_spec_schema_version_is_parked(server):
                                "spec": spec}))
     response = json.loads(file.readline())
     assert response["ok"] is False
-    assert "schema" in response["error"]
+    assert "schema_version" in response["error"]
     # the server is still up and serving this same connection
     sock.sendall(encode_frame({"id": 2, "verb": "stats"}))
     assert json.loads(file.readline())["ok"] is True

@@ -1,15 +1,13 @@
 """The transport-agnostic client API: one surface, two wires.
 
-Pins the api_redesign satellites: the ``Transport`` protocol is
-implemented by both ``SpoolTransport`` and ``ServiceClient``; the
-``repro.service`` public surface is stable; serialized specs, statuses
-and payloads carry ``schema_version``; and the old positional
-``--spool`` CLI form warns but works.
+Pins the ``Transport`` protocol, implemented by both ``SpoolTransport``
+and ``ServiceClient``; the stable ``repro.service`` public surface;
+``schema_version`` on serialized specs, statuses and payloads; and the
+CLI's rejection of a positional spool directory.
 """
 
 import json
 import threading
-import warnings
 
 import pytest
 
@@ -74,18 +72,20 @@ def test_transport_protocol_method_set():
 def test_spec_dict_carries_schema_version():
     payload = _spec().to_dict()
     assert payload["schema_version"] == 1
-    assert payload["schema"] == 1          # legacy field kept
+    assert "schema" not in payload
     assert JobSpec.from_dict(payload).points == _spec().points
 
 
 def test_spec_rejects_mismatched_schema_fields():
     payload = _spec().to_dict()
     payload["schema_version"] = 2
-    with pytest.raises(ValueError, match="schema"):
+    with pytest.raises(ValueError, match="schema_version"):
         JobSpec.from_dict(payload)
     legacy_only = _spec().to_dict()
     del legacy_only["schema_version"]      # a pre-network spool file
-    assert JobSpec.from_dict(legacy_only).points == _spec().points
+    legacy_only["schema"] = 1
+    with pytest.raises(ValueError, match="schema_version"):
+        JobSpec.from_dict(legacy_only)
 
 
 def test_status_and_payload_carry_schema_version(tmp_path):
@@ -178,22 +178,19 @@ def test_unknown_job_id_raises_key_error(tmp_path):
         transport.status("sj-99999")
 
 
-# -- CLI: transports and the deprecated positional spool ------------------
+# -- CLI: transports and the spool directory ------------------------------
 
-def test_cli_positional_spool_warns_and_works(tmp_path, capsys):
-    spool_dir = str(tmp_path / "sp")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli_main(["submit", spool_dir,
-                       "--warmup", "1000", "--measure", "6000",
-                       "--points", "uniproc:R1:single:1"])
-    assert rc == 0
-    assert any(w.category is DeprecationWarning
-               and "--spool" in str(w.message) for w in caught)
-    job_id = capsys.readouterr().out.strip()
-    assert job_id == "sj-00001"
-    # the spec landed in the directory named positionally
-    assert Spool(spool_dir).pending()[0][0] == job_id
+@pytest.mark.parametrize("verb", ["submit", "serve"])
+def test_cli_positional_spool_rejected(verb, tmp_path, monkeypatch, capsys):
+    """``submit <dir>`` would otherwise queue into the default spool."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_SPOOL_DIR", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([verb, "sp", "--warmup", "1000", "--measure", "6000",
+                  "--points", "uniproc:R1:single:1"])
+    assert exc.value.code == 2
+    assert "--spool" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_jobs_job_id_is_not_mistaken_for_a_spool(tmp_path, capsys):
@@ -202,11 +199,7 @@ def test_cli_jobs_job_id_is_not_mistaken_for_a_spool(tmp_path, capsys):
               "--warmup", "1000", "--measure", "6000",
               "--points", "uniproc:R1:single:1"])
     job_id = capsys.readouterr().out.strip()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli_main(["jobs", job_id, "--spool", spool_dir])
-    assert rc == 0
-    assert not any(w.category is DeprecationWarning for w in caught)
+    assert cli_main(["jobs", job_id, "--spool", spool_dir]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "queued"
 
 
