@@ -103,9 +103,9 @@ def program_fingerprint(program):
 
     Covers the decoded fields that determine both functional behaviour
     and every burst schedule — opcode, operands, immediates, entry, and
-    the code base (PC addresses feed the I-cache and BTB) — so it can
-    key derived artefacts such as shared burst tables across sweep
-    workers (see ROADMAP: sweep-level burst cache sharing).
+    the code base (PC addresses feed the I-cache and BTB) — so two
+    programs with equal fingerprints simulate identically (the
+    ``generate`` verb prints it as a generated program's identity).
     """
     h = hashlib.sha256()
     h.update(("%d:%d:%d\n" % (program.code_base, program.entry,

@@ -275,15 +275,10 @@ def _serve(args, _ready=None):
     """
     from repro.experiments.cache import ResultCache
     from repro.service import JobManager
-    from repro.service.burst_cache import default_burst_cache_dir
     from repro.service.spool import Spool, serve_forever
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    manager = JobManager(
-        workers=args.workers,
-        cache=cache,
-        burst_dir=(args.burst_cache_dir if args.burst_cache_dir is not None
-                   else default_burst_cache_dir()),
-        default_timeout=args.job_timeout)
+    manager = JobManager(workers=args.workers, cache=cache,
+                         default_timeout=args.job_timeout)
     if args.listen:
         from repro.service.net import ServiceServer, parse_address
         host, port = parse_address(args.listen)
@@ -700,10 +695,6 @@ def main(argv=None, _ready=None):
     service_group.add_argument(
         "--max-retries", type=int, default=2,
         help="'submit': per-point retry budget on worker death")
-    service_group.add_argument(
-        "--burst-cache-dir", default=None,
-        help="'serve': shared compiled-burst-table cache directory "
-             "(default $REPRO_BURST_CACHE_DIR or .repro_burst_cache)")
     gen_group = parser.add_argument_group(
         "generate", "options for the 'generate' verb")
     gen_group.add_argument(

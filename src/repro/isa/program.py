@@ -66,17 +66,6 @@ class DataSegment:
 class Program:
     """An assembled program: code, labels, and data."""
 
-    #: Optional cross-run burst-table provider (class-wide).  When set —
-    #: the service's worker processes install their shared on-disk
-    #: :class:`~repro.service.burst_cache.BurstTableCache` here —
-    #: :meth:`bursts_for` consults it before compiling a table
-    #: (``provider.load`` installs a validated table into
-    #: ``_burst_tables`` and returns True) and notifies it after
-    #: compiling one (``provider.on_compiled``), so structurally
-    #: identical programs share schedules across processes.  None (the
-    #: default) keeps compilation purely local.
-    burst_provider = None
-
     def __init__(self, name, instructions, labels, data, code_base=0,
                  entry=0, strict=False, annotations=None, equs=None):
         self.name = name
@@ -133,17 +122,10 @@ class Program:
         key = (short_stall_threshold, issue_width)
         table = self._burst_tables.get(key)
         if table is None:
-            provider = Program.burst_provider
-            if provider is not None and provider.load(
-                    self, short_stall_threshold, issue_width):
-                return self._burst_tables[key]
             from repro.isa.segments import build_burst_table
             table = build_burst_table(self, short_stall_threshold,
                                       issue_width)
             self._burst_tables[key] = table
-            if provider is not None:
-                provider.on_compiled(self, short_stall_threshold,
-                                     issue_width)
         return table
 
     def pc_address(self, index):

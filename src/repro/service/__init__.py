@@ -19,11 +19,6 @@ system:
   exponential backoff; jobs carry a wall-clock timeout; shutdown is
   graceful (computed points are flushed to the result cache; a cache
   hit is read and validated, never rewritten).
-* :class:`BurstTableCache` shares compiled burst tables across workers,
-  keyed by :func:`repro.analysis.program_fingerprint` plus the
-  ``(short_stall_threshold, issue_width)`` schedule key, and every
-  loaded table must pass :func:`repro.analysis.audit_bursts` before it
-  is trusted.
 * **Transports** — clients talk to a serving process through one
   :class:`Transport` surface with two interchangeable implementations:
   :func:`open_spool` returns a
@@ -43,7 +38,6 @@ from typing import Iterator, List, Protocol, runtime_checkable
 
 from repro.service.jobs import (JobSpec, JobStatus, PENDING, RUNNING,
                                 COMPLETED, FAILED, CANCELLED, TIMEOUT)
-from repro.service.burst_cache import BurstTableCache
 from repro.service.manager import JobManager, ServiceError
 
 
@@ -125,7 +119,7 @@ __all__ = [
     # the stable public surface
     "JobSpec", "JobStatus", "Transport", "connect", "open_spool",
     # managers and transports
-    "JobManager", "BurstTableCache", "ServiceError",
+    "JobManager", "ServiceError",
     # lifecycle states
     "PENDING", "RUNNING", "COMPLETED", "FAILED", "CANCELLED", "TIMEOUT",
 ]

@@ -197,7 +197,7 @@ class JobRecord:
     and block on ``cond`` for new payloads.
     """
 
-    def __init__(self, job_id, spec, submitted_at):
+    def __init__(self, job_id, spec, submitted_at, fail_times=0):
         self.job_id = job_id
         self.spec = spec
         self.submitted_at = submitted_at
@@ -209,9 +209,13 @@ class JobRecord:
         self.points = {p: PointState(p) for p in spec.points}
         #: ``RunResult.to_json()`` strings, in completion order.
         self.payloads = []
-        self.burst_stats = {"hits": 0, "misses": 0, "stores": 0,
-                            "rejected": 0}
         self.finished_at = None
+        #: Fault injection (soak tests): each point's worker dies this
+        #: many times before computing.
+        self.fail_times = fail_times
+        #: Terminal status a client asked for (``cancel``); the
+        #: scheduler thread applies it on its next pass.
+        self.kill_requested = None
 
     # All mutators are called with ``cond`` held by the scheduler.
 
@@ -247,7 +251,6 @@ class JobRecord:
                 "failed": failed,
                 "cache_hits": sum(1 for s in self.points.values()
                                   if s.source == "cache"),
-                "burst_cache": dict(self.burst_stats),
                 "points": [self.points[p].to_dict()
                            for p in self.spec.points],
             }

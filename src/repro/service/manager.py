@@ -74,19 +74,15 @@ class JobManager:
 
     ``workers`` bounds concurrent worker processes; ``cache`` is an
     optional :class:`~repro.experiments.cache.ResultCache` shared with
-    the batch path; ``burst_dir`` enables the cross-worker
-    :class:`~repro.service.burst_cache.BurstTableCache` for
-    burst-engine jobs; ``backoff`` seeds the exponential retry delay
+    the batch path; ``backoff`` seeds the exponential retry delay
     (``backoff * 2**attempt`` seconds); ``default_timeout`` applies to
     specs that do not carry their own.
     """
 
-    def __init__(self, workers=2, cache=None, burst_dir=None,
-                 default_timeout=None, backoff=0.25, poll_interval=0.05,
-                 mp_context=None):
+    def __init__(self, workers=2, cache=None, default_timeout=None,
+                 backoff=0.25, poll_interval=0.05, mp_context=None):
         self.workers = max(1, int(workers))
         self.cache = cache
-        self.burst_dir = str(burst_dir) if burst_dir is not None else None
         self.default_timeout = default_timeout
         self.backoff = backoff
         self.poll_interval = poll_interval
@@ -123,8 +119,7 @@ class JobManager:
             if self._stopping:
                 raise ServiceError("manager is shutting down")
             job_id = "job-%04d" % next(self._ids)
-            record = JobRecord(job_id, spec, now)
-            record._fail_times = fail_times
+            record = JobRecord(job_id, spec, now, fail_times=fail_times)
             self._jobs[job_id] = record
         self._admit(record)
         return job_id
@@ -233,7 +228,7 @@ class JobManager:
         with record.cond:
             if record.is_terminal():
                 return False
-            record._kill_requested = CANCELLED
+            record.kill_requested = CANCELLED
         self._wake()
         with record.cond:
             record.cond.wait_for(record.is_terminal, timeout=30.0)
@@ -242,7 +237,7 @@ class JobManager:
     def jobs(self):
         """Snapshot list of every known job, newest last."""
         with self._lock:
-            records = [self._jobs[k] for k in sorted(self._jobs)]
+            records = list(self._jobs.values())    # insertion order
         return [r.snapshot() for r in records]
 
     def flush_completed(self):
@@ -329,11 +324,8 @@ class JobManager:
 
     def _spawn(self, task):
         record = task.record
-        spec = record.spec
-        burst_dir = self.burst_dir if spec.engine == "burst" else None
-        payload = make_task(spec, task.point, attempt=task.attempt,
-                            burst_dir=burst_dir,
-                            fail_times=getattr(record, "_fail_times", 0))
+        payload = make_task(record.spec, task.point, attempt=task.attempt,
+                            fail_times=record.fail_times)
         recv, send = self._mp.Pipe(duplex=False)
         process = self._mp.Process(target=worker_main,
                                    args=(send, payload), daemon=True)
@@ -390,8 +382,7 @@ class JobManager:
             with record.cond:
                 self._complete_point(
                     record, point, message["state"], source="computed",
-                    seconds=message.get("seconds"),
-                    burst=message.get("burst"))
+                    seconds=message.get("seconds"))
                 done, _failed = record.counts()
                 if done == len(record.points):
                     record.note_terminal(COMPLETED, time.monotonic())
@@ -416,8 +407,7 @@ class JobManager:
                        % (point.name, point.scheme, point.n_contexts,
                           task.attempt + 1), failed_point=point)
 
-    def _complete_point(self, record, point, state, source, seconds,
-                        burst=None):
+    def _complete_point(self, record, point, state, source, seconds):
         """Record one finished point (record.cond held)."""
         spec = record.spec
         ps = record.points[point]
@@ -426,9 +416,6 @@ class JobManager:
         ps.seconds = seconds
         ps.state = state
         ps.payload = payload_from_state(point, spec, state)
-        if burst:
-            for k, v in burst.items():
-                record.burst_stats[k] = record.burst_stats.get(k, 0) + v
         if source == "cache":
             ps.flushed = True          # read and validated: not rewritten
         elif self.cache is not None:
@@ -473,7 +460,7 @@ class JobManager:
         with self._lock:
             records = list(self._jobs.values())
         for record in records:
-            kill = getattr(record, "_kill_requested", None)
+            kill = record.kill_requested
             if kill is not None and not record.is_terminal():
                 self._fail_job(record, kill, "cancelled by client"
                                if kill == CANCELLED else kill)

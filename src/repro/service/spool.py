@@ -145,23 +145,30 @@ class Spool:
     def claim(self, job_id, path):
         """Move a queued spec into the job's directory; returns the spec.
 
-        Returns None when the payload is unusable (the file is parked
-        as ``spec.rejected.json`` with a status explaining why, so a
-        bad submission cannot wedge the queue).
+        The rename is the one point where the server and a cancelling
+        client (:meth:`SpoolTransport.cancel` unlinks the queued file)
+        compete for a spec, so it comes first.  Returns None when the
+        spec is gone — withdrawn by a client since it was listed, whose
+        ``cancelled`` status stands — or unusable (parked as
+        ``spec.rejected.json`` with a status explaining why, so a bad
+        submission cannot wedge the queue).
         """
         job_dir = self.jobs_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
+        claimed = job_dir / "spec.json"
         try:
-            payload = json.loads(path.read_text())
-            spec = JobSpec.from_dict(payload)
+            os.replace(path, claimed)
+        except FileNotFoundError:
+            return None
+        try:
+            return JobSpec.from_dict(json.loads(claimed.read_text()))
         except (ValueError, KeyError, TypeError) as exc:
-            os.replace(path, job_dir / "spec.rejected.json")
+            # Status first: a reader always finds spec.json or a status.
             self.write_status(job_id, {
                 "job_id": job_id, "status": "failed",
                 "error": "unreadable job spec: %s" % exc})
+            os.replace(claimed, job_dir / "spec.rejected.json")
             return None
-        os.replace(path, job_dir / "spec.json")
-        return spec
 
     def write_status(self, job_id, snapshot):
         payload = dict(snapshot)
@@ -403,6 +410,8 @@ class SpoolTransport:
             if jid == job_id:
                 try:
                     os.unlink(str(path))
+                except FileNotFoundError:
+                    break          # a server claimed it since the listing
                 except OSError:
                     return False
                 self.spool.write_status(job_id, {

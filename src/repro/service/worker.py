@@ -15,15 +15,10 @@ from the batch sweep's process pool (same configs, same per-point seed,
 same windows), and the worker calls that same function, so a
 service-computed point is bit-identical to a serial
 :class:`~repro.experiments.sweep.SweepEngine` one and their cache
-entries are interchangeable.
-
-When the task carries a ``burst_dir`` and the burst engine is selected,
-the worker installs the shared :class:`~repro.service.burst_cache.
-BurstTableCache` as the :class:`~repro.isa.program.Program` burst-table
-provider for the duration of the run: programs whose fingerprints are
-already cached skip recompilation (after an ``audit_bursts``
-validation), and freshly compiled tables are published for the other
-workers.
+entries are interchangeable.  That includes the burst engine's tables:
+each worker compiles its own through
+:meth:`~repro.isa.program.Program.bursts_for`, exactly as the batch
+sweep does.
 """
 
 import os
@@ -31,10 +26,9 @@ import time
 import traceback
 
 from repro.experiments.runner import compute_point_state
-from repro.isa.program import Program
 
 
-def make_task(spec, point, attempt=0, burst_dir=None, fail_times=0):
+def make_task(spec, point, attempt=0, fail_times=0):
     """The picklable work order for one attempt at one point."""
     warmup, measure = spec.point_window(point)
     return {
@@ -49,7 +43,6 @@ def make_task(spec, point, attempt=0, burst_dir=None, fail_times=0):
         "measure": measure,
         "engine": spec.engine,
         "attempt": attempt,
-        "burst_dir": burst_dir,
         #: Fault injection (soak tests): die this many times before
         #: computing, exercising the manager's retry-with-backoff path.
         "fail_times": fail_times,
@@ -62,31 +55,17 @@ def compute_point(task):
     Pure function of the task (no shared state): the manager may run it
     in any worker, in any order, any number of times.
     """
-    burst_cache = None
-    if task.get("burst_dir") is not None and task["engine"] == "burst":
-        from repro.service.burst_cache import BurstTableCache
-        burst_cache = BurstTableCache(task["burst_dir"])
-        Program.burst_provider = burst_cache
     t0 = time.perf_counter()
-    try:
-        # Only the serialised state travels back: the manager derives
-        # the streamed payload from it (repro.service.results), the same
-        # pure function it applies to cache hits — so cold and warm runs
-        # stream byte-identical payloads.
-        state = compute_point_state(
-            task["kind"], task["name"], task["scheme"], task["n_contexts"],
-            task["config"], task["mp_params"], task["seed"],
-            task["warmup"], task["measure"], engine=task["engine"])
-    finally:
-        if burst_cache is not None:
-            Program.burst_provider = None
-    return {
-        "ok": True,
-        "state": state,
-        "seconds": time.perf_counter() - t0,
-        "burst": (burst_cache.session_stats() if burst_cache is not None
-                  else None),
-    }
+    # Only the serialised state travels back: the manager derives the
+    # streamed payload from it (repro.service.results), the same pure
+    # function it applies to cache hits — so cold and warm runs stream
+    # byte-identical payloads.
+    state = compute_point_state(
+        task["kind"], task["name"], task["scheme"], task["n_contexts"],
+        task["config"], task["mp_params"], task["seed"],
+        task["warmup"], task["measure"], engine=task["engine"])
+    return {"ok": True, "state": state,
+            "seconds": time.perf_counter() - t0}
 
 
 def worker_main(conn, task):

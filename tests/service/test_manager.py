@@ -3,6 +3,7 @@ read-through, retry/timeout/cancel robustness, and streaming."""
 
 import asyncio
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -261,25 +262,28 @@ def test_two_jobs_run_concurrently(tmp_path):
     assert all(j["status"] == JobStatus.COMPLETED for j in listing)
 
 
-def test_cross_worker_burst_cache_hits(tmp_path):
-    """Acceptance: a burst-engine sweep whose points share a program
-    must hit the shared table cache across worker processes."""
-    spec = _spec(engine="burst")        # two R1 points, one program
-    with JobManager(workers=1,          # serialise: 2nd worker sees
-                    cache=ResultCache(tmp_path / "rc"),   # 1st's store
-                    burst_dir=tmp_path / "bursts") as mgr:
-        job_id = mgr.submit(spec)
-        payloads = mgr.results(job_id, timeout=240)
-        status = mgr.status(job_id)
-    assert status["status"] == JobStatus.COMPLETED
-    assert status["burst_cache"]["hits"] > 0
-    assert status["burst_cache"]["stores"] > 0
-    assert status["burst_cache"]["rejected"] == 0
-
-    # ... and stays bit-identical to the naive engine (service-level
-    # restatement of the engines' bit-identity contract).
+def test_jobs_lists_newest_last_past_four_digit_ids():
+    """``jobs()`` keeps submission order once ids outgrow ``%04d``
+    (a string sort would put job-10000 before job-9999)."""
+    spec = _spec(points=(("uniproc", "R1", "single", 1),),
+                 warmup=0, measure=500)
     with JobManager(workers=2) as mgr:
-        baseline = mgr.results(mgr.submit(_spec(engine="naive")),
-                               timeout=240)
-    assert sorted(json.loads(p)["cycles"] for p in payloads) \
-        == sorted(json.loads(p)["cycles"] for p in baseline)
+        mgr._ids = itertools.count(9999)
+        ids = [mgr.submit(spec), mgr.submit(spec)]
+        for job_id in ids:
+            mgr.results(job_id, timeout=240)
+        listing = [j["job_id"] for j in mgr.jobs()]
+    assert ids == ["job-9999", "job-10000"]
+    assert listing == ids
+
+
+def test_burst_and_naive_jobs_agree(tmp_path):
+    """Service-level restatement of the engines' bit-identity contract:
+    a burst-engine job and a naive-engine job finish on the same
+    cycles."""
+    with JobManager(workers=2, cache=ResultCache(tmp_path / "rc")) as mgr:
+        burst = mgr.results(mgr.submit(_spec(engine="burst")), timeout=240)
+    with JobManager(workers=2) as mgr:      # no cache: naive computes
+        naive = mgr.results(mgr.submit(_spec(engine="naive")), timeout=240)
+    assert sorted(json.loads(p)["cycles"] for p in burst) \
+        == sorted(json.loads(p)["cycles"] for p in naive)

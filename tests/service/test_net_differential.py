@@ -96,8 +96,7 @@ def test_cli_socket_round_trip(tmp_path, capsys, monkeypatch):
         # _serve exercises the real CLI wiring; ready fires post-bind.
         cli_main(["serve", "--listen", "127.0.0.1:0", "--workers", "2",
                   "--serve-seconds", "60",
-                  "--cache-dir", str(tmp_path / "rc"),
-                  "--burst-cache-dir", str(tmp_path / "bc")],
+                  "--cache-dir", str(tmp_path / "rc")],
                  _ready=lambda h, p: (bound.update(host=h, port=p),
                                       ready.set()))
 

@@ -86,19 +86,3 @@ def test_soak_external_worker_kill_is_retried(tmp_path):
     assert len(payloads) == 1
     assert json.loads(payloads[0])["completed"] is True
 
-
-def test_soak_burst_cache_under_concurrency(tmp_path):
-    """Many concurrent burst-engine jobs sharing programs: the shared
-    table cache must serve hits and never reject a valid entry."""
-    specs = [_spec((("uniproc", "R1", "single", 1),
-                    ("uniproc", "R1", "interleaved", i)), engine="burst")
-             for i in (2, 4)]
-    with JobManager(workers=4, cache=ResultCache(tmp_path / "rc"),
-                    burst_dir=tmp_path / "bursts") as mgr:
-        job_ids = [mgr.submit(s) for s in specs]
-        for job_id in job_ids:
-            mgr.results(job_id, timeout=480)
-        stats = [mgr.status(j)["burst_cache"] for j in job_ids]
-    total = {k: sum(s[k] for s in stats) for k in stats[0]}
-    assert total["rejected"] == 0
-    assert total["hits"] > 0

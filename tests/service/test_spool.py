@@ -87,7 +87,8 @@ def test_serve_once_runs_an_old_format_queue_file(tmp_path):
     assert json.loads(payload)["workload"] == "R1"
 
 
-def test_cli_submit_serve_jobs_round_trip(tmp_path, capsys):
+def test_cli_submit_serve_jobs_round_trip(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     spool_dir = str(tmp_path / "sp")
     rc = cli_main(["submit", "--spool", spool_dir,
                    "--warmup", "1000", "--measure", "6000",
@@ -99,10 +100,11 @@ def test_cli_submit_serve_jobs_round_trip(tmp_path, capsys):
 
     rc = cli_main(["serve", "--spool", spool_dir, "--once",
                    "--workers", "2",
-                   "--cache-dir", str(tmp_path / "rc"),
-                   "--burst-cache-dir", str(tmp_path / "bc")])
+                   "--cache-dir", str(tmp_path / "rc")])
     assert rc == 0
     assert "served 1 job(s)" in capsys.readouterr().err
+    # serve writes only where it is told: no hidden directory in cwd
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rc", "sp"]
 
     rc = cli_main(["jobs", "--spool", spool_dir])
     assert rc == 0
@@ -128,19 +130,6 @@ def test_cli_submit_rejects_bad_point(tmp_path):
 def test_cli_jobs_unknown_id_errors(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["jobs", "sj-99999", "--spool", str(tmp_path / "sp")])
-
-
-def test_serve_writes_burst_stats_into_status(tmp_path):
-    spool = Spool(tmp_path / "sp")
-    job_id = spool.submit(_spec(points=(
-        ("uniproc", "R1", "single", 1),
-        ("uniproc", "R1", "interleaved", 2)), engine="burst"))
-    manager = JobManager(workers=1, cache=ResultCache(tmp_path / "rc"),
-                         burst_dir=tmp_path / "bc")
-    serve_forever(spool, manager, once=True, poll=0.02)
-    status = spool.read_status(job_id)
-    assert status["burst_cache"]["stores"] > 0
-    assert status["burst_cache"]["hits"] > 0
 
 
 # -- stale claim markers (a submitter killed mid-submit) -------------------

@@ -8,6 +8,7 @@ CLI's rejection of a positional spool directory.
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -165,6 +166,56 @@ def test_spool_transport_cancel_claimed_job(tmp_path):
         kwargs={"once": True, "poll": 0.02})
     server.start()
     try:
+        cancelled = transport.cancel(job_id, timeout=60.0)
+    finally:
+        server.join(timeout=120)
+    assert cancelled is True
+    assert transport.status(job_id)["status"] == "cancelled"
+
+
+def test_claim_skips_a_spec_withdrawn_after_listing(tmp_path, monkeypatch):
+    """A client withdraws a queued spec between the server's listing and
+    its claim: the claim returns None, the serve loop survives, and the
+    client's ``cancelled`` status stands."""
+    spool = Spool(tmp_path / "sp")
+    transport = open_spool(tmp_path / "sp")
+    job_id = transport.submit(_spec())
+    stale = spool.pending()
+    assert transport.cancel(job_id) is True
+    assert spool.claim(*stale[0]) is None
+    assert not (spool.jobs_dir / job_id / "spec.json").exists()
+
+    listings = [stale]
+    real_pending = spool.pending
+    monkeypatch.setattr(spool, "pending", lambda: (
+        listings.pop() if listings else real_pending()))
+    assert serve_forever(spool, JobManager(workers=1), once=True,
+                         poll=0.02) == 0
+    assert transport.status(job_id)["status"] == "cancelled"
+
+
+def test_cancel_with_a_stale_listing_takes_the_marker_path(tmp_path,
+                                                           monkeypatch):
+    """The server claims the spec between the client's listing and its
+    unlink: cancel falls through to the ``cancel.request`` marker, which
+    the serving process honours."""
+    spool = Spool(tmp_path / "sp")
+    transport = open_spool(tmp_path / "sp")
+    job_id = transport.submit(_spec(
+        points=(("uniproc", "R1", "single", 1),),
+        measure=4_000_000, warmup=0))
+    stale = transport.spool.pending()
+    manager = JobManager(workers=1)
+    server = threading.Thread(
+        target=serve_forever, args=(spool, manager),
+        kwargs={"once": True, "poll": 0.02})
+    server.start()
+    try:
+        deadline = time.monotonic() + 60
+        while spool.pending() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert (spool.jobs_dir / job_id / "spec.json").exists()
+        monkeypatch.setattr(transport.spool, "pending", lambda: stale)
         cancelled = transport.cancel(job_id, timeout=60.0)
     finally:
         server.join(timeout=120)
