@@ -50,14 +50,6 @@ class NodeMemory:
     def data_access(self, addr, is_write, now, requester=None):
         return self.machine.access(self.node_id, addr, is_write, now)
 
-    def next_event_cycle(self, now):
-        """Earliest future node-local fill/port drain (event protocol)."""
-        soonest = self.mshr.next_event_cycle(now)
-        port = self.cache.next_event_cycle(now)
-        if soonest is None or (port is not None and port < soonest):
-            soonest = port
-        return soonest
-
 
 class DSMachine:
     """Caches + directory + interconnect for ``n_nodes`` nodes."""
@@ -226,15 +218,6 @@ class DSMachine:
         ready = port_start + latency
         node.mshr.allocate(line, ready)
         return AccessResult(level, ready)
-
-    def next_event_cycle(self, now):
-        """Earliest future state change across all nodes (event protocol)."""
-        soonest = None
-        for node in self.nodes:
-            t = node.next_event_cycle(now)
-            if t is not None and (soonest is None or t < soonest):
-                soonest = t
-        return soonest
 
     # -- invariant checking (used by property tests) --------------------------------
 

@@ -106,20 +106,6 @@ class HardwareContext:
             self.status = Status.WAITING
             self.wake_at = cycle
 
-    def next_event_cycle(self, now):
-        """Event-protocol report for one context.
-
-        ``now`` for a selectable context (RUNNING/DOOMED), the scheduled
-        wake for a clock-waiting one, and :data:`NEVER` for contexts that
-        can only be woken externally (lock/barrier handoff) or not at all
-        (halted/empty).
-        """
-        if self.status is Status.RUNNING or self.status is Status.DOOMED:
-            return now
-        if self.status is Status.WAITING:
-            return self.wake_at
-        return _NEVER
-
     def enter_doomed(self, detect_at, completion):
         self.status = Status.DOOMED
         self.doomed_detect = detect_at

@@ -112,11 +112,6 @@ class MultiprocessorSimulator:
         """True when every thread of the application has executed HALT."""
         return self._halted.n >= len(self.processes)
 
-    def next_event_cycle(self):
-        """Event-protocol report for the whole machine: the earliest
-        cycle any node can issue (NEVER when fully halted/blocked)."""
-        return min(p.next_event_cycle(self.now) for p in self.processors)
-
     def run(self, *, until=None):
         """Advance until completion or ``until``; returns a
         :class:`repro.api.RunResult`.

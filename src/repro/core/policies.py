@@ -81,9 +81,6 @@ class ContextPolicy:
         """
         raise NotImplementedError
 
-    def note_unavailable(self, ctx):
-        """Called when ``ctx`` stops being selectable (miss/halt/wait)."""
-
     def reset(self):
         """Forget selection state (used when the OS reschedules)."""
 

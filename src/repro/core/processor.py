@@ -226,40 +226,14 @@ class Processor:
 
         Returns None when the processor has work this cycle.  A wake_cycle
         of None means the processor can only be woken externally (lock or
-        barrier release from another processor) or is fully halted.
+        barrier release from another processor) or is fully halted.  The
+        probe behind :meth:`park`.
         """
         if now < self.stall_until:
             return self.stall_until, self.stall_category
         if self._update_contexts(now):
             return None
         return idle_wake_info(self.contexts)
-
-    def skip_idle(self, now, target, reason):
-        """Account an idle jump from ``now`` to ``target``.
-
-        Charges every issue slot of the skipped window, exactly as
-        cycle-by-cycle stepping would (``issue_width`` slots per cycle).
-        """
-        if target > now:
-            self.stats.add(reason, (target - now) * self.pp.issue_width)
-
-    # -- event protocol ---------------------------------------------------------
-
-    def next_event_cycle(self, now):
-        """Earliest cycle >= ``now`` at which this processor can issue.
-
-        The processor-level composition of the event protocol: ``now``
-        when a context is selectable this cycle, the end of a processor-
-        wide stall window, the earliest context wake (MSHR fill, TLB
-        refill, backoff, doomed completion), or :data:`NEVER` when only
-        an external event (lock/barrier handoff from another processor)
-        can make progress.
-        """
-        info = self.idle_until(now)
-        if info is None:
-            return now
-        wake, _ = info
-        return NEVER if wake is None else wake
 
     def park(self, now):
         """Begin deferring idle accounting from cycle ``now``.

@@ -15,11 +15,9 @@ from repro.memory.hierarchy import MemorySystem
 from repro.core.processor import Processor
 from repro.core.sync import SyncManager
 from repro.core.context import Status
-from repro.pipeline.stalls import Stall
 
-# The advance loops read enum members through module globals (see the
-# note in repro.core.processor).
-IDLE = Stall.IDLE
+# _restart_process reads the enum member through a module global (see
+# the note in repro.core.processor).
 RUNNING = Status.RUNNING
 
 
@@ -186,18 +184,6 @@ class WorkstationSimulator:
 
     # -- running ------------------------------------------------------------------
 
-    def next_event_cycle(self):
-        """Event-protocol report for the whole workstation.
-
-        The earliest of the processor's next issue opportunity and the
-        scheduler's next slice interrupt; the fast engine never jumps
-        past this cycle.
-        """
-        slice_len = self.config.os.time_slice
-        next_interrupt = ((self.now // slice_len) + 1) * slice_len
-        return min(self.processor.next_event_cycle(self.now),
-                   next_interrupt)
-
     def run(self, *, until):
         """Advance the machine; returns a :class:`repro.api.RunResult`.
 
@@ -243,19 +229,22 @@ class WorkstationSimulator:
         self.now = now
 
     def _advance_burst(self, end):
-        """Fast engine: idle fast-forward plus one-step bursts.
+        """Fast engine: park/unpark fast-forward plus one-step bursts.
 
-        The idle probe (``Processor.idle_until`` — the accounting
-        variant of ``next_event_cycle``) is only taken when the previous
-        step was idle or froze the front end, keeping it off the busy
-        hot path; an idle jump never crosses ``end`` or a scheduler
-        interrupt.  When ``step`` dispatched a precompiled burst or
-        charged a hazard-stall window the processor is busy — and fully
-        accounted — until ``burst_until``, so the clock jumps straight
-        there.  ``burst_limit`` keeps any such window inside both the
-        advance window and the current time slice, so scheduler
-        interrupts fire on exactly the cycle naive stepping would fire
-        them.
+        The processor is parked (``Processor.park``) only when the
+        previous step was idle or froze the front end, keeping the idle
+        probe off the busy hot path.  A parked window runs to the
+        processor's own due cycle (``parked_due``) and never crosses
+        ``end`` or a scheduler interrupt; ``unpark`` then charges every
+        skipped slot as naive stepping would.  When every context has
+        halted nothing is due by itself, so the window runs to the next
+        interrupt, which may load the next group.  When ``step``
+        dispatched a precompiled burst or charged a hazard-stall window
+        the processor is busy — and fully accounted — until
+        ``burst_until``, so the clock jumps straight there.
+        ``burst_limit`` keeps any such window inside both the advance
+        window and the current time slice, so scheduler interrupts fire
+        on exactly the cycle naive stepping would fire them.
         """
         proc = self.processor
         now = self.now
@@ -269,23 +258,17 @@ class WorkstationSimulator:
                 next_interrupt += slice_len
                 proc.burst_limit = min(end, next_interrupt)
                 check_idle = True
-            if check_idle:
-                idle = proc.idle_until(now)
-                if idle is not None:
-                    wake, reason = idle
-                    if wake is None:
-                        if reason is IDLE:
-                            proc.skip_idle(now, end, IDLE)
-                            now = end
-                            break
+            if check_idle and proc.park(now):
+                due = proc.parked_due()
+                if due is None:
+                    if not proc.all_halted():
                         raise SimulationDeadlock(
                             "all contexts blocked on %s with nothing "
-                            "running" % reason.name)
-                    target = min(wake, end, next_interrupt)
-                    if target > now:
-                        proc.skip_idle(now, target, reason)
-                        now = target
-                        continue
+                            "running" % proc._parked_reason.name)
+                    due = next_interrupt
+                now = min(due, end, next_interrupt)
+                proc.unpark(now)
+                continue
             check_idle = proc.step(now)
             if proc.burst_until > now:
                 now = proc.burst_until

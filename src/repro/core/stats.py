@@ -5,11 +5,7 @@ the figures of the paper are different groupings of these buckets
 (see :mod:`repro.pipeline.stalls`).
 """
 
-from repro.pipeline.stalls import (
-    Stall,
-    UNIPROCESSOR_CATEGORIES,
-    MULTIPROCESSOR_CATEGORIES,
-)
+from repro.pipeline.stalls import Stall, UNIPROCESSOR_CATEGORIES
 
 
 class CycleStats:
@@ -77,9 +73,6 @@ class CycleStats:
             return {name: 0.0 for name, _ in categories}
         return {name: count / total
                 for name, count in self.breakdown(categories).items()}
-
-    def mp_breakdown(self):
-        return self.breakdown(MULTIPROCESSOR_CATEGORIES)
 
     def snapshot(self):
         """A copy, for warmup-subtraction by the experiment harness."""

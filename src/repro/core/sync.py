@@ -52,15 +52,6 @@ class SyncManager:
         """Declare how many threads join barrier ``barrier_id``."""
         self.barriers[barrier_id] = Barrier(n_participants)
 
-    def next_event_cycle(self, now):
-        """Always None: sync state only changes when a processor acts.
-
-        Lock handoffs and barrier releases are delivered eagerly to the
-        woken contexts (via :meth:`_wake`), so the earliest sync-driven
-        event is already visible as a context wake time.
-        """
-        return None
-
     @staticmethod
     def _wake(target_proc, target_ctx, wake_at, now, waker):
         """Wake ``target_ctx`` at ``wake_at``, via its processor's

@@ -106,17 +106,9 @@ def _render_everything(ctx, workloads=None, apps=None):
 def _sweep(ctx, args):
     """Compute every figure/table point in parallel, then render."""
     from repro.experiments import sweep
-    from repro.workloads.uniprocessor import WORKLOADS
-    from repro.workloads.splash import SPLASH_APPS
     workloads = args.workloads.split(",") if args.workloads else None
     apps = args.apps.split(",") if args.apps else None
-    unknown = ([w for w in workloads or () if w not in WORKLOADS]
-               + [a for a in apps or () if a not in SPLASH_APPS])
-    if unknown:
-        sys.exit("error: unknown workload/app name(s): %s (workloads: "
-                 "%s; apps: %s)" % (", ".join(unknown),
-                                    ", ".join(sorted(WORKLOADS)),
-                                    ", ".join(sorted(SPLASH_APPS))))
+    _validate_subsets(workloads, apps)
     engine = sweep.SweepEngine(
         ctx, jobs=args.jobs,
         progress=lambda msg: print(msg, file=sys.stderr))
@@ -170,7 +162,8 @@ def _cache_admin(args):
 
 
 def _validate_subsets(workloads, apps):
-    """Reject unknown workload/app names with the sweep's error text."""
+    """Exit naming every unknown workload/app name (``sweep`` and the
+    service verbs)."""
     from repro.workloads.uniprocessor import WORKLOADS
     from repro.workloads.splash import SPLASH_APPS
     unknown = ([w for w in workloads or () if w not in WORKLOADS]
@@ -711,11 +704,6 @@ def main(argv=None, _ready=None):
         help="'generate': write each member's re-assemblable source "
              "to DIR/<name>.s")
     gen_group.add_argument(
-        "--verify", action="store_true",
-        help="'generate': verify every program at birth (V1xx + B2xx; "
-             "this is the default — the flag exists to state it "
-             "explicitly in CI invocations)")
-    gen_group.add_argument(
         "--no-verify", action="store_true",
         help="'generate': skip birth verification (fast bulk emission)")
     lint_group = parser.add_argument_group(
@@ -754,9 +742,6 @@ def main(argv=None, _ready=None):
     if args.experiment == "races":
         return _races(args)
     if args.experiment == "generate":
-        if args.verify and args.no_verify:
-            parser.error("--verify and --no-verify are mutually "
-                         "exclusive")
         return _generate(args)
     if args.experiment in ("submit", "serve") and args.action is not None:
         parser.error("%s takes no positional argument; name the spool "

@@ -101,14 +101,6 @@ class DirectMappedCache:
             return True
         return False
 
-    def next_event_cycle(self, now):
-        """Earliest future port/fill-buffer drain, or None (event protocol)."""
-        soonest = self.port.next_event_cycle(now)
-        fill = self.fill_port.next_event_cycle(now)
-        if soonest is None or (fill is not None and fill < soonest):
-            soonest = fill
-        return soonest
-
     def displace_random(self, n_lines, rng):
         """Evict ``n_lines`` randomly chosen lines (scheduler interference).
 

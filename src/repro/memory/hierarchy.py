@@ -208,24 +208,6 @@ class MemorySystem:
         l1i.hits += n_insts - already_fetched
         return True
 
-    def next_event_cycle(self, now):
-        """Earliest future cycle any hierarchy component changes state.
-
-        Part of the event protocol: the minimum over outstanding
-        MSHR fills, cache port/fill-buffer occupancy, and bus/bank
-        reservations — or None when the hierarchy is quiescent.  The
-        processor folds this into its own ``next_event_cycle`` through
-        the per-context wake times the access results established.
-        """
-        soonest = None
-        components = (self.mshr, self.l1i, self.l1d, self.l2,
-                      self.bus_req, self.bus_reply) + tuple(self.banks)
-        for component in components:
-            t = component.next_event_cycle(now)
-            if t is not None and (soonest is None or t < soonest):
-                soonest = t
-        return soonest
-
     def scheduler_interference(self, n_switched, os_params, rng):
         """Displace cache lines on an OS scheduler invocation (Table 6)."""
         i_lines, d_lines = os_params.interference_for(n_switched)

@@ -51,13 +51,5 @@ class MSHRFile:
         """Completion cycle of the oldest outstanding fill (or None)."""
         return min(self.entries.values()) if self.entries else None
 
-    def next_event_cycle(self, now):
-        """Earliest future fill completion, or None (event protocol)."""
-        soonest = None
-        for t in self.entries.values():
-            if t > now and (soonest is None or t < soonest):
-                soonest = t
-        return soonest
-
     def __len__(self):
         return len(self.entries)

@@ -37,16 +37,6 @@ class Resource:
         """Delay a request arriving at ``now`` would see, without queuing."""
         return max(0, self.busy_until - now)
 
-    def next_event_cycle(self, now):
-        """Cycle at which the current reservation drains, or None.
-
-        Part of the event protocol (docs/architecture.md): every
-        timed component reports the earliest future cycle at which its
-        state changes by itself, so a fast-forwarding loop knows how far
-        it may safely jump.
-        """
-        return self.busy_until if self.busy_until > now else None
-
     def utilization(self, elapsed):
         """Fraction of ``elapsed`` cycles this resource was busy."""
         return self.total_busy / elapsed if elapsed else 0.0

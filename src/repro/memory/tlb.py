@@ -50,15 +50,6 @@ class TLB:
     def flush(self):
         self.pages.clear()
 
-    def next_event_cycle(self, now):
-        """Always None: the TLB has no self-timed state (event protocol).
-
-        A software refill's cost surfaces as a processor-wide stall
-        (``Processor.stall_until``), which the processor itself reports;
-        the TLB entry is installed eagerly at lookup time.
-        """
-        return None
-
     @property
     def miss_rate(self):
         total = self.hits + self.misses

@@ -14,11 +14,12 @@ system:
   their points across a pool of worker processes with read-through
   ``ResultCache`` lookups, and exposes ``status(job_id)`` /
   ``results(job_id)`` / ``cancel(job_id)`` plus a synchronous
-  ``iter_results`` and an ``async`` ``stream`` of per-point
-  ``RunResult.to_json`` payloads.  Worker death is retried with
-  exponential backoff; jobs carry a wall-clock timeout; shutdown is
-  graceful (computed points are flushed to the result cache; a cache
-  hit is read and validated, never rewritten).
+  ``iter_results`` generator and the per-index ``payloads`` /
+  ``wait_payload`` reads of per-point ``RunResult.to_json`` payloads.
+  Worker death is retried with exponential backoff; jobs carry a
+  wall-clock timeout; shutdown is graceful (computed points are
+  flushed to the result cache; a cache hit is read and validated,
+  never rewritten).
 * **Transports** — clients talk to a serving process through one
   :class:`Transport` surface with two interchangeable implementations:
   :func:`open_spool` returns a

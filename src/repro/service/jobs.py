@@ -8,7 +8,8 @@ SweepEngine` or :class:`~repro.experiments.runner.ExperimentContext`.
 
 A :class:`JobRecord` is the manager's mutable, thread-safe view of one
 submitted job: per-point outcomes, streamed payloads, and the condition
-variable both the synchronous and async streaming iterators block on.
+variable every blocking reader (``results``, ``iter_results``,
+``wait_payload``) waits on.
 """
 
 import threading
@@ -193,7 +194,7 @@ class JobRecord:
     """Thread-safe lifecycle record of one submitted job.
 
     The manager's scheduler thread mutates it under ``cond``; client
-    threads (and the async stream, via a worker thread) read snapshots
+    threads (including the TCP server's stream handlers) read snapshots
     and block on ``cond`` for new payloads.
     """
 

@@ -23,11 +23,11 @@ robustness rules:
   scheduler exits; never-started jobs are cancelled.
 
 Clients observe jobs through ``status`` snapshots, blocking
-``results``, a synchronous ``iter_results`` generator, or the ``async``
-``stream`` iterator — all fed from the same per-job record.
+``results``, a synchronous ``iter_results`` generator, or the
+per-index ``payloads`` / ``wait_payload`` reads the TCP server streams
+through — all fed from the same per-job record.
 """
 
-import asyncio
 import dataclasses
 import itertools
 import multiprocessing
@@ -183,30 +183,13 @@ class JobManager:
             yield payload
             index += 1
 
-    async def stream(self, job_id):
-        """Async iterator of payloads, in completion order.
-
-        Blocking waits run in a thread so the event loop stays free;
-        ends when the job reaches a terminal state (raising
-        :class:`ServiceError` if that state is not ``completed``).
-        """
-        record = self._record(job_id)
-        index = 0
-        while True:
-            payload = await asyncio.to_thread(record.wait_payload, index)
-            if payload is None:
-                break
-            yield payload
-            index += 1
-        if record.status != COMPLETED:
-            raise ServiceError("job %s %s" % (job_id, record.status))
-
     def payloads(self, job_id, start=0):
         """Non-blocking: payloads produced so far, from index ``start``.
 
         The spool server drains each job incrementally with this while
-        polling; streaming clients should prefer ``iter_results`` /
-        ``stream``.
+        polling, and the TCP server with it alongside
+        :meth:`wait_payload`; in-process clients should prefer
+        ``iter_results``.
         """
         record = self._record(job_id)
         with record.cond:

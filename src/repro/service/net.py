@@ -139,31 +139,6 @@ class ServiceServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start_async(self):
-        """Bind the listening socket on the running event loop."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=self.max_frame)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def serve_async(self, max_seconds=None):
-        """Run until :meth:`stop` (or ``max_seconds``); owns the loop."""
-        await self.start_async()
-        self._loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
-        try:
-            if max_seconds is None:
-                await self._stopped.wait()
-            else:
-                try:
-                    await asyncio.wait_for(self._stopped.wait(),
-                                           timeout=max_seconds)
-                except asyncio.TimeoutError:
-                    pass
-        finally:
-            await self.aclose()
-
     async def aclose(self):
         """Stop listening, then drain the open connections cleanly.
 
@@ -198,7 +173,10 @@ class ServiceServer:
         is bound (so callers can report the resolved port).
         """
         async def _main():
-            await self.start_async()
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port,
+                limit=self.max_frame)
+            self.port = self._server.sockets[0].getsockname()[1]
             if ready is not None:
                 ready(self)
             self._loop = asyncio.get_running_loop()
@@ -220,8 +198,9 @@ class ServiceServer:
         """Run the server on a background thread; returns (host, port).
 
         The thread owns a private event loop; :meth:`stop` shuts it
-        down.  This is the embedding used by the tests and by
-        ``serve --listen`` when it also polls a spool.
+        down.  This is the embedding used by the tests, the benchmarks
+        and the context-manager form; ``serve --listen`` calls
+        :meth:`serve` directly.
         """
         bound = threading.Event()
         def _ready(_server):

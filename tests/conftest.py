@@ -13,15 +13,7 @@ wires through — no extra plumbing needed here):
   ``max_examples`` (the deep sweep reads the
   ``DIFFERENTIAL_DEEP_EXAMPLES`` environment variable) keep their pins;
   the profile governs everything else.
-
-A profile can also be selected with the ``REPRO_CI_PROFILE``
-environment variable — CI lanes that run pytest indirectly (through a
-wrapper script or a tool that does not forward extra pytest flags) set
-the variable instead of passing ``--hypothesis-profile``.  The command
-line wins when both are given, matching hypothesis' own precedence.
 """
-
-import os
 
 from hypothesis import HealthCheck, settings
 
@@ -40,13 +32,3 @@ settings.register_profile(
     print_blob=True,
     suppress_health_check=(HealthCheck.too_slow,),
 )
-
-_env_profile = os.environ.get("REPRO_CI_PROFILE")
-if _env_profile:
-    if _env_profile not in ("differential-ci", "differential-deep"):
-        raise RuntimeError(
-            "REPRO_CI_PROFILE=%r is not a registered hypothesis profile "
-            "(known: differential-ci, differential-deep)" % _env_profile)
-    # --hypothesis-profile still wins: the plugin re-loads the profile
-    # named on the command line after conftest import.
-    settings.load_profile(_env_profile)

@@ -3,15 +3,15 @@
 The contract (docs/architecture.md, "The fast engine"): for any
 workload and configuration, ``engine="burst"`` must produce statistics
 *bit-identical* to ``engine="naive"`` — idle and processor-wide stall
-fast-forwards (the ``next_event_cycle`` protocol), precompiled burst
+fast-forwards (``Processor.park``/``unpark``), precompiled burst
 dispatch and bulk stall-window charging are optimisations, never
 approximations.  These tests enforce the contract over every Table 5
 uniprocessor workload and across schemes, property-check the compile
 step (a precompiled schedule must retire instructions in program order
 and charge exactly the stall slots, in exactly the categories, the
-per-cycle scoreboard loop would) and the ``next_event_cycle``
-protocol, pin the deadlock detector the jumping loop needs, and pin
-the keyword-only run API.
+per-cycle scoreboard loop would) and the idle probe behind ``park``,
+pin the deadlock detector the jumping loop needs, and pin the
+keyword-only run API.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulation
 from repro.config import SystemConfig
-from repro.core.context import HardwareContext
+from repro.core.context import HardwareContext, NEVER
 from repro.core.simulator import (
     WorkstationSimulator, Process, SimulationDeadlock,
 )
@@ -335,10 +335,11 @@ class TestEngineSelection:
         assert result.engine == "burst"
 
 
-class TestNextEventProtocol:
-    """``next_event_cycle`` never overshoots a wakeup.
+class TestIdleProbe:
+    """``Processor.idle_until``, the probe behind ``park``, never
+    overshoots a wakeup.
 
-    Property: whenever the processor predicts its next issue opportunity
+    Property: whenever the probe predicts the next issue opportunity
     strictly in the future, stepping the current cycle must not issue or
     retire anything — a prediction that skipped over real work would
     corrupt the fast-forward.
@@ -365,7 +366,12 @@ class TestNextEventProtocol:
         proc = sim.processor
         stats = proc.stats
         for now in range(3_000):
-            predicted = proc.next_event_cycle(now)
+            idle = proc.idle_until(now)
+            if idle is None:
+                predicted = now
+            else:
+                # A wake of None: nothing wakes this processor by the clock.
+                predicted = NEVER if idle[0] is None else idle[0]
             assert predicted >= now
             if predicted > now:
                 retired, issued = stats.retired, stats.issued
@@ -411,6 +417,32 @@ class TestDeadlockSemantics:
         result = sim.run(until=50_000)
         assert sim.now == 50_000
         assert result.retired <= 2
+
+
+class TestHaltedGroup:
+    """A workstation whose resident group has halted still fires the
+    scheduler interrupts that load the next group."""
+
+    def _run(self, engine):
+        procs = []
+        for i in range(3):
+            b = AsmBuilder("p%d" % i, code_base=0x1000 + 0x1000 * i,
+                           data_base=0x400000)
+            for _ in range(20):
+                b.addi("t0", "t0", 1)
+            b.halt()
+            procs.append(Process("p%d" % i, b.build()))
+        sim = WorkstationSimulator(procs, scheme="single", n_contexts=1,
+                                   config=SystemConfig.fast(),
+                                   restart_halted=False, engine=engine)
+        return sim.run(until=40_000)
+
+    def test_burst_loads_every_group_like_naive(self):
+        naive = self._run("naive")
+        burst = self._run("burst")
+        assert naive.per_process == {"p0": 21, "p1": 21, "p2": 21}
+        assert burst.per_process == naive.per_process
+        assert burst.counts == naive.counts
 
 
 class TestUnifiedRunAPI:

@@ -94,13 +94,14 @@ class TestProcessorMisc:
         assert proc.contexts[0].status is Status.EMPTY
         assert proc.all_halted()
 
-    def test_skip_idle_noop_backwards(self):
+    def test_unpark_before_park_charges_nothing(self):
         memory = Memory()
         proc = Processor("single", 1, SystemConfig.fast().pipeline,
                          FixedLatencyMemory(), memory,
                          sync=SyncManager())
         before = proc.stats.total_cycles
-        proc.skip_idle(100, 50, Stall.DCACHE)   # target in the past
+        assert proc.park(100)       # no process loaded: nothing to issue
+        proc.unpark(50)             # settle point in the past
         assert proc.stats.total_cycles == before
 
     def test_idle_until_respects_processor_stall(self):

@@ -66,6 +66,18 @@ class TestSweepAndCacheVerbs:
         err = capsys.readouterr().err
         assert "0 computed" in err
 
+    def test_sweep_unknown_name_exits_before_simulating(self, monkeypatch,
+                                                        tmp_path):
+        from repro.experiments import sweep
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the sweep started despite a bad name")
+        monkeypatch.setattr(sweep, "SweepEngine", no_engine)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workloads", "nope",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert "nope" in str(exc.value.code)
+
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0

@@ -78,11 +78,6 @@ class TestGenerateVerb:
         with pytest.raises(SystemExit):
             main(["generate", "--spec", "warp_factor=9"])
 
-    def test_verify_flags_mutually_exclusive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["generate", "--spec", SMALL, "--verify",
-                  "--no-verify"])
-
     def test_bad_gen_point_rejected_up_front(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             main(["submit", "--spool", str(tmp_path / "spool"),

@@ -1,7 +1,6 @@
 """JobManager end-to-end: bit-identity with the serial path, cache
 read-through, retry/timeout/cancel robustness, and streaming."""
 
-import asyncio
 import dataclasses
 import itertools
 import json
@@ -183,35 +182,6 @@ def test_iter_results_streams_in_completion_order(tmp_path):
         streamed = list(mgr.iter_results(job_id, timeout=240))
         final = mgr.results(job_id, timeout=10)
     assert streamed == final
-
-
-def test_async_stream(tmp_path):
-    async def drain():
-        with JobManager(workers=2) as mgr:
-            job_id = mgr.submit(_spec())
-            got = []
-            async for payload in mgr.stream(job_id):
-                got.append(payload)
-            return got, mgr.status(job_id)
-
-    got, status = asyncio.run(drain())
-    assert status["status"] == JobStatus.COMPLETED
-    assert len(got) == 2
-    assert {json.loads(p)["scheme"] for p in got} == {"single",
-                                                      "interleaved"}
-
-
-def test_async_stream_raises_on_failed_job(tmp_path):
-    async def drain():
-        with JobManager(workers=1, backoff=0.02) as mgr:
-            job_id = mgr.submit(
-                _spec(points=(("uniproc", "R1", "single", 1),),
-                      max_retries=0), fail_times=9)
-            async for _payload in mgr.stream(job_id):
-                pass
-
-    with pytest.raises(ServiceError):
-        asyncio.run(drain())
 
 
 def test_shutdown_flushes_completed_points(tmp_path):
