@@ -1,12 +1,12 @@
 """The distributed-shared-memory machine and its per-node memory systems.
 
-Each node's :class:`NodeMemory` exposes the same ``data_access`` /
-``inst_fetch`` interface as the uniprocessor hierarchy, so the processor
-model is reused unchanged.  Differences from the workstation (paper
-Section 5.2):
+Each node's :class:`NodeMemory` exposes the same ``data_access``
+interface as the uniprocessor hierarchy, so the processor model is
+reused unchanged.  Differences from the workstation (paper Section 5.2):
 
 * the instruction cache is ideal (100% hit — shared-data communication
-  dominates the multiprocessor miss rate);
+  dominates the multiprocessor miss rate), so the model declares
+  ``ideal_icache`` and the processor never probes it;
 * a single level of lockup-free data cache per node;
 * misses are serviced by the directory protocol with Table 8 latencies;
 * a *write* to a shared line is an ownership upgrade — also a
@@ -33,19 +33,14 @@ class NodeMemory:
 
     __slots__ = ("machine", "node_id", "cache", "mshr")
 
+    #: Ideal instruction cache (paper Section 5.2): every fetch hits.
+    ideal_icache = True
+
     def __init__(self, machine, node_id):
         self.machine = machine
         self.node_id = node_id
         self.cache = DirectMappedCache(machine.params.cache)
         self.mshr = MSHRFile(machine.mshr_capacity)
-
-    def inst_fetch(self, addr, now):
-        """Ideal instruction cache (paper Section 5.2)."""
-        return AccessResult("l1", now)
-
-    def inst_run_hits(self, addr, n_insts, already_fetched):
-        """Burst fetch guard: trivially satisfied (ideal I-cache)."""
-        return True
 
     def data_access(self, addr, is_write, now, requester=None):
         return self.machine.access(self.node_id, addr, is_write, now)

@@ -190,7 +190,7 @@ class MultiprocessorSimulator:
                         min_due = due
                     continue
                 if p._parked_from is not None:
-                    due = p.parked_due()
+                    due = p.parked_due
                     if due is None:
                         continue
                     if due > now:

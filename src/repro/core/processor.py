@@ -72,9 +72,17 @@ class Processor:
         self.pp = pipeline_params
         self.policy = make_policy(scheme, n_contexts, pipeline_params)
         self.contexts = [HardwareContext(i) for i in range(n_contexts)]
+        # The contexts in round-robin scan order from each pointer value
+        # (step's one-pass pick).  load_process reuses the context
+        # objects, so the rotations stay valid for the processor's life.
+        self._rotations = [self.contexts[i:] + self.contexts[:i]
+                           for i in range(n_contexts)]
         self.scoreboard = Scoreboard(n_contexts)
         self.btb = BranchTargetBuffer(pipeline_params.btb_entries)
         self.memsys = memsys
+        # A model whose I-cache cannot miss (the multiprocessor's,
+        # Section 5.2) is never probed for instruction fetches.
+        self._ideal_icache = memsys.ideal_icache
         self.memory = memory          # functional memory (shared image)
         self.sync = sync
         self.proc_id = proc_id
@@ -97,17 +105,21 @@ class Processor:
         #: Optional data-access hook ``fn(cycle, ctx, pc, addr, is_write)``
         #: fired once per retired load/store, before it executes — the
         #: dynamic oracle of the race analysis
-        #: (:class:`repro.core.tracing.SharedAccessRecorder`).  Like
-        #: ``trace``, setting it disables the fast paths so every access
-        #: passes through the per-instruction retire path; None (the
-        #: default) is free.
+        #: (:class:`repro.core.tracing.SharedAccessRecorder`).  Every
+        #: load and store retires through the per-instruction path (a
+        #: burst or a charged stall window holds none), so the fast
+        #: paths stay on while it is installed; None (the default) is
+        #: free.
         self.access_log = None
         # Idle-parking state (see park/unpark below): while
         # parked, idle-slot accounting is deferred and settled lazily so
         # a fast-forwarding loop never steps this processor cycle by
         # cycle through a known-idle window.
         self._parked_from = None
-        self._parked_wake = 0
+        #: Cycle a parked processor must be stepped again, or None when
+        #: only an external wake (or nothing) can make it runnable; set
+        #: by park and context_woken, read by the advance loops.
+        self.parked_due = None
         self._parked_reason = IDLE
         # Burst-engine state: when enabled, straight-line runs whose
         # precompiled schedule is valid retire in one step (_try_burst),
@@ -164,32 +176,62 @@ class Processor:
             if self.trace is not None:
                 self.trace(now, None, "stall")
             return False
-        n_ready = self._update_contexts(now)
+        policy = self.policy
         # One check per cycle decides whether this cycle may take a fast
         # path (a burst dispatch or a bulk-charged hazard window): the
-        # burst engine is on, no per-slot observer is installed, and —
-        # under round-robin issue — no second context is selectable, in
-        # which case the policy could not give the window to one context
+        # burst engine is on, the slot tracer is off, and — under
+        # round-robin issue — no second context is selectable, in which
+        # case the policy could not give the window to one context
         # anyway.
-        fast = (self.burst_enabled and self.trace is None
-                and self.access_log is None
-                and (n_ready < 2 or not self.policy.round_robin))
+        fast = self.burst_enabled and self.trace is None
+        if policy.round_robin:
+            # One pass in issue order from the round-robin pointer
+            # applies each context's due wake or miss detection (as
+            # _update_contexts would), counts the selectable contexts
+            # and takes the first as slot 0's (as select would).
+            ctx = None
+            ready = 0
+            for cand in self._rotations[policy.pointer]:
+                status = cand.status
+                if status is WAITING:
+                    if cand.wake_at > now:
+                        continue
+                    cand.status = RUNNING
+                elif status is DOOMED:
+                    if now >= cand.doomed_detect:
+                        self._detect_miss(cand, now)
+                        if cand.status is not RUNNING:
+                            continue
+                elif status is not RUNNING:
+                    continue
+                ready += 1
+                if ctx is None:
+                    ctx = cand
+            if ctx is not None:
+                policy.pointer = (ctx.cid + 1) % policy.n_contexts
+            if ready > 1:
+                fast = False
+        else:
+            self._update_contexts(now)
+            ctx = policy.select(self.contexts, now)
+        trace = self.trace
         idle = True
         for _slot in range(width):
-            ctx = self.policy.select(self.contexts, now)
+            if _slot:
+                ctx = policy.select(self.contexts, now)
             if ctx is None:
                 _, reason = idle_wake_info(self.contexts)
                 stats.add(reason)
-                if self.trace is not None:
-                    self.trace(now, None, "idle")
+                if trace is not None:
+                    trace(now, None, "idle")
                 continue
             idle = False
             if ctx.status is DOOMED:
                 ctx.doomed_count += 1
                 stats.add(SWITCH)
                 stats.squashed += 1
-                if self.trace is not None:
-                    self.trace(now, ctx, "squash")
+                if trace is not None:
+                    trace(now, ctx, "squash")
                 continue
             if fast and _slot == 0 and self._try_burst(ctx, now):
                 # A dispatched burst accounts every slot of every cycle
@@ -197,17 +239,19 @@ class Processor:
                 # legal only at slot 0: the packed schedule starts at a
                 # cycle boundary.)
                 break
-            retired_before = stats.retired
-            squashed_before = stats.squashed
-            self._try_issue(ctx, now, width - _slot, fast)
-            if self.trace is not None:
+            if trace is None:
+                self._try_issue(ctx, now, width - _slot, fast)
+            else:
+                retired_before = stats.retired
+                squashed_before = stats.squashed
+                self._try_issue(ctx, now, width - _slot, fast)
                 if stats.squashed != squashed_before:
                     kind = "squash"   # the memory op's own doomed slot
                 elif stats.retired != retired_before:
                     kind = "busy"
                 else:
                     kind = "stall"
-                self.trace(now, ctx, kind)
+                trace(now, ctx, kind)
             if now < self.burst_until:
                 # _skip_stall_window opened a bulk-charged stall window
                 # covering this cycle's remaining slots.
@@ -240,7 +284,7 @@ class Processor:
 
         Returns True when the processor has nothing to issue at ``now``
         (it is then parked); the owning loop must not step a parked
-        processor again before :meth:`parked_due`, and must
+        processor again before :attr:`parked_due`, and must
         :meth:`unpark` it before doing so.  Equivalent to stepping every
         cycle of the window: idle slots are charged on unpark with the
         reason cycle-stepping would have used, and external wakes are
@@ -250,16 +294,15 @@ class Processor:
         if info is None:
             return False
         self._parked_from = now
-        self._parked_wake, self._parked_reason = info
+        wake, self._parked_reason = info
+        self._set_parked_due(wake)
         return True
 
-    def parked_due(self):
-        """Cycle a parked processor must be stepped again, None if only
-        an external wake (or nothing) can ever make it runnable."""
-        wake = self._parked_wake
-        if wake is None:
-            return None
-        return wake if wake > self._parked_from else self._parked_from
+    def _set_parked_due(self, wake):
+        """:attr:`parked_due` for a park from ``_parked_from`` whose
+        clock wake is ``wake`` (None: no clock wake exists)."""
+        self.parked_due = (None if wake is None
+                           else max(wake, self._parked_from))
 
     def unpark(self, now):
         """Settle the deferred idle window [parked_from, ``now``)."""
@@ -301,14 +344,14 @@ class Processor:
         ctx.wake(wake_at)
         self._parked_from = boundary
         if boundary < self.stall_until:
-            self._parked_wake = self.stall_until
+            wake = self.stall_until
             self._parked_reason = self.stall_category
         elif any(c.status is RUNNING or c.status is DOOMED
                  for c in self.contexts):
-            self._parked_wake = boundary
+            wake = boundary
         else:
-            self._parked_wake, self._parked_reason = \
-                idle_wake_info(self.contexts)
+            wake, self._parked_reason = idle_wake_info(self.contexts)
+        self._set_parked_due(wake)
 
     # -- internals ---------------------------------------------------------------
 
@@ -328,14 +371,20 @@ class Processor:
                 if now < ctx.doomed_detect:
                     ready += 1
                     continue
-                # WB-stage miss determination: squash and go unavailable.
-                self.stats.context_switches += 1
-                ctx.wait_until(max(ctx.doomed_completion, now), DCACHE)
-                ctx.fetch_valid = False
-                if ctx.wake_at <= now:
-                    ctx.status = RUNNING
+                self._detect_miss(ctx, now)
+                if ctx.status is RUNNING:
                     ready += 1
         return ready
+
+    def _detect_miss(self, ctx, now):
+        """WB-stage miss determination for a DOOMED context at ``now``:
+        squash and go unavailable until the fill completes (at once
+        RUNNING again when it already has)."""
+        self.stats.context_switches += 1
+        ctx.wait_until(max(ctx.doomed_completion, now), DCACHE)
+        ctx.fetch_valid = False
+        if ctx.wake_at <= now:
+            ctx.status = RUNNING
 
     def _enter_doomed(self, ctx, result, now):
         """A late-detected memory stall: squash-window entry (Table 4).
@@ -412,7 +461,8 @@ class Processor:
         * every live-in register is ready early enough that the
           precomputed schedule is exact (scoreboard guard);
         * every instruction line of the run is present in the I-cache
-          (checked last: the hit counters are bumped only on success).
+          (checked last: the hit counters are bumped only on success;
+          a memory model whose I-cache is ideal is not probed).
 
         On success the whole run is executed functionally, the
         scoreboard and stats take one bulk update each, and the
@@ -435,12 +485,13 @@ class Processor:
             return False
         if not self.scoreboard.can_dispatch_burst(ctx.cid, burst, now):
             return False
-        pc = ctx.state.pc
-        fetch_addr = ctx.program.code_base + 4 * pc
-        already = 1 if (ctx.fetch_valid and ctx.fetch_pc == pc) else 0
-        if not self.memsys.inst_run_hits(fetch_addr, burst.n, already):
-            return False
         state = ctx.state
+        if not self._ideal_icache:
+            pc = state.pc
+            fetch_addr = ctx.program.code_base + 4 * pc
+            already = 1 if (ctx.fetch_valid and ctx.fetch_pc == pc) else 0
+            if not self.memsys.inst_run_hits(fetch_addr, burst.n, already):
+                return False
         memory = self.memory
         for inst in burst.instructions:
             execute(state, inst, memory)
@@ -518,9 +569,11 @@ class Processor:
         pc = state.pc
         inst = ctx.program.instructions[pc]
 
-        # Instruction fetch (once per instruction instance).
+        # Instruction fetch (once per instruction instance; never for
+        # an ideal I-cache, which cannot miss).
         fetch_addr = ctx.program.code_base + 4 * pc
-        if not (ctx.fetch_valid and ctx.fetch_pc == pc):
+        if not (self._ideal_icache
+                or (ctx.fetch_valid and ctx.fetch_pc == pc)):
             res = self.memsys.inst_fetch(fetch_addr, now)
             ctx.fetch_pc = pc
             ctx.fetch_valid = True

@@ -126,10 +126,11 @@ class WorkstationSimulator:
         """Opt-in dynamic access log for the race-analysis oracle.
 
         Attaches a :class:`repro.core.tracing.SharedAccessRecorder` to
-        the processor (disabling the fast paths while installed, like
-        the slot tracer) and returns it.  Subsequent ``run()`` windows
-        attach the JSON-ready log to their core window result as
-        ``shared_accesses``.
+        the processor and returns it.  The burst engine keeps its fast
+        paths: bursts and charged stall windows hold no load or store,
+        so the log is the one naive stepping records.  Subsequent
+        ``run()`` windows attach the JSON-ready log to their core
+        window result as ``shared_accesses``.
         """
         from repro.core.tracing import SharedAccessRecorder
         self.access_recorder = SharedAccessRecorder(self.sync).attach(
@@ -259,7 +260,7 @@ class WorkstationSimulator:
                 proc.burst_limit = min(end, next_interrupt)
                 check_idle = True
             if check_idle and proc.park(now):
-                due = proc.parked_due()
+                due = proc.parked_due
                 if due is None:
                     if not proc.all_halted():
                         raise SimulationDeadlock(

@@ -70,13 +70,15 @@ class SharedAccessRecorder:
     """Collects every retired data access with its synchronisation
     context (the ``trace_shared_accesses`` hook).
 
-    Installing the recorder disables the burst engine's fast paths on
-    the processor (like the slot tracer) so every load/store passes
-    through the per-instruction retire path.  Each record carries the context id
-    (``Process.pid``), the cycle, pc, byte address, direction, the lock
-    words the context held at that instant, and the global barrier
-    episode — exactly the tuple :func:`repro.analysis.dynamic_races`
-    replays for the static-⊇-dynamic soundness check.
+    Every load/store retires through the per-instruction path, where the
+    hook fires: a burst or a bulk-charged stall window holds none, so
+    the burst engine keeps both fast paths while the recorder is
+    installed and logs what naive stepping logs.  Each record carries
+    the context id (``Process.pid``), the cycle, pc, byte address,
+    direction, the lock words the context held at that instant, and the
+    global barrier episode — exactly the tuple
+    :func:`repro.analysis.dynamic_races` replays for the
+    static-⊇-dynamic soundness check.
     """
 
     def __init__(self, sync):

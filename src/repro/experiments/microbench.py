@@ -18,18 +18,13 @@ from repro.core.sync import SyncManager
 class FixedLatencyMemory:
     """Instruction fetches always hit; designated data lines miss once."""
 
+    #: The I-cache is ideal, so the processor never probes it.
+    ideal_icache = True
+
     def __init__(self, latency=30, miss_addrs=()):
         self.latency = latency
         self.miss_addrs = set(miss_addrs)
         self.serviced = set()
-
-    def inst_fetch(self, addr, now):
-        return AccessResult("l1", now)
-
-    def inst_run_hits(self, addr, n_insts, already_fetched):
-        """Instruction fetches always hit, so a burst's run always
-        does (the burst engine's whole-run fetch probe)."""
-        return True
 
     def data_access(self, addr, is_write, now, requester=0):
         if addr in self.miss_addrs and addr not in self.serviced:

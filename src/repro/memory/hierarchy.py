@@ -56,6 +56,10 @@ class AccessResult:
 class MemorySystem:
     """Workstation memory system: L1I, L1D+MSHR, TLB, L2, bus, banks."""
 
+    #: The L1 I-cache is real and blocking: the processor probes it for
+    #: every fetch (``inst_fetch``) and burst run (``inst_run_hits``).
+    ideal_icache = False
+
     def __init__(self, params):
         self.params = params
         self.l1i = DirectMappedCache(params.l1i)

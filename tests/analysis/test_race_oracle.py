@@ -37,11 +37,22 @@ def _spec(sharing):
     return GenSpec(name="orc", seed=11, sharing=sharing, **_SMALL)
 
 
-def _run(sharing, scheme, engine):
+def _run(sharing, scheme, engine, bursts=None):
+    """Run one recorded window; ``bursts``, when given, collects the
+    outcome of every burst-dispatch attempt."""
     procs = generate_processes(_spec(sharing), 2, verify=False)
     sim = WorkstationSimulator(procs, scheme=scheme, n_contexts=2,
                                engine=engine)
     recorder = sim.trace_shared_accesses()
+    if bursts is not None:
+        proc = sim.processor
+        try_burst = proc._try_burst
+
+        def spy(ctx, now):
+            taken = try_burst(ctx, now)
+            bursts.append(taken)
+            return taken
+        proc._try_burst = spy
     result = sim.run(until=_WINDOW)
     assert len(recorder) > 0, "recorder saw no accesses"
     # The JSON-ready log rides on the core window (result.raw).
@@ -63,6 +74,19 @@ def test_static_covers_dynamic(sharing, scheme, engine):
     else:
         assert not observed, (
             "%s pattern should replay race-free" % sharing)
+
+
+@pytest.mark.parametrize("sharing", SHARINGS)
+def test_recorder_keeps_burst_dispatch(sharing):
+    """The recorder observes the path the default engine really takes:
+    bursts still dispatch under blocked-2 with it installed, and the
+    log equals naive's record for record (a burst holds no load or
+    store, so it has nothing to log)."""
+    bursts = []
+    _procs, fast = _run(sharing, "blocked", "burst", bursts)
+    assert any(bursts), "no burst dispatched with the recorder installed"
+    _procs, naive = _run(sharing, "blocked", "naive")
+    assert fast.records == naive.records
 
 
 @pytest.mark.parametrize("engine", ENGINES)

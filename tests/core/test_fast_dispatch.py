@@ -50,20 +50,16 @@ def run(simulation):
 class Spy:
     """Wraps one processor's fast-path methods and records, for every
     call, the selectable-context count its cycle started with and
-    whether a sibling of the calling context was RUNNING."""
+    whether a sibling of the calling context was RUNNING.
+
+    The count is taken on entry: at issue width 1 nothing between the
+    start of the cycle and a fast-path attempt changes a context's
+    status, so the RUNNING/DOOMED contexts then are the ones the cycle
+    started with."""
 
     def __init__(self, proc):
         self.proc = proc
-        self.ready = None
         self.calls = {"_try_burst": [], "_skip_stall_window": []}
-        update = proc._update_contexts
-
-        def update_spy(now):
-            ready = update(now)
-            self.ready = sum(c.status in (Status.RUNNING, Status.DOOMED)
-                             for c in proc.contexts)
-            return ready
-        proc._update_contexts = update_spy
         for name in self.calls:
             self._wrap(name)
 
@@ -72,11 +68,14 @@ class Spy:
         log = self.calls[name]
 
         def spy(ctx, now, *args):
+            contexts = self.proc.contexts
+            ready = sum(c.status in (Status.RUNNING, Status.DOOMED)
+                        for c in contexts)
             sibling_running = any(
                 c is not ctx and c.status is Status.RUNNING
-                for c in self.proc.contexts)
+                for c in contexts)
             taken = original(ctx, now, *args)
-            log.append((self.ready, sibling_running, taken))
+            log.append((ready, sibling_running, taken))
             return taken
         setattr(self.proc, name, spy)
 

@@ -1,6 +1,9 @@
 """Context-selection policies."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import PipelineParams
 from repro.core.context import HardwareContext, Status, NEVER
@@ -8,6 +11,12 @@ from repro.core.policies import (
     SinglePolicy, BlockedPolicy, InterleavedPolicy, make_policy,
     idle_wake_info,
 )
+from repro.core.processor import Processor
+from repro.core.simulator import Process
+from repro.core.sync import SyncManager
+from repro.experiments.microbench import FixedLatencyMemory
+from repro.isa import AsmBuilder
+from repro.isa.executor import Memory
 from repro.pipeline.stalls import Stall
 
 
@@ -83,6 +92,78 @@ class TestInterleavedSelection:
         policy.select(ctxs, 0)
         policy.reset()
         assert policy.select(ctxs, 1).cid == 0
+
+
+#: The cycle the one-pass pick is checked at; drawn wake and miss
+#: times fall on either side of it.
+NOW = 100
+_AROUND_NOW = st.integers(NOW - 3, NOW + 3)
+
+
+def _alu_program(slot):
+    """A straight run of ALU ops: issuing one touches only its own
+    context (no memory, sync or halt within a step)."""
+    b = AsmBuilder("alu%d" % slot, code_base=(slot + 1) * 0x1000,
+                   data_base=0x400000 + slot * 0x10000)
+    for _ in range(4):
+        b.addi("t0", "t0", 1)
+    b.halt()
+    return b.build()
+
+
+_ALU_PROGRAMS = [_alu_program(slot) for slot in range(8)]
+
+_context_states = st.tuples(
+    st.sampled_from(list(Status)),
+    st.one_of(_AROUND_NOW, st.just(NEVER)),    # wake_at
+    _AROUND_NOW,                               # doomed_detect
+    _AROUND_NOW)                               # doomed_completion
+
+
+@st.composite
+def _round_robin_processors(draw):
+    """An interleaved processor in a random context state at ``NOW``."""
+    n = draw(st.sampled_from((2, 4, 8)))
+    memory = Memory()
+    proc = Processor("interleaved", n, PP, FixedLatencyMemory(), memory,
+                     sync=SyncManager())
+    for slot in range(n):
+        program = _ALU_PROGRAMS[slot]
+        program.load(memory)
+        proc.load_process(slot, Process("alu%d" % slot, program))
+        ctx = proc.contexts[slot]
+        (ctx.status, ctx.wake_at, ctx.doomed_detect,
+         ctx.doomed_completion) = draw(_context_states)
+    proc.policy.pointer = draw(st.integers(0, n - 1))
+    return proc
+
+
+class TestRoundRobinPass:
+    """``Processor.step`` picks slot 0's context under round robin in
+    one pass over the contexts; it must leave what
+    ``_update_contexts`` followed by ``InterleavedPolicy.select``
+    leaves.  Both engines run that pass, so only this test and the
+    golden pins can see a wrong pick."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_round_robin_processors())
+    def test_one_pass_equals_update_then_select(self, proc):
+        ref = copy.deepcopy(proc)
+        ref._update_contexts(NOW)
+        want = ref.policy.select(ref.contexts, NOW)
+        reported = []
+        proc.trace = lambda cycle, ctx, kind: reported.append(ctx)
+        proc.step(NOW)
+        assert len(reported) == 1
+        got = reported[0]
+        assert (None if got is None else got.cid) == (
+            None if want is None else want.cid)
+        assert proc.policy.pointer == ref.policy.pointer
+        assert proc.stats.context_switches == ref.stats.context_switches
+        for ctx, expect in zip(proc.contexts, ref.contexts):
+            if got is None or ctx.cid != got.cid:
+                assert ctx.status is expect.status, ctx.cid
+                assert ctx.wake_at == expect.wake_at, ctx.cid
 
 
 class TestBlockedSelection:

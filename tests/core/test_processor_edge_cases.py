@@ -133,7 +133,7 @@ class TestParkedSyncWake:
         proc.stall_until, proc.stall_category = 110, Stall.SWITCH
         assert proc.park(100)
         proc.context_woken(waiting, 140, 104, SimpleNamespace(proc_id=0))
-        assert proc.parked_due() == 110
+        assert proc.parked_due == 110
         proc.unpark(110)
         assert proc.stats.counts[Stall.SWITCH] == 10
         assert proc.stats.counts[Stall.SYNC] == 0
@@ -147,7 +147,7 @@ class TestParkedSyncWake:
         # A higher-id waker: the wake is visible at now + 1, the cycle
         # the tail ends, when context 1 can issue.
         proc.context_woken(waiting, 140, 104, SimpleNamespace(proc_id=2))
-        assert proc.parked_due() == 105
+        assert proc.parked_due == 105
 
 
 class TestDoomedWindowDetails:
