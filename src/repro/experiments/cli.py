@@ -8,10 +8,10 @@ Usage::
     repro-experiments sweep --jobs 4          # parallel, cached
     repro-experiments cache stats
     repro-experiments cache clear
-    repro-experiments submit --workloads R1   # queue a job in the spool
-    repro-experiments serve --once            # run queued jobs, then exit
-    repro-experiments jobs                    # list spool job statuses
-    repro-experiments jobs sj-00001           # one job's full status
+    repro-experiments serve --listen 127.0.0.1:7994        # job server
+    repro-experiments submit --connect 127.0.0.1:7994 --workloads R1
+    repro-experiments jobs --connect 127.0.0.1:7994        # job statuses
+    repro-experiments jobs job-0001 --connect 127.0.0.1:7994
 
 (``interleaving-experiments`` is the historical alias of the same
 entry point.)
@@ -226,111 +226,67 @@ def _service_spec(args):
     return JobSpec.sweep(workloads=workloads, apps=apps, **kwargs)
 
 
-def _client_transport(args):
-    """The Transport a client verb should use: TCP or spool."""
-    from repro.service import connect, open_spool
-    if args.connect:
-        return connect(args.connect)
-    return open_spool(args.spool)
-
-
-def _transport_name(transport):
-    from repro.service.spool import SpoolTransport
-    if isinstance(transport, SpoolTransport):
-        return str(transport.root)
-    return "%s:%d" % (transport.host, transport.port)
-
-
 def _submit(args):
-    """The 'submit' verb: queue a job, print its id (optionally stream).
-
-    ``--spool`` queues into a shared directory; ``--connect HOST:PORT``
-    submits over TCP to a ``serve --listen`` process — same spec, same
-    results, no shared filesystem.
-    """
+    """The 'submit' verb: submit a job over TCP to a ``serve --listen``
+    process, print its id (optionally stream its payloads)."""
+    from repro.service import connect
     spec = _service_spec(args)
-    with _client_transport(args) as transport:
-        job_id = transport.submit(
-            spec, idempotency_key=args.idempotency_key)
+    with connect(args.connect) as client:
+        job_id = client.submit(spec, idempotency_key=args.idempotency_key)
         print(job_id)
         if args.stream:
-            for payload in transport.stream(job_id):
+            for payload in client.stream(job_id):
                 print(payload)
     return 0
 
 
-def _serve(args, _ready=None):
-    """The 'serve' verb: run submitted jobs on a worker pool.
-
-    Without ``--listen`` it polls the spool directory (the historical
-    transport); with ``--listen HOST:PORT`` it serves the TCP protocol
-    of :mod:`repro.service.net` instead.
-    """
+def _serve(args, host, port, _ready=None):
+    """The 'serve' verb: run submitted jobs on a worker pool, serving
+    the TCP protocol of :mod:`repro.service.net` on ``host:port``."""
     from repro.experiments.cache import ResultCache
     from repro.service import JobManager
-    from repro.service.spool import Spool, serve_forever
+    from repro.service.net import ServiceServer
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     manager = JobManager(workers=args.workers, cache=cache,
                          default_timeout=args.job_timeout)
-    if args.listen:
-        from repro.service.net import ServiceServer, parse_address
-        host, port = parse_address(args.listen)
-        server = ServiceServer(manager, host=host, port=port)
+    server = ServiceServer(manager, host=host, port=port)
 
-        def announce(srv):
-            print("listening on %s:%d with %d worker(s)"
-                  % (srv.host, srv.port, args.workers), file=sys.stderr)
-            if _ready is not None:     # test seam: report the bound port
-                _ready(srv.host, srv.port)
+    def announce(srv):
+        print("listening on %s:%d with %d worker(s)"
+              % (srv.host, srv.port, args.workers), file=sys.stderr)
+        if _ready is not None:         # test seam: the bound server
+            _ready(srv)
 
-        try:
-            server.serve(max_seconds=args.serve_seconds, ready=announce)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            manager.shutdown(wait=True)
-        stats = server.stats.snapshot()
-        print("served %d request(s) over %d connection(s)"
-              % (stats["requests"], stats["connections"]),
+    try:
+        server.serve(max_seconds=args.serve_seconds, ready=announce)
+    except KeyboardInterrupt:
+        pass
+    except OSError as exc:             # the bind failed: nothing served
+        print("error: cannot listen on %s:%d: %s" % (host, port, exc),
               file=sys.stderr)
-        return 0
-    spool = Spool(args.spool)
-    print("serving spool %s with %d worker(s)%s"
-          % (spool.root, args.workers, " (once)" if args.once else ""),
-          file=sys.stderr)
-    served = serve_forever(spool, manager, once=args.once,
-                           max_seconds=args.serve_seconds)
-    print("served %d job(s)" % served, file=sys.stderr)
+        return 1
+    finally:
+        manager.shutdown(wait=True)
+    stats = server.stats.snapshot()
+    print("served %d request(s) over %d connection(s)"
+          % (stats["requests"], stats["connections"]), file=sys.stderr)
     return 0
 
 
 def _jobs(args):
-    """The 'jobs' verb: list jobs, or show one job in full.
-
-    Reads through the same Transport as 'submit': the spool files
-    directly (works with no server up), or a ``serve --listen`` server
-    via ``--connect``.
-    """
+    """The 'jobs' verb: list a ``serve --listen`` server's jobs, or
+    show one job in full."""
     import json as _json
-    from repro.service import ServiceError
-    transport = _client_transport(args)
-    with transport:
-        where = _transport_name(transport)
+    from repro.service import connect
+    with connect(args.connect) as client:
         if args.action:
-            try:
-                status = dict(transport.status(args.action))
-            except (KeyError, ServiceError):
-                sys.exit("error: unknown job id %r under %s"
-                         % (args.action, where))
-            try:
-                status["results"] = len(transport.payloads(args.action))
-            except (KeyError, ServiceError):
-                status["results"] = 0
+            status = dict(client.status(args.action))
+            status["results"] = len(client.payloads(args.action))
             print(_json.dumps(status, indent=2, sort_keys=True))
             return 0
-        statuses = transport.jobs()
+        statuses = client.jobs()
         if not statuses:
-            print("no jobs under %s" % where)
+            print("no jobs on %s" % args.connect)
             return 0
         print("%-10s %-10s %9s %9s %6s" % ("JOB", "STATUS", "COMPLETED",
                                            "POINTS", "HITS"))
@@ -340,6 +296,36 @@ def _jobs(args):
                      st.get("completed", "-"), st.get("n_points", "-"),
                      st.get("cache_hits", "-")))
     return 0
+
+
+def _service_verb(parser, args, _ready=None):
+    """Run 'serve', 'submit' or 'jobs' once its address is valid.
+
+    A missing or malformed ``--listen``/``--connect`` exits 2 before any
+    manager, worker or socket exists; a failure to reach the server
+    exits 1 with a one-line error.
+    """
+    from repro.service import ServiceError
+    from repro.service.net import parse_address
+    flag, address = (("--listen", args.listen)
+                     if args.experiment == "serve"
+                     else ("--connect", args.connect))
+    if args.experiment != "jobs" and args.action is not None:
+        parser.error("%s takes no positional argument; name the server "
+                     "with %s HOST:PORT" % (args.experiment, flag))
+    if address is None:
+        parser.error("%s needs %s HOST:PORT" % (args.experiment, flag))
+    try:
+        host, port = parse_address(address)
+    except ValueError as exc:
+        parser.error("%s: %s" % (flag, exc))
+    if args.experiment == "serve":
+        return _serve(args, host, port, _ready=_ready)
+    try:
+        return _submit(args) if args.experiment == "submit" else _jobs(args)
+    except ServiceError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return 1
 
 
 def _generate(args):
@@ -599,10 +585,10 @@ def main(argv=None, _ready=None):
                              "the cross-context race analysis over every "
                              "committed multi-context group; 'generate' "
                              "emits a family of generated programs from "
-                             "--spec/--seed; 'submit' queues "
-                             "a job in the spool, 'serve' runs queued "
-                             "jobs on a worker pool, 'jobs' lists their "
-                             "statuses")
+                             "--spec/--seed; 'serve' runs submitted "
+                             "jobs on a worker pool behind a TCP "
+                             "server, 'submit' sends it a job, 'jobs' "
+                             "lists its jobs' statuses")
     parser.add_argument("action", nargs="?", default=None,
                         help="for the 'cache' verb: stats (default) or "
                              "clear; for the 'jobs' verb: a job id to "
@@ -645,17 +631,13 @@ def main(argv=None, _ready=None):
     service_group = parser.add_argument_group(
         "service", "options for the 'serve'/'submit'/'jobs' verbs")
     service_group.add_argument(
-        "--spool", default=None,
-        help="spool directory shared by serve/submit/jobs (default "
-             "$REPRO_SPOOL_DIR or .repro_spool)")
-    service_group.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
-        help="'serve': listen for TCP clients on HOST:PORT instead of "
-             "polling the spool directory (PORT 0 = ephemeral)")
+        help="'serve' (required): listen for TCP clients on HOST:PORT "
+             "(PORT 0 = ephemeral)")
     service_group.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
-        help="'submit'/'jobs': talk to a 'serve --listen' server over "
-             "TCP instead of the spool directory")
+        help="'submit'/'jobs' (required): the 'serve --listen' server "
+             "to talk to")
     service_group.add_argument(
         "--stream", action="store_true",
         help="'submit': after printing the job id, stream each "
@@ -664,7 +646,7 @@ def main(argv=None, _ready=None):
         "--idempotency-key", default=None,
         help="'submit': client-chosen key; re-submitting with the same "
              "key returns the existing job id instead of duplicating "
-             "the work (--connect submits always carry one)")
+             "the work (without one, each submit carries a fresh key)")
     service_group.add_argument(
         "--points", default=None,
         help="'submit': explicit comma-separated points as "
@@ -674,10 +656,6 @@ def main(argv=None, _ready=None):
     service_group.add_argument(
         "--workers", type=int, default=2,
         help="worker processes for 'serve' (default 2)")
-    service_group.add_argument(
-        "--once", action="store_true",
-        help="'serve': drain the current queue, wait for every claimed "
-             "job to finish, then exit (CI mode)")
     service_group.add_argument(
         "--serve-seconds", type=float, default=None,
         help="'serve': hard wall-clock stop for the serving loop")
@@ -743,16 +721,8 @@ def main(argv=None, _ready=None):
         return _races(args)
     if args.experiment == "generate":
         return _generate(args)
-    if args.experiment in ("submit", "serve") and args.action is not None:
-        parser.error("%s takes no positional argument; name the spool "
-                     "directory with --spool %s"
-                     % (args.experiment, args.action))
-    if args.experiment == "submit":
-        return _submit(args)
-    if args.experiment == "serve":
-        return _serve(args, _ready=_ready)
-    if args.experiment == "jobs":
-        return _jobs(args)
+    if args.experiment in ("serve", "submit", "jobs"):
+        return _service_verb(parser, args, _ready)
 
     from repro.config import SystemConfig, MultiprocessorParams
     config = (SystemConfig.paper() if args.profile == "paper"

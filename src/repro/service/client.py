@@ -1,9 +1,9 @@
-"""ServiceClient: the network implementation of the Transport API.
+"""ServiceClient: the client API of the job service.
 
 A synchronous, reconnecting client for :mod:`repro.service.net`.  It
-speaks the newline-delimited JSON protocol over one TCP connection and
-presents exactly the :class:`repro.service.Transport` surface, so CLI
-verbs and user code are written once and run over either transport:
+speaks the newline-delimited JSON protocol over one TCP connection;
+the CLI's ``submit --connect`` / ``jobs --connect`` verbs and user code
+(through :func:`repro.service.connect`) both drive it:
 
 * **Timeouts** — ``connect_timeout`` bounds each TCP connect plus the
   hello handshake; ``request_timeout`` bounds each request/response
@@ -24,7 +24,6 @@ verbs and user code are written once and run over either transport:
   existing job id instead of queueing the work twice.
 """
 
-import json
 import socket
 import time
 import uuid
@@ -178,7 +177,7 @@ class ServiceClient:
                            "attempt(s): %s" % (verb, self.host, self.port,
                                                self.retries + 1, last))
 
-    # -- Transport surface -------------------------------------------------
+    # -- client API --------------------------------------------------------
 
     def submit(self, spec, idempotency_key=None):
         """Submit a :class:`JobSpec` (or its dict form); returns job id.
@@ -285,15 +284,6 @@ class ServiceClient:
     def stats(self):
         """Server-side metrics (connections, requests, bytes, resumes)."""
         return self._request("stats")["stats"]
-
-
-def _payload_points(payloads):
-    """(workload, scheme, n_contexts) keys of a payload list (debug aid)."""
-    out = []
-    for payload in payloads:
-        d = json.loads(payload)
-        out.append((d["workload"], d["scheme"], d["n_contexts"]))
-    return out
 
 
 __all__ = ["ServiceClient"]

@@ -31,11 +31,11 @@ TIMEOUT = "timeout"
 #: States a job can never leave.
 TERMINAL = (COMPLETED, FAILED, CANCELLED, TIMEOUT)
 
-#: JSON schema number of the spool/spec payloads.
+#: JSON schema number of the job specs the wire protocol carries.
 SPEC_SCHEMA = 1
 
-#: JSON schema number of the status snapshots (spool status.json and
-#: the wire protocol's ``status`` responses).
+#: JSON schema number of the status snapshots (the wire protocol's
+#: ``status``, ``jobs`` and stream ``end`` frames).
 STATUS_SCHEMA = 1
 
 
@@ -108,22 +108,22 @@ class JobSpec:
             point.kind, point.name, point.scheme, point.n_contexts,
             self._canonical[2], self.seed, warmup, measure)
 
-    # -- spool (JSON) form ------------------------------------------------
+    # -- wire (JSON) form -------------------------------------------------
 
     def to_dict(self):
-        """JSON-ready form for the spool transport.
+        """JSON-ready form for the wire protocol.
 
         The machine configs are carried as profile names + overrides
-        (the spool protocol is for the CLI verbs; the Python API can
-        pass arbitrary config objects to :meth:`JobManager.submit`
-        directly).
+        (the wire form is for remote clients and the CLI verbs; the
+        Python API can pass arbitrary config objects to
+        :meth:`JobManager.submit` directly).
         """
         profile = ("paper" if self.config == SystemConfig.paper()
                    else "fast")
         if profile == "fast" and self.config != SystemConfig.fast():
             raise ValueError(
                 "only the 'fast'/'paper' profiles round-trip through the "
-                "spool; submit custom configs through JobManager.submit")
+                "wire; submit custom configs through JobManager.submit")
         return {
             "schema_version": SPEC_SCHEMA,
             "profile": profile,

@@ -36,8 +36,8 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as conn_wait
 
-from repro.service.jobs import (JobRecord, JobSpec, PENDING, RUNNING,
-                                COMPLETED, FAILED, CANCELLED, TIMEOUT)
+from repro.service.jobs import (JobRecord, PENDING, RUNNING, COMPLETED,
+                                FAILED, CANCELLED, TIMEOUT)
 from repro.service.results import payload_from_state
 from repro.service.worker import make_task, worker_main
 
@@ -106,12 +106,10 @@ class JobManager:
     def submit(self, spec, fail_times=0):
         """Accept a job; returns its id immediately.
 
-        ``spec`` is a :class:`JobSpec` (or a spool dict).
+        ``spec`` is a :class:`JobSpec`.
         ``fail_times`` is fault injection for the soak tests: each
         point's worker dies that many times before computing.
         """
-        if isinstance(spec, dict):
-            spec = JobSpec.from_dict(spec)
         if spec.timeout is None and self.default_timeout is not None:
             spec = dataclasses.replace(spec, timeout=self.default_timeout)
         now = time.monotonic()
@@ -186,8 +184,7 @@ class JobManager:
     def payloads(self, job_id, start=0):
         """Non-blocking: payloads produced so far, from index ``start``.
 
-        The spool server drains each job incrementally with this while
-        polling, and the TCP server with it alongside
+        The TCP server streams each job with this alongside
         :meth:`wait_payload`; in-process clients should prefer
         ``iter_results``.
         """

@@ -1,11 +1,11 @@
-"""Network transport: an asyncio TCP front end over the job manager.
+"""The service wire: an asyncio TCP front end over the job manager.
 
 The paper hides long memory latencies behind ready contexts; the
-service layer does the same at the job level, and this module removes
-its last locality assumption — that clients share a filesystem with the
-workers.  A :class:`ServiceServer` listens on a TCP socket and fronts
-one :class:`~repro.service.manager.JobManager` with a newline-delimited
-JSON protocol (the spool's JSON spec format *is* the wire format):
+service layer does the same at the job level.  A :class:`ServiceServer`
+listens on a TCP socket and fronts one
+:class:`~repro.service.manager.JobManager` with a newline-delimited
+JSON protocol (a spec travels in its
+:meth:`~repro.service.jobs.JobSpec.to_dict` form):
 
 * **Framing** — one JSON object per ``\\n``-terminated line, UTF-8,
   at most :data:`MAX_FRAME` bytes.  An overlong line cannot be resynced
@@ -30,7 +30,8 @@ JSON protocol (the spool's JSON spec format *is* the wire format):
 * **Idempotency** — a ``submit`` may carry a client-chosen
   ``idempotency_key``; retrying the same submit (e.g. after a dropped
   connection swallowed the response) returns the existing job id
-  instead of duplicating the work.
+  instead of duplicating the work, even while the first submit is
+  still being admitted.
 * **Robustness** — per-connection read timeouts bound half-open peers;
   every failure path increments a counter in :class:`ServerStats`,
   which the ``stats`` verb (and ``benchmarks/bench_service.py``)
@@ -126,8 +127,7 @@ class ServiceServer:
         self.read_timeout = read_timeout
         self.max_frame = max_frame
         self.stats = ServerStats()
-        self._idempotency = {}         # key -> job_id
-        self._idem_lock = threading.Lock()
+        self._idempotency = {}         # key -> Future(job_id), loop-owned
         self._server = None
         self._loop = None
         self._thread = None
@@ -177,10 +177,10 @@ class ServiceServer:
                 self._handle_connection, self.host, self.port,
                 limit=self.max_frame)
             self.port = self._server.sockets[0].getsockname()[1]
-            if ready is not None:
-                ready(self)
             self._loop = asyncio.get_running_loop()
             self._stopped = asyncio.Event()
+            if ready is not None:      # stop() works from here on
+                ready(self)
             try:
                 if max_seconds is None:
                     await self._stopped.wait()
@@ -361,20 +361,31 @@ class ServiceServer:
         spec = JobSpec.from_dict(request["spec"])
         key = request.get("idempotency_key")
         self.stats.add("submits")
-        existing = None
+        # The key is reserved before admission yields the loop, so a
+        # concurrent submit with the same key waits for this job id
+        # instead of admitting a second job.  A reservation resolves to
+        # None when its admission failed; the key is free again then.
+        while key is not None and key in self._idempotency:
+            existing = await asyncio.shield(self._idempotency[key])
+            if existing is not None:
+                self.stats.add("idempotent_hits")
+                await self._send(writer, {"id": rid, "ok": True,
+                                          "job_id": existing,
+                                          "existing": True})
+                return True
+        reserved = None
         if key is not None:
-            with self._idem_lock:
-                existing = self._idempotency.get(key)
-        if existing is not None:
-            self.stats.add("idempotent_hits")
-            await self._send(writer, {"id": rid, "ok": True,
-                                      "job_id": existing,
-                                      "existing": True})
-            return True
-        job_id = await asyncio.to_thread(self.manager.submit, spec)
-        if key is not None:
-            with self._idem_lock:
-                self._idempotency[key] = job_id
+            reserved = asyncio.get_running_loop().create_future()
+            self._idempotency[key] = reserved
+        try:
+            job_id = await asyncio.to_thread(self.manager.submit, spec)
+        except BaseException:
+            if reserved is not None:
+                del self._idempotency[key]
+                reserved.set_result(None)
+            raise
+        if reserved is not None:
+            reserved.set_result(job_id)
         await self._send(writer, {"id": rid, "ok": True,
                                   "job_id": job_id, "existing": False})
         return True
@@ -474,17 +485,21 @@ class _InjectedDrop(Exception):
 
 
 def parse_address(text, default_host="127.0.0.1"):
-    """``HOST:PORT`` / ``:PORT`` / ``PORT`` -> (host, port)."""
+    """``HOST:PORT`` / ``:PORT`` / ``PORT`` -> (host, port).
+
+    Raises ValueError unless PORT is an integer in 0-65535 (the socket
+    layer would otherwise wrap a larger one silently).
+    """
     text = str(text).strip()
     if ":" in text:
         host, _, port = text.rpartition(":")
         host = host or default_host
     else:
         host, port = default_host, text
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ValueError("bad address %r (expected HOST:PORT)" % (text,))
+    if not port.isdecimal() or int(port) > 65535:
+        raise ValueError("bad address %r (expected HOST:PORT with PORT "
+                         "in 0-65535)" % (text,))
+    return host, int(port)
 
 
 __all__ = ["ServiceServer", "ServerStats", "ProtocolError",

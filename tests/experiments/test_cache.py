@@ -92,7 +92,7 @@ class TestPointKey:
     def test_key_bytes_are_pinned(self, monkeypatch, profile, point,
                                   window, digest):
         """Every key path hashes the same bytes as ever: a changed
-        digest would orphan every existing cache entry and spool."""
+        digest would orphan every existing cache entry."""
         from repro.experiments.runner import ExperimentContext
         config = getattr(SystemConfig, profile)()
         mpp = MultiprocessorParams()

@@ -78,7 +78,9 @@ class TestGenerateVerb:
         with pytest.raises(SystemExit):
             main(["generate", "--spec", "warp_factor=9"])
 
-    def test_bad_gen_point_rejected_up_front(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["submit", "--spool", str(tmp_path / "spool"),
+    def test_bad_gen_point_rejected_up_front(self):
+        # Refused before connecting: nothing listens on port 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", "--connect", "127.0.0.1:1",
                   "--points", "gen:warp_factor=9:interleaved:2"])
+        assert "warp_factor" in str(exc.value.code)

@@ -1,4 +1,4 @@
-"""JobSpec validation, spool round-trip, and cache-key interchange."""
+"""JobSpec validation, wire-dict round-trip, and cache-key interchange."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.service.jobs import JobSpec
 FAST = SystemConfig.fast()
 MPP = MultiprocessorParams(n_nodes=2)
 
-#: A spool payload as ``to_dict`` wrote it while jobs could pick a
+#: A spec dict as ``to_dict`` wrote it while jobs could pick a
 #: scoreboard implementation: every current field plus ``"backend"``.
 OLD_SPEC = {
     "schema_version": 1, "profile": "fast", "nodes": 2,
@@ -135,9 +135,9 @@ def test_spool_dict_rejects_events_engine():
 
 @pytest.mark.parametrize("value", ["python", "numpy", "auto", None])
 def test_spool_dict_ignores_old_backend_key(value):
-    """Older spools and clients wrote a ``backend`` key; whatever it
-    names, the spec parses as if the key were absent, keys the same
-    cache entries and writes itself back without the key."""
+    """Older clients wrote a ``backend`` key; whatever it names, the
+    spec parses as if the key were absent, keys the same cache entries
+    and writes itself back without the key."""
     without = dict(OLD_SPEC)
     del without["backend"]
     reference = JobSpec.from_dict(without)

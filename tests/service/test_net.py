@@ -12,13 +12,14 @@ the ``stats`` verb exposes.
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.cache import ResultCache
 from repro.service import (JobManager, JobSpec, JobStatus, ServiceError,
-                           Transport, connect)
+                           connect)
 from repro.service.net import (PROTO_VERSION, ServiceServer,
                                encode_frame)
 
@@ -149,6 +150,54 @@ def test_submit_is_idempotent_under_retry_key(client):
     assert stats["submits"] == 3
 
 
+def test_overlapping_submits_with_one_key_admit_one_job(manager, server,
+                                                        monkeypatch):
+    """Two submits carrying one key, the second arriving while the first
+    is still being admitted, get one job id and one job."""
+    real_submit = manager.submit
+
+    def slow_submit(spec, **kwargs):
+        time.sleep(0.3)
+        return real_submit(spec, **kwargs)
+
+    monkeypatch.setattr(manager, "submit", slow_submit)
+    barrier = threading.Barrier(2)
+    job_ids = []
+
+    def submit():
+        with connect(server.host, server.port) as client:
+            client.stats()             # connected before the race starts
+            barrier.wait(timeout=30)
+            job_ids.append(client.submit(_spec(),
+                                         idempotency_key="same-key"))
+
+    threads = [threading.Thread(target=submit) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(job_ids) == 2 and job_ids[0] == job_ids[1]
+    assert len(manager.jobs()) == 1
+
+
+def test_failed_admission_frees_its_key(manager, server, monkeypatch):
+    real_submit = manager.submit
+    refusals = [ServiceError("admission refused")]
+
+    def flaky_submit(spec, **kwargs):
+        if refusals:
+            raise refusals.pop()
+        return real_submit(spec, **kwargs)
+
+    monkeypatch.setattr(manager, "submit", flaky_submit)
+    with connect(server.host, server.port) as client:
+        with pytest.raises(ServiceError, match="admission refused"):
+            client.submit(_spec(), idempotency_key="retry-me")
+        job_id = client.submit(_spec(), idempotency_key="retry-me")
+    assert [job["job_id"] for job in manager.jobs()] == [job_id]
+
+
 def test_unknown_job_raises_service_error(client):
     with pytest.raises(ServiceError):
         client.status("job-9999")
@@ -166,10 +215,6 @@ def test_cancelled_job_stream_raises(manager, server):
         assert client.cancel(job_id) is True
         with pytest.raises(ServiceError, match="cancelled"):
             list(client.stream(job_id))
-
-
-def test_client_is_a_transport(client):
-    assert isinstance(client, Transport)
 
 
 # -- resumable streaming --------------------------------------------------

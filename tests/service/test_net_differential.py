@@ -5,12 +5,12 @@ asserts the streamed payloads are byte-identical to the serial
 ``Simulation`` facade computing the same points — the interleaving-
 independence argument extended across a network hop.  Also drives the
 CLI end-to-end: a ``serve --listen`` server in one thread, ``submit
---connect --stream`` and ``jobs --connect`` as a filesystem-free
-client in another.
+--connect --stream`` as a filesystem-free client in another.
 """
 
 import json
-import threading
+
+import pytest
 
 from repro.api import Simulation
 from repro.config import SystemConfig, MultiprocessorParams
@@ -84,42 +84,28 @@ def test_stream_resume_midway_is_byte_identical(tmp_path):
     assert len(set(prefix + suffix)) == len(MATRIX[:4])
 
 
-def test_cli_socket_round_trip(tmp_path, capsys, monkeypatch):
-    """``submit --connect``/``jobs --connect`` against a ``serve
-    --listen`` server, with the client forbidden filesystem access
-    to the server's state."""
-    monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "unused-spool"))
-    ready = threading.Event()
-    bound = {}
-
-    def run_server():
-        # _serve exercises the real CLI wiring; ready fires post-bind.
-        cli_main(["serve", "--listen", "127.0.0.1:0", "--workers", "2",
-                  "--serve-seconds", "60",
-                  "--cache-dir", str(tmp_path / "rc")],
-                 _ready=lambda h, p: (bound.update(host=h, port=p),
-                                      ready.set()))
-
-    server = threading.Thread(target=run_server, daemon=True)
-    server.start()
-    assert ready.wait(timeout=30), "serve --listen never bound"
-    addr = "%s:%d" % (bound["host"], bound["port"])
-
+def test_cli_socket_round_trip(cli_server, capsys):
+    """``submit --connect --stream`` against a ``serve --listen``
+    server streams payloads byte-identical to the serial facade, with
+    the client forbidden filesystem access to the server's state; a
+    bad ``--points`` value is refused before the client connects."""
+    addr = cli_server.address
     rc = cli_main(["submit", "--connect", addr, "--stream",
                    "--warmup", str(WARMUP), "--measure", str(MEASURE),
                    "--points",
                    "uniproc:R1:single:1,uniproc:R1:interleaved:2"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    job_id, payloads = lines[0], lines[1:]
+    payloads = lines[1:]
     assert len(payloads) == 2
     serial = _serial_payloads((("uniproc", "R1", "single", 1),
                                ("uniproc", "R1", "interleaved", 2)))
     assert _by_point(payloads) == serial
 
-    assert cli_main(["jobs", job_id, "--connect", addr]) == 0
-    status = json.loads(capsys.readouterr().out)
-    assert status["status"] == "completed"
-    assert status["results"] == 2
-    # the client side never created local service state
-    assert not (tmp_path / "unused-spool").exists()
+    with connect(addr) as probe:
+        before = probe.stats()["connections"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["submit", "--connect", addr,
+                      "--points", "uniproc:R1:single"])
+        assert "uniproc:R1:single" in str(exc.value.code)
+        assert probe.stats()["connections"] == before

@@ -1,14 +1,18 @@
-"""The transport-agnostic client API: one surface, two wires.
+"""The client API and the CLI over the service's one wire (TCP).
 
-Pins the ``Transport`` protocol, implemented by both ``SpoolTransport``
-and ``ServiceClient``; the stable ``repro.service`` public surface;
-``schema_version`` on serialized specs, statuses and payloads; and the
-CLI's rejection of a positional spool directory.
+Pins the stable ``repro.service`` public surface and the ``connect``
+factory; ``schema_version`` on serialized specs, statuses and payloads;
+and the CLI's handling of its service addresses: a missing, malformed
+or positional address exits 2 before any manager, worker or socket
+exists, and a port already in use or a server that is not running
+exits 1 with a one-line error, never a traceback.  Against a live
+``serve --listen`` server (the ``cli_server`` fixture): the
+submit/jobs round trip, an unknown job id, a job id as ``jobs``'s
+positional argument, and ``--idempotency-key``.
 """
 
 import json
-import threading
-import time
+import socket
 
 import pytest
 
@@ -16,11 +20,8 @@ import repro.service as service
 from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main as cli_main
-from repro.service import (JobManager, JobSpec, Transport, connect,
-                           open_spool)
+from repro.service import JobManager, JobSpec, ServiceError, connect
 from repro.service.client import ServiceClient
-from repro.service.net import ServiceServer
-from repro.service.spool import Spool, SpoolTransport, serve_forever
 
 FAST = SystemConfig.fast()
 MPP = MultiprocessorParams(n_nodes=2)
@@ -40,32 +41,28 @@ def _spec(points=POINTS, **kwargs):
 # -- public surface -------------------------------------------------------
 
 def test_stable_public_surface():
-    for name in ("JobSpec", "JobStatus", "Transport", "connect",
-                 "open_spool"):
+    for name in ("JobSpec", "JobStatus", "connect", "JobManager",
+                 "ServiceError"):
         assert name in service.__all__, name
-        assert hasattr(service, name), name
     # everything promised in __all__ actually resolves
     for name in service.__all__:
         assert hasattr(service, name), name
+    # TCP is the one wire: no second transport, no protocol over both
+    for name in ("Transport", "open_spool"):
+        assert name not in service.__all__, name
+        assert not hasattr(service, name), name
+    with pytest.raises(ModuleNotFoundError):
+        import repro.service.spool  # noqa: F401
 
 
-def test_factories_return_transports(tmp_path):
-    spool_t = open_spool(tmp_path / "sp")
-    assert isinstance(spool_t, SpoolTransport)
-    assert isinstance(spool_t, Transport)
+def test_factories_return_transports():
     client = connect("127.0.0.1:1")       # no connection made yet
     assert isinstance(client, ServiceClient)
-    assert isinstance(client, Transport)
     assert (client.host, client.port) == ("127.0.0.1", 1)
     client2 = connect("127.0.0.1", 2)
     assert (client2.host, client2.port) == ("127.0.0.1", 2)
-
-
-def test_transport_protocol_method_set():
-    for method in ("submit", "status", "results", "payloads", "stream",
-                   "cancel", "jobs", "close"):
-        assert callable(getattr(SpoolTransport, method)), method
-        assert callable(getattr(ServiceClient, method)), method
+    with pytest.raises(ValueError, match="bad address"):
+        connect("127.0.0.1:notaport")
 
 
 # -- schema versions ------------------------------------------------------
@@ -83,7 +80,7 @@ def test_spec_rejects_mismatched_schema_fields():
     with pytest.raises(ValueError, match="schema_version"):
         JobSpec.from_dict(payload)
     legacy_only = _spec().to_dict()
-    del legacy_only["schema_version"]      # a pre-network spool file
+    del legacy_only["schema_version"]      # a pre-versioning spec
     legacy_only["schema"] = 1
     with pytest.raises(ValueError, match="schema_version"):
         JobSpec.from_dict(legacy_only)
@@ -99,169 +96,183 @@ def test_status_and_payload_carry_schema_version(tmp_path):
     assert json.loads(payloads[0])["schema_version"] == 1
 
 
-# -- spool transport over a live server -----------------------------------
+# -- CLI: the service addresses -------------------------------------------
 
-def test_spool_transport_round_trip(tmp_path):
-    spool = Spool(tmp_path / "sp")
-    transport = open_spool(tmp_path / "sp")
-    job_id = transport.submit(_spec(), idempotency_key="key-1")
-    assert transport.submit(_spec(), idempotency_key="key-1") == job_id
-    assert transport.status(job_id)["status"] == "queued"
-
-    manager = JobManager(workers=2, cache=ResultCache(tmp_path / "rc"))
-    server = threading.Thread(
-        target=serve_forever, args=(spool, manager),
-        kwargs={"once": True, "poll": 0.02})
-    server.start()
-    payloads = list(transport.stream(job_id))
-    server.join(timeout=120)
-    assert len(payloads) == 2
-    assert transport.results(job_id, timeout=10) == payloads
-    assert transport.payloads(job_id, from_index=1) == payloads[1:]
-    statuses = transport.jobs()
-    assert [s["job_id"] for s in statuses] == [job_id]
-    assert statuses[0]["status"] == "completed"
+def _unused_port():
+    """A port nothing listens on (bound once, then released)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
-def test_spool_and_socket_stream_identical_bytes(tmp_path):
-    """The transport-agnosticism contract: the same spec through both
-    transports yields byte-identical payload sets."""
-    spec = _spec()
-    # spool side
-    spool = Spool(tmp_path / "sp")
-    spool_t = open_spool(tmp_path / "sp")
-    sid = spool_t.submit(spec)
-    manager = JobManager(workers=2, cache=ResultCache(tmp_path / "rc1"))
-    serve_forever(spool, manager, once=True, poll=0.02)
-    spool_payloads = spool_t.results(sid, timeout=10)
-    # socket side (fresh cache: genuinely recomputed)
-    with JobManager(workers=2,
-                    cache=ResultCache(tmp_path / "rc2")) as mgr:
-        with ServiceServer(mgr) as server:
-            with connect(server.host, server.port) as client:
-                nid = client.submit(spec)
-                net_payloads = list(client.stream(nid))
-    assert sorted(spool_payloads) == sorted(net_payloads)
+def _forbid_service_state(monkeypatch):
+    """Make building a manager or a client fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("service state built before the address "
+                             "was checked")
+    monkeypatch.setattr(service, "JobManager", forbidden)
+    monkeypatch.setattr(service, "connect", forbidden)
 
 
-def test_spool_transport_cancel_queued_job(tmp_path):
-    transport = open_spool(tmp_path / "sp")
-    job_id = transport.submit(_spec())
-    assert transport.cancel(job_id) is True
-    assert transport.status(job_id)["status"] == "cancelled"
-    # nothing left for a server to claim
-    assert Spool(tmp_path / "sp").pending() == []
+POINT_FLAGS = ["--warmup", "1000", "--measure", "6000",
+               "--points", "uniproc:R1:single:1"]
 
 
-def test_spool_transport_cancel_claimed_job(tmp_path):
-    spool = Spool(tmp_path / "sp")
-    transport = open_spool(tmp_path / "sp")
-    # a job big enough to still be running when the cancel lands
-    job_id = transport.submit(_spec(
-        points=(("uniproc", "R1", "single", 1),),
-        measure=4_000_000, warmup=0))
-    manager = JobManager(workers=1)
-    server = threading.Thread(
-        target=serve_forever, args=(spool, manager),
-        kwargs={"once": True, "poll": 0.02})
-    server.start()
-    try:
-        cancelled = transport.cancel(job_id, timeout=60.0)
-    finally:
-        server.join(timeout=120)
-    assert cancelled is True
-    assert transport.status(job_id)["status"] == "cancelled"
-
-
-def test_claim_skips_a_spec_withdrawn_after_listing(tmp_path, monkeypatch):
-    """A client withdraws a queued spec between the server's listing and
-    its claim: the claim returns None, the serve loop survives, and the
-    client's ``cancelled`` status stands."""
-    spool = Spool(tmp_path / "sp")
-    transport = open_spool(tmp_path / "sp")
-    job_id = transport.submit(_spec())
-    stale = spool.pending()
-    assert transport.cancel(job_id) is True
-    assert spool.claim(*stale[0]) is None
-    assert not (spool.jobs_dir / job_id / "spec.json").exists()
-
-    listings = [stale]
-    real_pending = spool.pending
-    monkeypatch.setattr(spool, "pending", lambda: (
-        listings.pop() if listings else real_pending()))
-    assert serve_forever(spool, JobManager(workers=1), once=True,
-                         poll=0.02) == 0
-    assert transport.status(job_id)["status"] == "cancelled"
-
-
-def test_cancel_with_a_stale_listing_takes_the_marker_path(tmp_path,
-                                                           monkeypatch):
-    """The server claims the spec between the client's listing and its
-    unlink: cancel falls through to the ``cancel.request`` marker, which
-    the serving process honours."""
-    spool = Spool(tmp_path / "sp")
-    transport = open_spool(tmp_path / "sp")
-    job_id = transport.submit(_spec(
-        points=(("uniproc", "R1", "single", 1),),
-        measure=4_000_000, warmup=0))
-    stale = transport.spool.pending()
-    manager = JobManager(workers=1)
-    server = threading.Thread(
-        target=serve_forever, args=(spool, manager),
-        kwargs={"once": True, "poll": 0.02})
-    server.start()
-    try:
-        deadline = time.monotonic() + 60
-        while spool.pending() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert (spool.jobs_dir / job_id / "spec.json").exists()
-        monkeypatch.setattr(transport.spool, "pending", lambda: stale)
-        cancelled = transport.cancel(job_id, timeout=60.0)
-    finally:
-        server.join(timeout=120)
-    assert cancelled is True
-    assert transport.status(job_id)["status"] == "cancelled"
-
-
-def test_unknown_job_id_raises_key_error(tmp_path):
-    transport = open_spool(tmp_path / "sp")
-    with pytest.raises(KeyError):
-        transport.status("sj-99999")
-
-
-# -- CLI: transports and the spool directory ------------------------------
-
-@pytest.mark.parametrize("verb", ["submit", "serve"])
-def test_cli_positional_spool_rejected(verb, tmp_path, monkeypatch, capsys):
-    """``submit <dir>`` would otherwise queue into the default spool."""
+@pytest.mark.parametrize("argv, named", [
+    (["serve"], "--listen"),
+    (["submit"] + POINT_FLAGS, "--connect"),
+    (["jobs"], "--connect"),
+    (["serve", "--listen", "127.0.0.1:notaport"], "--listen"),
+    (["submit", "--connect", "127.0.0.1:notaport"] + POINT_FLAGS,
+     "--connect"),
+    (["jobs", "--connect", "127.0.0.1:70000"], "--connect"),
+    (["serve", "sp", "--listen", "127.0.0.1:0"], "--listen"),
+    (["submit", "sp", "--connect", "127.0.0.1:1"] + POINT_FLAGS,
+     "--connect"),
+    (["serve", "--spool", "sp"], "--spool"),
+    (["serve", "--listen", "127.0.0.1:0", "--once"], "--once"),
+], ids=["serve-no-listen", "submit-no-connect", "jobs-no-connect",
+        "serve-bad-listen", "submit-bad-connect", "jobs-port-range",
+        "serve-positional", "submit-positional", "spool-unknown",
+        "once-unknown"])
+def test_cli_service_address_checked_up_front(argv, named, tmp_path,
+                                              monkeypatch, capsys):
+    """A missing, malformed or positional address (and the deleted
+    ``--spool``/``--once`` flags) exits 2 through the argument parser,
+    naming the flag, before any manager, worker or socket exists."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("REPRO_SPOOL_DIR", raising=False)
+    _forbid_service_state(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        cli_main([verb, "sp", "--warmup", "1000", "--measure", "6000",
-                  "--points", "uniproc:R1:single:1"])
+        cli_main(argv)
     assert exc.value.code == 2
-    assert "--spool" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_jobs_job_id_is_not_mistaken_for_a_spool(tmp_path, capsys):
-    spool_dir = str(tmp_path / "sp")
-    cli_main(["submit", "--spool", spool_dir,
-              "--warmup", "1000", "--measure", "6000",
-              "--points", "uniproc:R1:single:1"])
+def test_cli_submit_rejects_bad_point(tmp_path, monkeypatch):
+    """A bad ``--points`` value is refused, naming it, before the
+    client connects (nothing listens on port 1)."""
+    _forbid_service_state(monkeypatch)
+    for bad, named in (("uniproc:R1:single", "uniproc:R1:single"),
+                       ("uniproc:NOPE:single:1", "NOPE"),
+                       ("uniproc:R1:single:many", "single:many")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["submit", "--connect", "127.0.0.1:1",
+                      "--points", bad])
+        assert named in str(exc.value.code)
+
+
+def test_cli_serve_on_a_port_in_use_exits_1(monkeypatch, capsys):
+    managers = []
+
+    class RecordingManager(JobManager):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            managers.append(self)
+
+    monkeypatch.setattr(service, "JobManager", RecordingManager)
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        rc = cli_main(["serve", "--listen", "127.0.0.1:%d" % port,
+                       "--workers", "1", "--no-cache"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot listen on 127.0.0.1:%d" % port)
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    # the manager was shut down on the way out
+    (manager,) = managers
+    with pytest.raises(ServiceError, match="shutting down"):
+        manager.submit(_spec())
+
+
+@pytest.mark.parametrize("argv", [["submit"] + POINT_FLAGS, ["jobs"]],
+                         ids=["submit", "jobs"])
+def test_cli_client_without_a_server_exits_1(argv, capsys):
+    address = "127.0.0.1:%d" % _unused_port()
+    assert cli_main(argv + ["--connect", address]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot connect to %s"
+                                   % address)
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+# -- CLI: against a live server -------------------------------------------
+
+def test_cli_submit_serve_jobs_round_trip(cli_server, tmp_path, capsys):
+    """``submit --connect --stream`` runs both points on the server,
+    ``jobs --connect`` lists the job completed and ``jobs <id>
+    --connect`` details it; ``serve`` writes nothing in the working
+    directory except ``--cache-dir``."""
+    addr = cli_server.address
+    rc = cli_main(["submit", "--connect", addr, "--stream",
+                   "--warmup", "1000", "--measure", "6000",
+                   "--points",
+                   "uniproc:R1:single:1,uniproc:R1:interleaved:2"])
+    assert rc == 0
+    job_id, *payloads = capsys.readouterr().out.strip().splitlines()
+    assert sorted((d["scheme"], d["n_contexts"])
+                  for d in map(json.loads, payloads)) == [
+        ("interleaved", 2), ("single", 1)]
+
+    assert cli_main(["jobs", "--connect", addr]) == 0
+    listing = capsys.readouterr().out.strip().splitlines()
+    assert [row.split()[:2] for row in listing[1:]] == [
+        [job_id, "completed"]]
+
+    assert cli_main(["jobs", job_id, "--connect", addr]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["status"] == "completed"
+    assert status["results"] == 2
+
+    assert cli_server.stop() == 0
+    assert "served" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["rc"]
+
+
+def test_cli_jobs_unknown_id_errors(cli_server, capsys):
+    assert cli_main(["jobs", "job-9999", "--connect",
+                     cli_server.address]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "job-9999" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_jobs_job_id_is_not_mistaken_for_a_spool(cli_server, capsys):
+    """The positional argument of ``jobs`` is the id of the job to
+    show, never a directory (the CLI once took a spool path there)."""
+    assert cli_main(["submit", "--connect", cli_server.address]
+                    + POINT_FLAGS) == 0
     job_id = capsys.readouterr().out.strip()
-    assert cli_main(["jobs", job_id, "--spool", spool_dir]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "queued"
+    assert cli_main(["jobs", job_id, "--connect", cli_server.address]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["job_id"] == job_id
+    assert status["status"] in ("queued", "running", "completed")
 
 
-def test_cli_submit_with_idempotency_key(tmp_path, capsys):
-    spool_dir = str(tmp_path / "sp")
-    argv = ["submit", "--spool", spool_dir,
-            "--warmup", "1000", "--measure", "6000",
-            "--points", "uniproc:R1:single:1",
-            "--idempotency-key", "ci-rerun-7"]
-    assert cli_main(argv) == 0
+def test_cli_submit_with_idempotency_key(cli_server, capsys):
+    """Resubmitting with one ``--idempotency-key`` prints the keyed
+    job's id again and admits no second job; the key does not match
+    an earlier job submitted without it."""
+    addr = cli_server.address
+    assert cli_main(["submit", "--connect", addr] + POINT_FLAGS) == 0
+    unkeyed = capsys.readouterr().out.strip()
+    keyed = (["submit", "--connect", addr] + POINT_FLAGS
+             + ["--idempotency-key", "ci-rerun-7"])
+    assert cli_main(keyed) == 0
     first = capsys.readouterr().out.strip()
-    assert cli_main(list(argv)) == 0
-    assert capsys.readouterr().out.strip() == first
-    assert len(Spool(spool_dir).pending()) == 1
+    assert cli_main(list(keyed)) == 0
+    assert capsys.readouterr().out.strip() == first != unkeyed
+
+    assert cli_main(["jobs", "--connect", addr]) == 0
+    listing = capsys.readouterr().out.strip().splitlines()
+    assert [row.split()[0] for row in listing[1:]] == [unkeyed, first]
