@@ -36,18 +36,23 @@ unchanged), which :func:`make_policy` enforces.
 from repro.core.context import Status, NEVER
 from repro.pipeline.stalls import Stall
 
-# select(), owns_window() and idle_wake_info() run every cycle, so they
-# read enum members through module globals (see the note in
-# repro.core.processor).
+# select(), owns_window() and idle_wake_info() run on the per-cycle
+# path, so they read enum members through module globals (see the note
+# in repro.core.processor).
 RUNNING = Status.RUNNING
 DOOMED = Status.DOOMED
 WAITING = Status.WAITING
-SWITCH = Stall.SWITCH
 IDLE = Stall.IDLE
 
 
 class ContextPolicy:
-    """Base class: slot selection, window ownership + off-processor costs."""
+    """Base class: slot selection, window ownership + off-processor costs.
+
+    Every scheme picks a slot's context the same way: the first RUNNING
+    or DOOMED context in cid order from :attr:`pointer`, after which the
+    pointer moves to that context (single, blocked) or past it
+    (interleaved).
+    """
 
     name = "abstract"
     #: Whether late-detected misses squash via the doomed-window mechanism.
@@ -55,7 +60,8 @@ class ContextPolicy:
     #: Cycles charged when a context voluntarily leaves the processor
     #: (explicit switch / backoff instruction, Table 4).
     off_cost = 1
-    #: Whether issue rotates among the selectable contexts every slot.
+    #: Whether issue rotates among the selectable contexts every slot
+    #: (the pointer moves this many, 1 or 0, past the selected one).
     #: Such a policy can give a window to one context only while no other
     #: is selectable, so the processor skips its fast-path attempts in a
     #: cycle that starts with two or more.
@@ -64,10 +70,24 @@ class ContextPolicy:
     def __init__(self, n_contexts, params):
         self.n_contexts = n_contexts
         self.params = params
+        #: The context the next slot's scan starts at.
+        self.pointer = 0
 
     def select(self, contexts, now):
-        """The context owning this issue slot (or None)."""
-        raise NotImplementedError
+        """The context owning this issue slot (or None).
+
+        ``Processor.step`` makes the same scan for a cycle's first slot
+        in one pass with its wakes and miss detections; this serves the
+        later slots of a multi-issue cycle.
+        """
+        n = self.n_contexts
+        start = self.pointer
+        for step in range(n):
+            cand = contexts[(start + step) % n]
+            if cand.status is RUNNING or cand.status is DOOMED:
+                self.pointer = (cand.cid + self.round_robin) % n
+                return cand
+        return None
 
     def owns_window(self, ctx, contexts, end, extern):
         """Whether ``ctx``, just selected, owns every issue slot up to
@@ -83,6 +103,7 @@ class ContextPolicy:
 
     def reset(self):
         """Forget selection state (used when the OS reschedules)."""
+        self.pointer = 0
 
 
 class SinglePolicy(ContextPolicy):
@@ -92,62 +113,45 @@ class SinglePolicy(ContextPolicy):
     uses_doomed_window = False
     off_cost = 0
 
-    def select(self, contexts, now):
-        ctx = contexts[0]
-        if ctx.status is RUNNING or ctx.status is DOOMED:
-            return ctx
-        return None
-
     def owns_window(self, ctx, contexts, end, extern):
         """The only context always owns the window."""
         return True
 
 
 class BlockedPolicy(ContextPolicy):
-    """Run one context until it blocks; flush and switch."""
+    """Run one context until it blocks; flush and switch.  The pointer
+    is the current context."""
 
     name = "blocked"
     uses_doomed_window = True
 
     def __init__(self, n_contexts, params):
         super().__init__(n_contexts, params)
-        self.current = 0
         self.off_cost = params.explicit_switch_cost
-
-    def select(self, contexts, now):
-        ctx = contexts[self.current]
-        if ctx.status is RUNNING or ctx.status is DOOMED:
-            return ctx
-        # Current context is unavailable: rotate to the next ready one.
-        n = self.n_contexts
-        for step in range(1, n):
-            cand = contexts[(self.current + step) % n]
-            if cand.status is RUNNING:
-                self.current = cand.cid
-                return cand
-        return None
 
     def owns_window(self, ctx, contexts, end, extern):
         """The selected context owns the window, whatever its siblings do.
 
-        ``select`` keeps handing every slot to the current context while
+        Selection keeps handing every slot to the current context while
         it is RUNNING, and nothing in the window can stop it running: a
         sibling that wakes — by its own clock or by an external handoff —
-        waits for the next switch, and the only DOOMED context is ever
-        the current one.
+        waits for the next switch.  A context turns DOOMED only when it
+        misses while current, and the pointer cannot leave a DOOMED
+        context, so the only DOOMED context is ever the current one.
         """
         return True
 
     def force_switch(self, contexts):
         """Explicit SWITCH instruction: move on even though runnable."""
-        self.current = (self.current + 1) % self.n_contexts
-
-    def reset(self):
-        self.current = 0
+        self.pointer = (self.pointer + 1) % self.n_contexts
 
 
 class InterleavedPolicy(ContextPolicy):
-    """The paper's proposal: cycle-by-cycle round-robin issue."""
+    """The paper's proposal: cycle-by-cycle round-robin issue.
+
+    Strict round robin: the *next* slot goes to the context after the
+    selected one, whether or not the selected one manages to issue.
+    """
 
     name = "interleaved"
     uses_doomed_window = True
@@ -155,20 +159,7 @@ class InterleavedPolicy(ContextPolicy):
 
     def __init__(self, n_contexts, params):
         super().__init__(n_contexts, params)
-        self.pointer = 0
         self.off_cost = params.backoff_cost
-
-    def select(self, contexts, now):
-        n = self.n_contexts
-        start = self.pointer
-        for step in range(n):
-            cand = contexts[(start + step) % n]
-            if cand.status is RUNNING or cand.status is DOOMED:
-                # Strict round-robin: the *next* slot goes to the context
-                # after this one, whether or not this one manages to issue.
-                self.pointer = (cand.cid + 1) % n
-                return cand
-        return None
 
     def owns_window(self, ctx, contexts, end, extern):
         """Only a sole runner owns the window: no other context is
@@ -186,9 +177,6 @@ class InterleavedPolicy(ContextPolicy):
             elif status is RUNNING or status is DOOMED:
                 return False
         return True
-
-    def reset(self):
-        self.pointer = 0
 
 
 _POLICIES = {
@@ -221,6 +209,7 @@ def make_policy(scheme, n_contexts, params):
 def idle_wake_info(contexts):
     """(earliest wake cycle, stall reason) over all waiting contexts.
 
+    Asked only when no context is selectable (RUNNING or DOOMED).
     Returns (None, IDLE) when nothing will ever wake by itself — all
     contexts halted/empty, or waiting on locks held elsewhere.
     """
@@ -231,11 +220,6 @@ def idle_wake_info(contexts):
             if earliest is None or ctx.wake_at < earliest:
                 earliest = ctx.wake_at
                 reason = ctx.wake_reason
-        elif ctx.status is DOOMED:
-            # Shouldn't happen (doomed contexts are selectable) but be safe.
-            if earliest is None or ctx.doomed_detect < earliest:
-                earliest = ctx.doomed_detect
-                reason = SWITCH
     if earliest is None:
         for ctx in contexts:
             if ctx.status is WAITING:

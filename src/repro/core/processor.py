@@ -72,9 +72,9 @@ class Processor:
         self.pp = pipeline_params
         self.policy = make_policy(scheme, n_contexts, pipeline_params)
         self.contexts = [HardwareContext(i) for i in range(n_contexts)]
-        # The contexts in round-robin scan order from each pointer value
-        # (step's one-pass pick).  load_process reuses the context
-        # objects, so the rotations stay valid for the processor's life.
+        # The contexts in scan order from each pointer value (step's
+        # one-pass pick).  load_process reuses the context objects, so
+        # the rotations stay valid for the processor's life.
         self._rotations = [self.contexts[i:] + self.contexts[:i]
                            for i in range(n_contexts)]
         self.scoreboard = Scoreboard(n_contexts)
@@ -177,43 +177,39 @@ class Processor:
                 self.trace(now, None, "stall")
             return False
         policy = self.policy
+        # One pass in issue order from the policy's pointer applies each
+        # context's due wake or miss detection, counts the selectable
+        # (RUNNING or DOOMED) contexts and takes the first as slot 0's
+        # (the scan ContextPolicy.select makes for later slots).
+        ctx = None
+        ready = 0
+        for cand in self._rotations[policy.pointer]:
+            status = cand.status
+            if status is WAITING:
+                if cand.wake_at > now:
+                    continue
+                cand.status = RUNNING
+            elif status is DOOMED:
+                if now >= cand.doomed_detect:
+                    self._detect_miss(cand, now)
+                    if cand.status is not RUNNING:
+                        continue
+            elif status is not RUNNING:
+                continue
+            ready += 1
+            if ctx is None:
+                ctx = cand
+        if ctx is not None:
+            policy.pointer = ((ctx.cid + policy.round_robin)
+                              % policy.n_contexts)
         # One check per cycle decides whether this cycle may take a fast
         # path (a burst dispatch or a bulk-charged hazard window): the
         # burst engine is on, the slot tracer is off, and — under
         # round-robin issue — no second context is selectable, in which
         # case the policy could not give the window to one context
         # anyway.
-        fast = self.burst_enabled and self.trace is None
-        if policy.round_robin:
-            # One pass in issue order from the round-robin pointer
-            # applies each context's due wake or miss detection (as
-            # _update_contexts would), counts the selectable contexts
-            # and takes the first as slot 0's (as select would).
-            ctx = None
-            ready = 0
-            for cand in self._rotations[policy.pointer]:
-                status = cand.status
-                if status is WAITING:
-                    if cand.wake_at > now:
-                        continue
-                    cand.status = RUNNING
-                elif status is DOOMED:
-                    if now >= cand.doomed_detect:
-                        self._detect_miss(cand, now)
-                        if cand.status is not RUNNING:
-                            continue
-                elif status is not RUNNING:
-                    continue
-                ready += 1
-                if ctx is None:
-                    ctx = cand
-            if ctx is not None:
-                policy.pointer = (ctx.cid + 1) % policy.n_contexts
-            if ready > 1:
-                fast = False
-        else:
-            self._update_contexts(now)
-            ctx = policy.select(self.contexts, now)
+        fast = (self.burst_enabled and self.trace is None
+                and (ready < 2 or not policy.round_robin))
         trace = self.trace
         idle = True
         for _slot in range(width):
@@ -357,7 +353,8 @@ class Processor:
 
     def _update_contexts(self, now):
         """Apply the wakes and miss detections due at ``now``; returns
-        the number of selectable (RUNNING or DOOMED) contexts."""
+        the number of selectable (RUNNING or DOOMED) contexts (the
+        probe of :meth:`idle_until`; ``step`` makes the same pass)."""
         ready = 0
         for ctx in self.contexts:
             status = ctx.status

@@ -485,10 +485,13 @@ class _InjectedDrop(Exception):
 
 
 def parse_address(text, default_host="127.0.0.1"):
-    """``HOST:PORT`` / ``:PORT`` / ``PORT`` -> (host, port).
+    """``HOST:PORT`` / ``[HOST]:PORT`` / ``:PORT`` / ``PORT`` -> (host, port).
 
-    Raises ValueError unless PORT is an integer in 0-65535 (the socket
-    layer would otherwise wrap a larger one silently).
+    One pair of brackets around HOST is stripped, so an IPv6 literal
+    reads ``"[::1]:7994"`` -> ``("::1", 7994)``.  Raises ValueError
+    unless PORT is an integer in 0-65535 (the socket layer would
+    otherwise wrap a larger one silently) and any bracket in HOST is
+    one pair around all of it.
     """
     text = str(text).strip()
     if ":" in text:
@@ -499,6 +502,13 @@ def parse_address(text, default_host="127.0.0.1"):
     if not port.isdecimal() or int(port) > 65535:
         raise ValueError("bad address %r (expected HOST:PORT with PORT "
                          "in 0-65535)" % (text,))
+    if "[" in host or "]" in host:
+        inner = host[1:-1]
+        if (host[0] != "[" or host[-1] != "]" or not inner
+                or "[" in inner or "]" in inner):
+            raise ValueError("bad address %r (expected [HOST]:PORT with "
+                             "one pair of brackets)" % (text,))
+        host = inner
     return host, int(port)
 
 

@@ -19,8 +19,9 @@ from repro.config import MultiprocessorParams
 
 SMALL_PARAMS = MultiprocessorParams(n_nodes=2)
 
-#: Memory-latency-bound machine (~4x DASH latencies) where the fast
-#: engine's idle fast-forward dominates; mirrors benchmarks.
+#: Memory-latency-bound machine (~4x DASH latencies): nodes wait on
+#: remote fills most cycles, so the idle fast-forward's jumps are
+#: longest.
 STRESS_PARAMS = MultiprocessorParams(
     n_nodes=4,
     local_memory=(120, 160),
@@ -81,7 +82,7 @@ class TestBitIdentical:
     @pytest.mark.slow
     @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
     def test_memory_bound_stress_machine(self, app):
-        """The benchmark-gate configuration, where jumps are longest."""
+        """The stress machine, where jumps are longest."""
         fast = run_app(app, "interleaved", 2, "burst",
                        params=STRESS_PARAMS, scale=0.5, seed=1994)
         naive = run_app(app, "interleaved", 2, "naive",

@@ -26,14 +26,6 @@ class TestAccessResult:
 
 
 class TestIdleWakeInfoEdges:
-    def test_doomed_context_reported_defensively(self):
-        ctx = HardwareContext(0)
-        ctx.status = Status.DOOMED
-        ctx.doomed_detect = 42
-        wake, reason = idle_wake_info([ctx])
-        assert wake == 42
-        assert reason is Stall.SWITCH
-
     def test_empty_context_list(self):
         wake, reason = idle_wake_info([])
         assert wake is None and reason is Stall.IDLE

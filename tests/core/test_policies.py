@@ -113,44 +113,82 @@ def _alu_program(slot):
 
 _ALU_PROGRAMS = [_alu_program(slot) for slot in range(8)]
 
-_context_states = st.tuples(
-    st.sampled_from(list(Status)),
+_wake_and_miss_times = st.tuples(
     st.one_of(_AROUND_NOW, st.just(NEVER)),    # wake_at
     _AROUND_NOW,                               # doomed_detect
     _AROUND_NOW)                               # doomed_completion
 
+_NOT_DOOMED = [s for s in Status if s is not Status.DOOMED]
+
 
 @st.composite
-def _round_robin_processors(draw):
-    """An interleaved processor in a random context state at ``NOW``."""
-    n = draw(st.sampled_from((2, 4, 8)))
+def _processors(draw):
+    """A processor of any scheme in a random context state at ``NOW``.
+
+    Under blocked only the pointer's context is drawn DOOMED: a context
+    turns DOOMED only when it misses while current, and the pointer
+    cannot leave it until its miss is detected
+    (``BlockedPolicy.owns_window`` rests on the same invariant)."""
+    scheme = draw(st.sampled_from(("single", "blocked", "interleaved")))
+    n = 1 if scheme == "single" else draw(st.sampled_from((2, 4, 8)))
     memory = Memory()
-    proc = Processor("interleaved", n, PP, FixedLatencyMemory(), memory,
+    proc = Processor(scheme, n, PP, FixedLatencyMemory(), memory,
                      sync=SyncManager())
+    pointer = draw(st.integers(0, n - 1))
     for slot in range(n):
         program = _ALU_PROGRAMS[slot]
         program.load(memory)
         proc.load_process(slot, Process("alu%d" % slot, program))
         ctx = proc.contexts[slot]
-        (ctx.status, ctx.wake_at, ctx.doomed_detect,
-         ctx.doomed_completion) = draw(_context_states)
-    proc.policy.pointer = draw(st.integers(0, n - 1))
+        statuses = (list(Status) if scheme != "blocked" or slot == pointer
+                    else _NOT_DOOMED)
+        ctx.status = draw(st.sampled_from(statuses))
+        (ctx.wake_at, ctx.doomed_detect,
+         ctx.doomed_completion) = draw(_wake_and_miss_times)
+    proc.policy.pointer = pointer
     return proc
 
 
+def reference_select(scheme, contexts, start):
+    """(context, next pointer) by the per-scheme selection rules the
+    shared pass replaced: single takes its one context when selectable;
+    blocked stays on ``start`` while it is RUNNING or DOOMED and
+    otherwise moves to the next RUNNING context; interleaved takes the
+    first RUNNING or DOOMED context from ``start`` and moves past it."""
+    n = len(contexts)
+    selectable = (Status.RUNNING, Status.DOOMED)
+    if scheme == "single":
+        ctx = contexts[0]
+        return (ctx if ctx.status in selectable else None), 0
+    if scheme == "blocked":
+        if contexts[start].status in selectable:
+            return contexts[start], start
+        for step in range(1, n):
+            cand = contexts[(start + step) % n]
+            if cand.status is Status.RUNNING:
+                return cand, cand.cid
+        return None, start
+    for step in range(n):
+        cand = contexts[(start + step) % n]
+        if cand.status in selectable:
+            return cand, (cand.cid + 1) % n
+    return None, start
+
+
 class TestRoundRobinPass:
-    """``Processor.step`` picks slot 0's context under round robin in
-    one pass over the contexts; it must leave what
-    ``_update_contexts`` followed by ``InterleavedPolicy.select``
-    leaves.  Both engines run that pass, so only this test and the
-    golden pins can see a wrong pick."""
+    """``Processor.step`` picks slot 0's context in one pass over the
+    contexts under every scheme; it must leave what ``_update_contexts``
+    followed by the scheme's own selection rule
+    (:func:`reference_select`) leaves.  Both engines run that pass, so
+    only this test and the golden pins can see a wrong pick."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_round_robin_processors())
+    @given(_processors())
     def test_one_pass_equals_update_then_select(self, proc):
         ref = copy.deepcopy(proc)
         ref._update_contexts(NOW)
-        want = ref.policy.select(ref.contexts, NOW)
+        want, want_pointer = reference_select(
+            proc.scheme, ref.contexts, ref.policy.pointer)
         reported = []
         proc.trace = lambda cycle, ctx, kind: reported.append(ctx)
         proc.step(NOW)
@@ -158,12 +196,22 @@ class TestRoundRobinPass:
         got = reported[0]
         assert (None if got is None else got.cid) == (
             None if want is None else want.cid)
-        assert proc.policy.pointer == ref.policy.pointer
+        assert proc.policy.pointer == want_pointer
         assert proc.stats.context_switches == ref.stats.context_switches
         for ctx, expect in zip(proc.contexts, ref.contexts):
             if got is None or ctx.cid != got.cid:
                 assert ctx.status is expect.status, ctx.cid
                 assert ctx.wake_at == expect.wake_at, ctx.cid
+
+    @settings(max_examples=300, deadline=None)
+    @given(_processors())
+    def test_later_slots_select_by_the_same_rule(self, proc):
+        """``ContextPolicy.select`` (slots 1+ of a multi-issue cycle)
+        makes the same pick, with no wake applied."""
+        want, want_pointer = reference_select(
+            proc.scheme, proc.contexts, proc.policy.pointer)
+        assert proc.policy.select(proc.contexts, NOW) is want
+        assert proc.policy.pointer == want_pointer
 
 
 class TestBlockedSelection:
@@ -184,7 +232,7 @@ class TestBlockedSelection:
     def test_wraps_around(self):
         policy = BlockedPolicy(3, PP)
         ctxs = contexts(3)
-        policy.current = 2
+        policy.pointer = 2
         ctxs[2].status = Status.HALTED
         ctxs[1].status = Status.WAITING
         assert policy.select(ctxs, 0).cid == 0

@@ -21,7 +21,7 @@ from repro.experiments.cache import ResultCache
 from repro.service import (JobManager, JobSpec, JobStatus, ServiceError,
                            connect)
 from repro.service.net import (PROTO_VERSION, ServiceServer,
-                               encode_frame)
+                               encode_frame, parse_address)
 
 FAST = SystemConfig.fast()
 MPP = MultiprocessorParams(n_nodes=2)
@@ -420,3 +420,46 @@ def test_stats_verb_counts_traffic(client, server):
     assert stats["bytes_out"] > stats["bytes_in"]
     assert stats["jobs"] == 1
     assert server.stats.snapshot()["errors"] == 0
+
+
+# -- addresses ------------------------------------------------------------
+
+@pytest.mark.parametrize("text, expected", [
+    ("127.0.0.1:7994", ("127.0.0.1", 7994)),
+    ("localhost:0", ("localhost", 0)),
+    (":7994", ("127.0.0.1", 7994)),
+    ("7994", ("127.0.0.1", 7994)),
+    ("[::1]:7994", ("::1", 7994)),
+    ("[fe80::1%eth0]:65535", ("fe80::1%eth0", 65535)),
+])
+def test_parse_address(text, expected):
+    assert parse_address(text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "127.0.0.1:notaport", "127.0.0.1:70000", "127.0.0.1:", "[::1]",
+    "[::1:7994", "::1]:7994", "[]:7994", "[[::1]]:7994",
+])
+def test_parse_address_rejects(text):
+    with pytest.raises(ValueError, match="bad address"):
+        parse_address(text)
+
+
+def _has_ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_ipv6_loopback(),
+                    reason="the host has no IPv6 loopback")
+def test_bracketed_ipv6_literal_serves_and_connects(manager):
+    host, port = parse_address("[::1]:0")
+    with ServiceServer(manager, host=host, port=port) as srv:
+        with connect("[::1]:%d" % srv.port, backoff=0.05) as client:
+            job_id = client.submit(_spec(points=UNIPROC_2PT[:1]))
+            payloads = list(client.stream(job_id))
+    assert len(payloads) == 1

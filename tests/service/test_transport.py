@@ -126,6 +126,7 @@ POINT_FLAGS = ["--warmup", "1000", "--measure", "6000",
     (["submit", "--connect", "127.0.0.1:notaport"] + POINT_FLAGS,
      "--connect"),
     (["jobs", "--connect", "127.0.0.1:70000"], "--connect"),
+    (["jobs", "--connect", "[::1:7994"], "--connect"),
     (["serve", "sp", "--listen", "127.0.0.1:0"], "--listen"),
     (["submit", "sp", "--connect", "127.0.0.1:1"] + POINT_FLAGS,
      "--connect"),
@@ -133,6 +134,7 @@ POINT_FLAGS = ["--warmup", "1000", "--measure", "6000",
     (["serve", "--listen", "127.0.0.1:0", "--once"], "--once"),
 ], ids=["serve-no-listen", "submit-no-connect", "jobs-no-connect",
         "serve-bad-listen", "submit-bad-connect", "jobs-port-range",
+        "jobs-unclosed-bracket",
         "serve-positional", "submit-positional", "spool-unknown",
         "once-unknown"])
 def test_cli_service_address_checked_up_front(argv, named, tmp_path,
