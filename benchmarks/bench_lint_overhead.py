@@ -1,20 +1,8 @@
-"""Verify-at-load overhead: strict verification must stay in the noise.
-
-The ``strict=True`` hook (``Program.__init__`` -> ``verify_program``
-at ``level="load"``) is meant to be cheap enough to leave on wherever
-programs are built.  This benchmark times the load-level verifier
-against the cost of building each of the seven uniprocessor workloads
-and gates the *aggregate* overhead at 5% of aggregate build time.
-
-Per-workload ratios are recorded too, but not individually gated: the
-sync-heavy workloads (SP) pair a near-trivial build with the full
-lock-balance analysis, so their ratio is dominated by the tiny
-denominator, not by verifier cost (absolute time stays well under a
-millisecond per program).
+"""Race-analysis overhead: ``lint --races`` must ride along cheaply.
 
 The race-analysis case gates :func:`repro.analysis.analyze_races` on
-the same seven multi-context workload groups: the whole-group interval
-+ lockset pass must stay under 10% of the groups' full-verify
+the seven multi-context uniprocessor workload groups: the whole-group
+interval + lockset pass must stay under 10% of the groups' full-verify
 (V1xx + B2xx at widths 1/2/4) time, so ``lint --races`` rides along
 with program verification at marginal cost.
 
@@ -34,49 +22,10 @@ from repro.workloads.uniprocessor import WORKLOAD_ORDER, build_workload
 BASELINE_PATH = (pathlib.Path(__file__).resolve().parent /
                  "BENCH_lint_baseline.json")
 
-#: Aggregate verify-time budget as a fraction of aggregate build time.
-MAX_OVERHEAD = 0.05
-
 #: Race-analysis budget as a fraction of full-verify time.
 MAX_RACE_FRACTION = 0.10
 
 _REPEATS = 3
-
-
-def measure(scale=1.0):
-    """Best-of-N build and load-level verify times per workload."""
-    cases = {}
-    for name in WORKLOAD_ORDER:
-        build_s = verify_s = float("inf")
-        n_programs = 0
-        for _ in range(_REPEATS):
-            t0 = time.perf_counter()
-            procs, _instances, _barriers = build_workload(name, scale)
-            build_s = min(build_s, time.perf_counter() - t0)
-            programs = {id(p.program): p.program for p in procs}
-            n_programs = len(programs)
-            t0 = time.perf_counter()
-            for program in programs.values():
-                verify_program(program, level="load")
-            verify_s = min(verify_s, time.perf_counter() - t0)
-        cases[name] = {
-            "build_ms": round(build_s * 1e3, 3),
-            "verify_ms": round(verify_s * 1e3, 3),
-            "ratio": round(verify_s / build_s, 4),
-            "programs": n_programs,
-        }
-    total_build = sum(c["build_ms"] for c in cases.values())
-    total_verify = sum(c["verify_ms"] for c in cases.values())
-    return {
-        "benchmark": "lint_overhead",
-        "max_overhead": MAX_OVERHEAD,
-        "cases": cases,
-        "aggregate": {
-            "build_ms": round(total_build, 3),
-            "verify_ms": round(total_verify, 3),
-            "ratio": round(total_verify / total_build, 4),
-        },
-    }
 
 
 def measure_races(scale=1.0):
@@ -93,8 +42,8 @@ def measure_races(scale=1.0):
         for _ in range(_REPEATS):
             t0 = time.perf_counter()
             for program in programs.values():
-                verify_program(program, level="full",
-                               threshold=threshold, widths=(1, 2, 4))
+                verify_program(program, threshold=threshold,
+                               widths=(1, 2, 4))
             verify_s = min(verify_s, time.perf_counter() - t0)
             t0 = time.perf_counter()
             analyze_races(group)
@@ -118,15 +67,6 @@ def measure_races(scale=1.0):
     }
 
 
-def test_verify_at_load_overhead_under_budget():
-    payload = measure()
-    agg = payload["aggregate"]
-    assert agg["ratio"] < MAX_OVERHEAD, (
-        "load-level verification costs %.1f%% of build time "
-        "(budget %.0f%%): %s" % (agg["ratio"] * 100, MAX_OVERHEAD * 100,
-                                 json.dumps(payload["cases"], indent=2)))
-
-
 def test_race_analysis_overhead_under_budget():
     payload = measure_races()
     agg = payload["aggregate"]
@@ -140,8 +80,6 @@ def test_race_analysis_overhead_under_budget():
 def test_baseline_record_matches_schema():
     recorded = json.loads(BASELINE_PATH.read_text())
     assert recorded["benchmark"] == "lint_overhead"
-    assert set(recorded["cases"]) == set(WORKLOAD_ORDER)
-    assert recorded["aggregate"]["ratio"] < recorded["max_overhead"]
     races = recorded["races"]
     assert set(races["cases"]) == set(WORKLOAD_ORDER)
     assert (races["aggregate"]["fraction"]
@@ -154,15 +92,12 @@ def main(argv=None):
     parser.add_argument("--write", metavar="PATH", default=None,
                         help="record the measurement as JSON")
     args = parser.parse_args(argv)
-    payload = measure()
-    payload["races"] = measure_races()
+    payload = {"benchmark": "lint_overhead", "races": measure_races()}
     text = json.dumps(payload, indent=2)
     print(text)
     if args.write:
         pathlib.Path(args.write).write_text(text + "\n")
-    ok = (payload["aggregate"]["ratio"] < MAX_OVERHEAD
-          and payload["races"]["aggregate"]["fraction"]
-          < MAX_RACE_FRACTION)
+    ok = payload["races"]["aggregate"]["fraction"] < MAX_RACE_FRACTION
     return 0 if ok else 1
 
 

@@ -15,7 +15,7 @@ README.md for a tour and DESIGN.md for the system inventory.
 simulator classes below remain importable for microarchitectural work.)
 """
 
-__version__ = "1.2.0"
+__version__ = "1.7.0"
 
 from repro.api import Simulation, RunResult
 

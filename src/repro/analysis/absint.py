@@ -16,10 +16,10 @@ computing, at every program point, three coupled abstract facts:
 * **Lock stacks** — the set of possible stacks of held lock words
   (addresses resolved through the same interval machinery; an
   unresolvable lock address is the :data:`UNKNOWN_LOCK` sentinel).
-  This generalises the verifier's historical depth-only lattice: the
-  depth set is ``{len(s) for s in stacks}``, and the *must-held*
-  lockset — what the race analysis compares across contexts — is the
-  intersection of the stacks' members.
+  The lock-nesting depth set the verifier's balance checks read is
+  ``{len(s) for s in stacks}``, and the *must-held* lockset — what the
+  race analysis compares across contexts — is the intersection of the
+  stacks' members.
 * **Barrier phase** — how many BARRIERs every path executed to reach
   the point; ``None`` (⊤) once paths disagree or a barrier is
   loop-carried.
@@ -35,7 +35,9 @@ definitely holds, so a data race can never be hidden by imprecision
 from repro.isa.opcodes import Op
 from repro.analysis.cfg import EXIT
 
-#: Deepest lock nesting distinguished (see verifier.LOCK_DEPTH_CAP).
+#: Deepest lock nesting distinguished; a deeper push saturates, so the
+#: fixpoint exists even for a lock inside a loop with no unlock (the
+#: committed applications never nest past 2).
 LOCK_DEPTH_CAP = 7
 
 #: Lock pushed with a statically unresolvable word address.  Excluded
@@ -461,8 +463,8 @@ def analyze(program, cfg=None):
     ``Program._analysis_cache`` dict, beside the burst-table memo and
     under the same contract: instructions are treated as immutable once
     analysed — rebuild or copy the Program to re-analyse).  Lint's
-    verify pass (lock balance at ``level="full"``) and race pass
-    therefore share one fixpoint per program.
+    verify pass (lock balance) and race pass therefore share one
+    fixpoint per program.
     """
     memo = getattr(program, "_analysis_cache", None)
     if memo is not None:

@@ -19,9 +19,9 @@ Numbering convention::
 import hashlib
 from dataclasses import dataclass
 
-#: Severity levels.  ``ERROR`` findings reject a program (strict mode
-#: raises, the CLI exits nonzero); ``WARNING`` findings are reported but
-#: do not gate.
+#: Severity levels.  ``ERROR`` findings reject a program (the
+#: generator's birth verification raises, the CLI exits nonzero);
+#: ``WARNING`` findings are reported but do not gate.
 ERROR = "error"
 WARNING = "warning"
 

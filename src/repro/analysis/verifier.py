@@ -3,21 +3,15 @@
 Checks run *before any cycle is simulated*, so whole classes of program
 bugs — branch targets outside the program, code that falls off the end,
 reads of registers no path ever wrote, unbalanced lock/unlock pairing —
-are rejected at load (or commit) time instead of surfacing as a
+are rejected where programs enter the system (the generator's birth
+verification and ``repro-experiments lint``) instead of surfacing as a
 mysterious deadlock or a silently wrong statistic deep inside a run.
 
-Two levels:
-
-* ``level="load"`` — the cheap structural subset used by the opt-in
-  ``Program(strict=True)`` hook: one fused pass over the instruction
-  list (entry/targets/terminator), plus the depth-only CFG lock-balance
-  analysis *only* when the program actually contains sync opcodes.
-  Measured well under 5 % of program build time
-  (``benchmarks/bench_lint_overhead.py``).
-* ``level="full"`` — everything: exact reachability (fall-off-end and
-  unreachable-code on the real CFG), the read-before-write dataflow,
-  lock/barrier balance, and (when ``widths`` is given) the static
-  burst-schedule audit of :mod:`repro.analysis.burst_audit`.
+The passes: exact reachability (fall-off-end and unreachable-code on
+the real CFG), the read-before-write dataflow, lock/barrier balance, and
+(when ``widths`` is given) the static burst-schedule audit of
+:mod:`repro.analysis.burst_audit`.  A caller that must reject a broken
+program checks ``has_errors(verify_program(program))``.
 
 Severities follow :mod:`repro.analysis.diagnostics`: only error-level
 findings reject a program.  Read-before-write is a warning by design —
@@ -32,36 +26,13 @@ from repro.isa.opcodes import Op
 from repro.analysis.cfg import ProgramCFG, EXIT
 from repro.analysis.diagnostics import Diagnostic, has_errors
 
-#: Deepest lock nesting the balance analysis distinguishes; deeper
-#: nesting saturates (the committed applications never nest past 2).
-LOCK_DEPTH_CAP = 7
 
-_SYNC_OPS = (Op.LOCK, Op.UNLOCK, Op.BARRIER)
-
-
-class ProgramVerificationError(ValueError):
-    """Raised by ``Program(strict=True)`` for error-level findings."""
-
-    def __init__(self, program_name, diagnostics):
-        self.diagnostics = list(diagnostics)
-        lines = "\n".join("  " + d.render() for d in self.diagnostics)
-        super().__init__("program %r failed static verification:\n%s"
-                         % (program_name, lines))
-
-
-def verify_program(program, *, level="full", entry_defined=(),
-                   threshold=None, widths=()):
+def verify_program(program, *, threshold=None, widths=()):
     """Run the static verifier; returns a list of Diagnostics.
 
-    ``entry_defined`` names flat register ids assumed written at entry
-    (for code meant to be entered with live arguments).  ``widths`` (a
-    tuple of issue widths) additionally audits the program's burst
-    tables at ``threshold``; both burst parameters are ignored at
-    ``level="load"``.
+    ``widths`` (a tuple of issue widths) additionally audits the
+    program's burst tables at ``threshold``.
     """
-    if level not in ("load", "full"):
-        raise ValueError("level must be 'load' or 'full', not %r"
-                         % (level,))
     diags = []
     name = program.name
     insts = program.instructions
@@ -74,20 +45,10 @@ def verify_program(program, *, level="full", entry_defined=(),
         return diags
 
     has_sync = _check_structure(program, diags)
-
-    if level == "load":
-        if has_sync:
-            cfg = ProgramCFG(program)
-            _check_termination(cfg, diags)
-            _check_lock_balance_depths(cfg, diags)
-        else:
-            _quick_termination_check(program, diags)
-        return diags
-
     cfg = ProgramCFG(program)
     _check_termination(cfg, diags)
     _check_unreachable(cfg, diags)
-    _check_read_before_write(cfg, diags, entry_defined)
+    _check_read_before_write(cfg, diags)
     if has_sync:
         _check_lock_balance(cfg, diags)
     if widths:
@@ -116,7 +77,7 @@ def program_fingerprint(program):
     return h.hexdigest()
 
 
-# -- structural pass (shared by both levels) ------------------------------
+# -- structural pass -------------------------------------------------------
 
 def _check_structure(program, diags):
     """Fused single pass: static target ranges; returns sync presence."""
@@ -143,19 +104,6 @@ def _check_structure(program, diags):
                 "V101", "%s targets index %d outside [0, %d)"
                 % (info.mnemonic, target, n), program=name, pc=i))
     return has_sync
-
-
-def _quick_termination_check(program, diags):
-    """Load-level fall-off check: the last instruction must not fall
-    through (the full level proves the exact reachability version)."""
-    insts = program.instructions
-    last = insts[-1]
-    if last.op is Op.HALT or last.info.is_jump:
-        return
-    diags.append(Diagnostic(
-        "V102", "last instruction %r falls through the end of the "
-        "program" % (last.info.mnemonic,),
-        program=program.name, pc=len(insts) - 1))
 
 
 # -- CFG-based checks ------------------------------------------------------
@@ -196,7 +144,7 @@ def _check_unreachable(cfg, diags):
             program=cfg.program.name, pc=block.start))
 
 
-def _check_read_before_write(cfg, diags, entry_defined):
+def _check_read_before_write(cfg, diags):
     """V104: reads with no prior write on *any* path (may-written
     dataflow over the CFG, 64-register bitmask lattice)."""
     program = cfg.program
@@ -207,8 +155,6 @@ def _check_read_before_write(cfg, diags, entry_defined):
     rpo = cfg.reverse_postorder()
 
     entry_mask = 1  # r0 is hardwired (reads of r0 are pre-filtered too)
-    for reg in entry_defined:
-        entry_mask |= 1 << reg
 
     gen = {}
     for block in blocks:
@@ -252,99 +198,8 @@ def _check_read_before_write(cfg, diags, entry_defined):
                 mask |= 1 << w
 
 
-def _check_lock_balance_depths(cfg, diags):
-    """V106-V109 at ``level="load"``: depth-only lock dataflow.
-
-    The lattice value at a point is the set of lock-nesting depths
-    execution can reach it with (saturating at LOCK_DEPTH_CAP, so the
-    fixpoint exists even for a lock inside a loop with no unlock).
-    This is the cheap single-lattice pass the strict-load budget is
-    measured against; ``level="full"`` runs the per-lock-*word* version
-    on top of the combined abstract interpretation instead, which also
-    surfaces ``held_locks`` on each finding.  The machine's locks are
-    re-entrant per context (``SyncManager`` hands a held lock straight
-    back to its holder), so nested LOCKs are not themselves findings;
-    only definite unlock-without-lock, definite leaks at HALT, and
-    barrier-while-locked are.
-    """
-    program = cfg.program
-    insts = program.instructions
-    blocks = cfg.blocks
-    preds = cfg.predecessors()
-    reachable = cfg.reachable_blocks()
-    rpo = cfg.reverse_postorder()
-    entry_bid = cfg.entry_bid
-
-    def transfer(depths, block, emit):
-        for i in range(block.start, block.end):
-            op = insts[i].op
-            if op is Op.LOCK:
-                depths = frozenset(min(d + 1, LOCK_DEPTH_CAP)
-                                   for d in depths)
-            elif op is Op.UNLOCK:
-                if emit is not None and depths == frozenset((0,)):
-                    emit(Diagnostic(
-                        "V106", "unlock while definitely holding no "
-                        "lock", program=program.name, pc=i))
-                elif emit is not None and 0 in depths:
-                    emit(Diagnostic(
-                        "V108", "unlock reachable with lock depth 0 "
-                        "(depths %s)" % (sorted(depths),),
-                        program=program.name, pc=i))
-                depths = frozenset(max(d - 1, 0) for d in depths)
-            elif op is Op.BARRIER:
-                if emit is not None and 0 not in depths:
-                    emit(Diagnostic(
-                        "V109", "barrier arrival while definitely "
-                        "holding a lock (depths %s)"
-                        % (sorted(depths),),
-                        program=program.name, pc=i))
-            elif op is Op.HALT:
-                if emit is not None and depths:
-                    if 0 not in depths:
-                        emit(Diagnostic(
-                            "V107", "HALT with a lock definitely still "
-                            "held (depths %s)" % (sorted(depths),),
-                            program=program.name, pc=i))
-                    elif depths != frozenset((0,)):
-                        emit(Diagnostic(
-                            "V108", "HALT reachable with inconsistent "
-                            "lock depths %s" % (sorted(depths),),
-                            program=program.name, pc=i))
-        return depths
-
-    in_set = {block.bid: frozenset() for block in blocks}
-    out_set = {block.bid: frozenset() for block in blocks}
-    changed = True
-    while changed:
-        changed = False
-        for bid in rpo:
-            m = frozenset((0,)) if bid == entry_bid else frozenset()
-            for p in preds[bid]:
-                m |= out_set[p]
-            if not m:
-                continue
-            out = transfer(m, blocks[bid], None)
-            if m != in_set[bid] or out != out_set[bid]:
-                in_set[bid] = m
-                out_set[bid] = out
-                changed = True
-
-    seen = set()
-
-    def emit(diag):
-        key = (diag.code, diag.pc)
-        if key not in seen:
-            seen.add(key)
-            diags.append(diag)
-
-    for block in blocks:
-        if block.bid in reachable and in_set[block.bid]:
-            transfer(in_set[block.bid], block, emit)
-
-
 def _check_lock_balance(cfg, diags):
-    """V106-V109 at ``level="full"``: lock-*set* dataflow.
+    """V106-V109: lock-*set* dataflow.
 
     Runs the combined abstract interpretation of
     :mod:`repro.analysis.absint`, whose per-point value is the set of
@@ -415,5 +270,4 @@ def _reg(num):
         return "reg%d" % num
 
 
-__all__ = ["verify_program", "program_fingerprint",
-           "ProgramVerificationError", "has_errors"]
+__all__ = ["verify_program", "program_fingerprint", "has_errors"]

@@ -18,6 +18,8 @@ private region on its own node; shared regions default to round-robin
 page interleaving (``page % n_nodes``), DASH's default allocation.
 """
 
+import functools
+
 from repro.isa.executor import Memory
 from repro.memory.cache import DirectMappedCache
 from repro.memory.mshr import MSHRFile
@@ -31,7 +33,7 @@ _PAGE_BITS = 12
 class NodeMemory:
     """The memory interface one node's processor issues into."""
 
-    __slots__ = ("machine", "node_id", "cache", "mshr")
+    __slots__ = ("machine", "node_id", "cache", "mshr", "data_access")
 
     #: Ideal instruction cache (paper Section 5.2): every fetch hits.
     ideal_icache = True
@@ -41,9 +43,9 @@ class NodeMemory:
         self.node_id = node_id
         self.cache = DirectMappedCache(machine.params.cache)
         self.mshr = MSHRFile(machine.mshr_capacity)
-
-    def data_access(self, addr, is_write, now, requester=None):
-        return self.machine.access(self.node_id, addr, is_write, now)
+        #: ``data_access(addr, is_write, now)``: this node's accesses go
+        #: straight to :meth:`DSMachine.access`, with no frame between.
+        self.data_access = functools.partial(machine.access, node_id)
 
 
 class DSMachine:

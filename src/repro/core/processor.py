@@ -634,8 +634,7 @@ class Processor:
             return True
         addr = ctx.state.regs[inst.rs1] + inst.imm
         res = self.memsys.data_access(addr, inst.info.is_store or
-                                      inst.op in LOCK_OPS,
-                                      now, self.proc_id)
+                                      inst.op in LOCK_OPS, now)
         if res.level == "l1":
             return True
         if res.level == "tlb":
@@ -685,7 +684,7 @@ class Processor:
         no line), like real non-faulting prefetches.
         """
         addr = ctx.state.regs[inst.rs1] + inst.imm
-        self.memsys.data_access(addr, False, now, self.proc_id)
+        self.memsys.data_access(addr, False, now)
         self._retire(ctx, inst, now)
 
     def _issue_lock(self, ctx, inst, now):

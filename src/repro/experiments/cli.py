@@ -388,8 +388,7 @@ def _lint_programs(widths=(1, 2, 4)):
                 continue
             seen.add(id(program))
             programs += 1
-            diags.extend(verify_program(program, level="full",
-                                        threshold=threshold,
+            diags.extend(verify_program(program, threshold=threshold,
                                         widths=widths))
     for name in SPLASH_ORDER:
         app = build_app(name, 4, threads_per_node=2)
@@ -398,8 +397,7 @@ def _lint_programs(widths=(1, 2, 4)):
                 continue
             seen.add(id(program))
             programs += 1
-            diags.extend(verify_program(program, level="full",
-                                        threshold=threshold,
+            diags.extend(verify_program(program, threshold=threshold,
                                         widths=widths))
     return diags, programs
 

@@ -8,6 +8,7 @@ dependency, while the interleaved scheme hides the dependency and loses
 only each context's own in-flight instructions.
 """
 
+from repro.core.tracing import TimelineRecorder
 from repro.experiments.microbench import build_four_thread_processor
 from repro.experiments.report import render_timeline
 
@@ -16,25 +17,14 @@ def run(latency=30):
     """Returns {scheme: (finish_cycle, lane_string, squashed)}."""
     out = {}
     for scheme in ("blocked", "interleaved"):
-        cells = []
-
-        def trace(now, ctx, kind, cells=cells):
-            while len(cells) < now:
-                cells.append(".")
-            if kind == "busy":
-                cells.append(ctx.process.name)
-            elif kind == "squash":
-                cells.append(ctx.process.name.lower())
-            else:
-                cells.append(".")
-
+        recorder = TimelineRecorder()
         proc = build_four_thread_processor(scheme, latency=latency,
-                                           trace=trace)
+                                           trace=recorder)
         now = 0
         while not proc.all_halted() and now < 1000:
             proc.step(now)
             now += 1
-        out[scheme] = (now, "".join(cells), proc.stats.squashed)
+        out[scheme] = (now, recorder.lane(), proc.stats.squashed)
     return out
 
 

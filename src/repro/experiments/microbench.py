@@ -26,7 +26,7 @@ class FixedLatencyMemory:
         self.miss_addrs = set(miss_addrs)
         self.serviced = set()
 
-    def data_access(self, addr, is_write, now, requester=0):
+    def data_access(self, addr, is_write, now):
         if addr in self.miss_addrs and addr not in self.serviced:
             self.serviced.add(addr)
             return AccessResult("mem", now + self.latency)

@@ -160,12 +160,8 @@ def _expand_li(rd, value, line_no, line):
                          line_no, line)
 
 
-def assemble(source, name="program", code_base=0, data_base=0x100000,
-             strict=False):
-    """Assemble ``source`` text into a :class:`Program`.
-
-    ``strict=True`` runs the load-level static verifier on the result
-    (see :mod:`repro.analysis`)."""
+def assemble(source, name="program", code_base=0, data_base=0x100000):
+    """Assemble ``source`` text into a :class:`Program`."""
     data = DataSegment(data_base)
     text_records = []   # (label_or_None, mnemonic, operand list, line info)
     section = ".text"
@@ -310,7 +306,7 @@ def assemble(source, name="program", code_base=0, data_base=0x100000,
                 raise AssemblerError("undefined label %r" % target)
 
     return Program(name, instructions, labels, data,
-                   code_base=code_base, strict=strict, equs=consts)
+                   code_base=code_base, equs=consts)
 
 
 def _expand(mnemonic, ops, symbol_value, line_no, raw, consts=None):

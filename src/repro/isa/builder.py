@@ -212,11 +212,8 @@ class AsmBuilder:
 
     # -- finalisation -------------------------------------------------------
 
-    def build(self, strict=False):
-        """Resolve labels and return the finished :class:`Program`.
-
-        ``strict=True`` runs the load-level static verifier on the
-        result (see :mod:`repro.analysis`)."""
+    def build(self):
+        """Resolve labels and return the finished :class:`Program`."""
         for inst in self.instructions:
             if isinstance(inst.imm, _Label):
                 name = inst.imm.name
@@ -226,5 +223,4 @@ class AsmBuilder:
                 inst.imm = self.labels[name]
         return Program(self.name, self.instructions, dict(self.labels),
                        self.data, code_base=self.code_base,
-                       strict=strict, annotations=self.notes,
-                       equs=self.equs)
+                       annotations=self.notes, equs=self.equs)

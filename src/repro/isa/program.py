@@ -67,7 +67,7 @@ class Program:
     """An assembled program: code, labels, and data."""
 
     def __init__(self, name, instructions, labels, data, code_base=0,
-                 entry=0, strict=False, annotations=None, equs=None):
+                 entry=0, annotations=None, equs=None):
         self.name = name
         self.instructions = instructions
         self.labels = labels
@@ -93,17 +93,6 @@ class Program:
         self._analysis_cache = {}
         for i, inst in enumerate(instructions):
             inst.index = i
-        if strict:
-            # Opt-in verify-at-load: reject structurally broken programs
-            # (out-of-range targets, falling off the end, unbalanced
-            # locks) before any cycle is simulated.  The load-level
-            # checks are a single cheap pass (see repro.analysis).
-            from repro.analysis.verifier import (verify_program,
-                                                 ProgramVerificationError)
-            errors = [d for d in verify_program(self, level="load")
-                      if d.is_error]
-            if errors:
-                raise ProgramVerificationError(name, errors)
 
     def __len__(self):
         return len(self.instructions)

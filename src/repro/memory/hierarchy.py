@@ -131,12 +131,8 @@ class MemorySystem:
 
     # -- public API ------------------------------------------------------------
 
-    def data_access(self, addr, is_write, now, requester=0):
+    def data_access(self, addr, is_write, now):
         """Access ``addr`` at cycle ``now``; returns an :class:`AccessResult`.
-
-        ``requester`` identifies the accessing processor; the uniprocessor
-        hierarchy ignores it (it exists so the coherent multiprocessor
-        memory system can expose the same interface).
 
         L1 hits return ``ready == now`` — the pipeline's 3-cycle load
         latency already covers the primary-cache access (Table 2's 1-cycle

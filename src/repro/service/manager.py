@@ -42,6 +42,12 @@ from repro.service.results import payload_from_state
 from repro.service.worker import make_task, worker_main
 
 
+#: Finished job records kept for ``status``/``results``/``jobs``; past
+#: this many, the record that finished first is forgotten (a running job
+#: never is).  Its computed points stay in the result cache.
+MAX_FINISHED_JOBS = 256
+
+
 class ServiceError(RuntimeError):
     """A job cannot deliver results (failed, timed out, or cancelled)."""
 
@@ -91,6 +97,7 @@ class JobManager:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._jobs = {}
+        self._finished = deque()       # finished job ids, oldest first
         self._queue = deque()          # runnable _Tasks
         self._delayed = []             # _Tasks waiting out a backoff
         self._slots = []               # live _Slots
@@ -138,7 +145,7 @@ class JobManager:
                 else:
                     pending.append(point)
             if not pending:
-                record.note_terminal(COMPLETED, time.monotonic())
+                self._terminate(record, COMPLETED)
             else:
                 record.status = RUNNING
         with self._lock:
@@ -213,6 +220,11 @@ class JobManager:
         with record.cond:
             record.cond.wait_for(record.is_terminal, timeout=30.0)
         return record.status == CANCELLED
+
+    def knows(self, job_id):
+        """Whether ``job_id`` is still on record (not yet forgotten)."""
+        with self._lock:
+            return job_id in self._jobs
 
     def jobs(self):
         """Snapshot list of every known job, newest last."""
@@ -365,7 +377,7 @@ class JobManager:
                     seconds=message.get("seconds"))
                 done, _failed = record.counts()
                 if done == len(record.points):
-                    record.note_terminal(COMPLETED, time.monotonic())
+                    self._terminate(record, COMPLETED)
         else:
             self._fail_job(record, FAILED,
                            "point %s/%s/%d failed: %s"
@@ -403,6 +415,19 @@ class JobManager:
         record.payloads.append(ps.payload)
         record.cond.notify_all()
 
+    def _terminate(self, record, status, error=None):
+        """Finish ``record`` (its ``cond`` held), then forget the oldest
+        finished records past :data:`MAX_FINISHED_JOBS`.
+
+        Lock order: a record's ``cond``, then ``_lock``; nothing takes a
+        ``cond`` while holding ``_lock``.
+        """
+        record.note_terminal(status, time.monotonic(), error=error)
+        with self._lock:
+            self._finished.append(record.job_id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+
     def _cache_put(self, spec, ps):
         point = ps.point
         try:
@@ -433,7 +458,7 @@ class JobManager:
                 ps = record.points[failed_point]
                 ps.status = FAILED
                 ps.error = error
-            record.note_terminal(status, time.monotonic(), error=error)
+            self._terminate(record, status, error)
 
     def _enforce_deadlines(self):
         now = time.monotonic()
@@ -467,8 +492,7 @@ class JobManager:
         for record in records:
             with record.cond:
                 if not record.is_terminal():
-                    record.note_terminal(CANCELLED, time.monotonic(),
-                                         error="manager shut down")
+                    self._terminate(record, CANCELLED, "manager shut down")
 
 
-__all__ = ["JobManager", "ServiceError"]
+__all__ = ["JobManager", "ServiceError", "MAX_FINISHED_JOBS"]

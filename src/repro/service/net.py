@@ -31,7 +31,9 @@ JSON protocol (a spec travels in its
   ``idempotency_key``; retrying the same submit (e.g. after a dropped
   connection swallowed the response) returns the existing job id
   instead of duplicating the work, even while the first submit is
-  still being admitted.
+  still being admitted.  A key lives as long as the manager keeps its
+  job's record; after that, the same key submits a new job, which the
+  result cache serves.
 * **Robustness** — per-connection read timeouts bound half-open peers;
   every failure path increments a counter in :class:`ServerStats`,
   which the ``stats`` verb (and ``benchmarks/bench_service.py``)
@@ -44,6 +46,7 @@ import threading
 
 from repro.service import jobs as jobs_mod
 from repro.service.jobs import JobSpec, COMPLETED
+from repro.service import manager as manager_mod
 from repro.service.manager import ServiceError
 
 #: Wire protocol version, carried in both hello frames.
@@ -361,6 +364,8 @@ class ServiceServer:
         spec = JobSpec.from_dict(request["spec"])
         key = request.get("idempotency_key")
         self.stats.add("submits")
+        if key is not None:
+            self._forget_evicted_keys(key)
         # The key is reserved before admission yields the loop, so a
         # concurrent submit with the same key waits for this job id
         # instead of admitting a second job.  A reservation resolves to
@@ -389,6 +394,22 @@ class ServiceServer:
         await self._send(writer, {"id": rid, "ok": True,
                                   "job_id": job_id, "existing": False})
         return True
+
+    def _forget_evicted_keys(self, key):
+        """Drop idempotency keys whose job the manager has forgotten.
+
+        ``key`` is checked on every submit that carries it.  The whole
+        map is swept only once it outgrows twice the manager's bound on
+        finished jobs, so the sweeps cost amortised O(1) per submit.
+        """
+        keys = [key]
+        if len(self._idempotency) > 2 * manager_mod.MAX_FINISHED_JOBS:
+            keys = list(self._idempotency)
+        for k in keys:
+            job = self._idempotency.get(k)
+            if (job is not None and job.done()
+                    and not self.manager.knows(job.result())):
+                del self._idempotency[k]
 
     async def _verb_status(self, request, writer, rid):
         status = await asyncio.to_thread(self.manager.status,

@@ -398,8 +398,7 @@ def verify_generated(program, widths=AUDIT_WIDTHS):
     from repro.analysis import verify_program
     from repro.config import PipelineParams
     diags = verify_program(
-        program, level="full",
-        threshold=PipelineParams().short_stall_threshold,
+        program, threshold=PipelineParams().short_stall_threshold,
         widths=tuple(widths))
     bad = [d for d in diags if d.is_error or d.code != "V104"]
     if bad:

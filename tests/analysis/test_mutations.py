@@ -56,8 +56,7 @@ def _codes(diags):
 
 
 def _verify(program):
-    return verify_program(program, level="full", threshold=THRESHOLD,
-                          widths=(1, 2))
+    return verify_program(program, threshold=THRESHOLD, widths=(1, 2))
 
 
 # -- generated programs are verifier-clean ---------------------------------

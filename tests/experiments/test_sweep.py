@@ -84,16 +84,35 @@ class TestParallelEqualsSerial:
 
 class TestCacheBehaviour:
     def test_warm_rerun_skips_all_simulation(self, tmp_path):
+        """The serial path probes the cache once per point: a cold
+        point is one miss and one store, a warm one a single hit."""
+        n = len(POINTS)
         cache_dir = tmp_path / "cache"
         cold = make_ctx(ResultCache(cache_dir))
-        SweepEngine(cold, jobs=1).run(POINTS)
-        assert cold.sim_count == len(POINTS)
+        report = SweepEngine(cold, jobs=1).run(POINTS)
+        assert cold.sim_count == n
+        assert report.count("computed") == n
+        stats = cold.cache.session_stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, n, n)
 
         warm = make_ctx(ResultCache(cache_dir))
         report = SweepEngine(warm, jobs=1).run(POINTS)
         assert warm.sim_count == 0
-        assert report.count("cache") == len(POINTS)
-        assert warm.cache.session_stats()["hits"] == len(POINTS)
+        assert report.count("cache") == n
+        stats = warm.cache.session_stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (n, 0, 0)
+
+    def test_parallel_single_miss_probes_once(self, tmp_path):
+        """The parallel path's pre-probe is a point's only lookup, even
+        when a single point is missing."""
+        cache_dir = tmp_path / "cache"
+        SweepEngine(make_ctx(ResultCache(cache_dir)), jobs=1).run(POINTS[:2])
+        ctx = make_ctx(ResultCache(cache_dir))
+        report = SweepEngine(ctx, jobs=2).run(POINTS[:3])
+        assert ([o.source for o in report.outcomes]
+                == ["cache", "cache", "computed"])
+        stats = ctx.cache.session_stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (2, 1, 1)
 
     def test_context_reads_through_cache(self, tmp_path):
         """Plain ExperimentContext accessors hit the same cache the

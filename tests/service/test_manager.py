@@ -10,6 +10,7 @@ import pytest
 from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.cache import ResultCache
 from repro.service import JobManager, JobSpec, JobStatus
+from repro.service import manager as manager_mod
 from repro.service.manager import ServiceError
 
 FAST = SystemConfig.fast()
@@ -245,6 +246,31 @@ def test_jobs_lists_newest_last_past_four_digit_ids():
         listing = [j["job_id"] for j in mgr.jobs()]
     assert ids == ["job-9999", "job-10000"]
     assert listing == ids
+
+
+def test_finished_records_are_bounded(tmp_path, monkeypatch):
+    """Past ``MAX_FINISHED_JOBS`` the job that finished first is
+    forgotten, and its id is unknown; a running job never is."""
+    monkeypatch.setattr(manager_mod, "MAX_FINISHED_JOBS", 2)
+    spec = _spec(points=(("uniproc", "R1", "single", 1),),
+                 warmup=0, measure=500)
+    with JobManager(workers=1, cache=ResultCache(tmp_path / "rc")) as mgr:
+        warm = mgr.submit(spec)
+        mgr.results(warm, timeout=240)
+        slow = mgr.submit(_spec(points=(("mp", "mp3d", "single", 1),)))
+        hits = []
+        for _ in range(4):
+            hits.append(mgr.submit(spec))   # finished from the cache
+            assert len(mgr._finished) <= 2
+            assert len(mgr._jobs) <= 3      # two finished + the running one
+        assert mgr.status(slow)["status"] == JobStatus.RUNNING
+        assert [j["job_id"] for j in mgr.jobs()] == [slow] + hits[-2:]
+        for job_id in [warm] + hits[:2]:
+            assert not mgr.knows(job_id)
+            with pytest.raises(KeyError, match="unknown job id"):
+                mgr.status(job_id)
+        assert mgr.cancel(slow)
+        assert len(mgr._jobs) == 2 and mgr.knows(slow)
 
 
 def test_burst_and_naive_jobs_agree(tmp_path):

@@ -20,6 +20,7 @@ from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.cache import ResultCache
 from repro.service import (JobManager, JobSpec, JobStatus, ServiceError,
                            connect)
+from repro.service import manager as manager_mod
 from repro.service.net import (PROTO_VERSION, ServiceServer,
                                encode_frame, parse_address)
 
@@ -196,6 +197,29 @@ def test_failed_admission_frees_its_key(manager, server, monkeypatch):
             client.submit(_spec(), idempotency_key="retry-me")
         job_id = client.submit(_spec(), idempotency_key="retry-me")
     assert [job["job_id"] for job in manager.jobs()] == [job_id]
+
+
+def test_forgotten_job_frees_its_key(manager, server, monkeypatch):
+    """Once the manager forgets a finished job, the server forgets its
+    idempotency key: the key submits a new job, served from the cache."""
+    monkeypatch.setattr(manager_mod, "MAX_FINISHED_JOBS", 2)
+    with connect(server.host, server.port) as client:
+        first = client.submit(_spec(), idempotency_key="key-0")
+        client.results(first, timeout=240)
+        for i in range(1, 7):
+            last = client.submit(_spec(), idempotency_key="key-%d" % i)
+            client.results(last, timeout=60)
+            assert len(manager._jobs) <= 2
+            assert len(server._idempotency) <= 2 * 2 + 1
+        with pytest.raises(ServiceError, match="unknown job id"):
+            client.status(first)
+        assert client.submit(_spec(), idempotency_key="key-6") == last
+        again = client.submit(_spec(), idempotency_key="key-0")
+        assert again != first
+        client.results(again, timeout=60)
+        status = client.status(again)
+    assert status["status"] == JobStatus.COMPLETED
+    assert status["cache_hits"] == status["n_points"] == 2
 
 
 def test_unknown_job_raises_service_error(client):
