@@ -86,13 +86,19 @@ class RunResult:
 
     def to_json(self, indent=None):
         """Stable JSON rendering (sorted keys, ``raw`` excluded)."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "raw"}
+        payload = {name: getattr(self, name) for name in _JSON_FIELDS}
         payload["schema_version"] = self.SCHEMA_VERSION
         return json.dumps(payload, sort_keys=True, indent=indent)
 
     def with_workload(self, workload):
         return replace(self, workload=workload)
+
+
+#: The fields :meth:`RunResult.to_json` writes.
+_JSON_FIELDS = tuple(f.name for f in fields(RunResult) if f.name != "raw")
+
+#: Stall name of each ``CycleStats.counts`` slot.
+_STALL_NAMES = tuple(Stall(i).name for i in range(max(Stall) + 1))
 
 
 def _stats_fields(stats, cycles, categories):
@@ -109,7 +115,7 @@ def _stats_fields(stats, cycles, categories):
         runlength={"count": stats.run_count,
                    "mean": stats.mean_runlength(),
                    "max": stats.run_max},
-        counts={Stall(i).name: n for i, n in enumerate(stats.counts)},
+        counts=dict(zip(_STALL_NAMES, stats.counts)),
     )
 
 

@@ -25,6 +25,7 @@ the sources the paper cites and are marked ``# reconstructed``:
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 
 
 def to_canonical(obj):
@@ -48,11 +49,15 @@ def to_canonical(obj):
     raise TypeError("cannot canonicalise %r" % type(obj))
 
 
+def _canonical_json(obj):
+    """The compact, key-sorted JSON text of ``to_canonical(obj)``."""
+    return json.dumps(to_canonical(obj), sort_keys=True,
+                      separators=(",", ":"))
+
+
 def fingerprint(obj):
     """A stable content hash of any config object (see to_canonical)."""
-    payload = json.dumps(to_canonical(obj), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,10 @@ class MultiprocessorParams:
         """JSON-serialisable form (cache keys, result export)."""
         return to_canonical(self)
 
+    #: The canonical JSON text every cache key embeds, encoded once per
+    #: (frozen) object.
+    canonical_json = cached_property(_canonical_json)
+
     def fingerprint(self):
         return fingerprint(self)
 
@@ -231,6 +240,10 @@ class SystemConfig:
     def to_dict(self):
         """JSON-serialisable form (cache keys, result export)."""
         return to_canonical(self)
+
+    #: The canonical JSON text every cache key embeds, encoded once per
+    #: (frozen) object.
+    canonical_json = cached_property(_canonical_json)
 
     def fingerprint(self):
         return fingerprint(self)

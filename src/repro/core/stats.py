@@ -7,6 +7,9 @@ the figures of the paper are different groupings of these buckets
 
 from repro.pipeline.stalls import Stall, UNIPROCESSOR_CATEGORIES
 
+#: Length of ``CycleStats.counts``: one slot per Stall value.
+_N_STALLS = max(Stall) + 1
+
 
 class CycleStats:
     """Per-processor cycle and instruction accounting."""
@@ -16,7 +19,7 @@ class CycleStats:
                  "run_inst_sum", "run_max")
 
     def __init__(self):
-        self.counts = [0] * (max(Stall) + 1)
+        self.counts = [0] * _N_STALLS
         self.retired = 0
         self.issued = 0
         self.squashed = 0

@@ -25,8 +25,8 @@ import json
 import os
 import pathlib
 import tempfile
+from json.encoder import encode_basestring_ascii
 
-from repro.config import to_canonical
 from repro.core.simulator import RunResult
 from repro.core.stats import CycleStats
 from repro.core.mpsimulator import MPResult
@@ -70,53 +70,39 @@ def code_version():
     return _code_version_cache
 
 
+#: The key's JSON text: the fields in ``sort_keys`` order, compact
+#: separators, so filling it gives the bytes of ``json.dumps(payload,
+#: sort_keys=True, separators=(",", ":"))`` over the same fields.
+_KEY_TEMPLATE = ('{"code_version":%s,"config":%s,"kind":%s,"measure":%s,'
+                 '"mp_params":%s,"n_contexts":%s,"name":%s,"schema":%s,'
+                 '"scheme":%s,"seed":%s,"warmup":%s}')
+
+
+def _json_value(value):
+    """``json.dumps(value)`` with a fast path for text and exact ints."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:             # never a bool: JSON says true
+        return "%d" % value
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def point_key(kind, name, scheme, n_contexts, config, mp_params, seed,
               warmup, measure, version=None):
     """The cache key of one simulation point.
 
     Any change to any field — any config value, the seed, the window, or
-    the simulator source (``version``) — produces a different key.
+    the simulator source (``version``) — produces a different key.  The
+    configs embed their :attr:`~repro.config.SystemConfig.canonical_json`
+    text, encoded once per config object, so a key costs one SHA-256
+    over about 1.4 KB of text.
     """
-    return hash_point_key(kind, name, scheme, n_contexts,
-                          canonical_configs(config, mp_params)[2], seed,
-                          warmup, measure, version)
-
-
-def canonical_configs(config, mp_params, memo=None):
-    """``(config, mp_params, canonical pair)`` for :func:`hash_point_key`.
-
-    Walking a whole :class:`~repro.config.SystemConfig` costs most of a
-    key, so owners that key many points (a job, an experiment context)
-    pass their previous return value back as ``memo``.  It is reused
-    while it was built from these very objects: configs are frozen, so
-    the same object has the same content, and a reassigned config is
-    canonicalised afresh.
-    """
-    if memo is not None and memo[0] is config and memo[1] is mp_params:
-        return memo
-    return (config, mp_params,
-            (to_canonical(config), to_canonical(mp_params)))
-
-
-def hash_point_key(kind, name, scheme, n_contexts, canonical, seed,
-                   warmup, measure, version=None):
-    """:func:`point_key` over an already-canonical (config, mp_params)
-    pair; the same bytes, so the same key."""
-    config, mp_params = canonical
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "kind": kind,
-        "name": name,
-        "scheme": scheme,
-        "n_contexts": n_contexts,
-        "config": config,
-        "mp_params": mp_params,
-        "seed": seed,
-        "warmup": warmup,
-        "measure": measure,
-        "code_version": version if version is not None else code_version(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = _KEY_TEMPLATE % (
+        _json_value(version if version is not None else code_version()),
+        config.canonical_json, _json_value(kind), _json_value(measure),
+        mp_params.canonical_json, _json_value(n_contexts),
+        _json_value(name), _json_value(CACHE_SCHEMA), _json_value(scheme),
+        _json_value(seed), _json_value(warmup))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -249,37 +235,20 @@ class ResultCache:
         return self.root / key[:2] / (key + ".json")
 
     def get(self, key, kind):
-        """The deserialised result for ``key``, or None on miss.
-
-        Any validation failure counts as corruption: the entry is
-        deleted so the caller recomputes and overwrites it.
-        """
-        path = self._path(key)
-        try:
-            payload = self._load_validated(path, key, kind)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except CorruptEntry:
-            self.corrupt += 1
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        return SERIALIZERS[kind][1](payload["result"])
+        """The deserialised result for ``key``, or None on miss (see
+        :meth:`get_state`)."""
+        state = self.get_state(key, kind)
+        return None if state is None else SERIALIZERS[kind][1](state)
 
     def get_state(self, key, kind):
-        """The still-serialised result state for ``key``, or None.
+        """The still-serialised result state for ``key``, or None on miss.
 
-        Same validation and miss/corruption accounting as :meth:`get`,
-        but skips deserialisation — for callers (the service's job
-        manager) that hold results in the wire format and only
-        materialise objects at the edge.
+        Any validation failure counts as corruption: the entry is
+        deleted so the caller recomputes and overwrites it.  Callers
+        that hold results in the wire format (the service's job
+        manager) materialise objects only at the edge.
         """
-        path = self._path(key)
+        path = os.path.join(self.root, key[:2], key + ".json")
         try:
             payload = self._load_validated(path, key, kind)
         except FileNotFoundError:
@@ -289,7 +258,7 @@ class ResultCache:
             self.corrupt += 1
             self.misses += 1
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
@@ -298,7 +267,8 @@ class ResultCache:
 
     def _load_validated(self, path, key, kind):
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as fh:
+                payload = json.loads(fh.read())
         except (ValueError, UnicodeDecodeError) as exc:
             raise CorruptEntry("undecodable: %s" % exc)
         except OSError as exc:

@@ -144,7 +144,6 @@ class ExperimentContext:
         self._uniproc = {}
         self._dedicated = {}
         self._mp = {}
-        self._canonical = None
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -152,11 +151,9 @@ class ExperimentContext:
         """The on-disk cache key of one of this context's points."""
         from repro.experiments import cache as cache_mod
         warmup, measure = point_window(kind, self.warmup, self.measure)
-        self._canonical = cache_mod.canonical_configs(
-            self.config, self.mp_params, self._canonical)
-        return cache_mod.hash_point_key(
-            kind, name, scheme, n_contexts, self._canonical[2],
-            self.seed, warmup, measure)
+        return cache_mod.point_key(kind, name, scheme, n_contexts,
+                                   self.config, self.mp_params, self.seed,
+                                   warmup, measure)
 
     def _cache_get(self, kind, name, scheme, n_contexts):
         if self.cache is None:

@@ -12,6 +12,7 @@ variable every blocking reader (``results``, ``iter_results``,
 ``wait_payload``) waits on.
 """
 
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -37,6 +38,17 @@ SPEC_SCHEMA = 1
 #: JSON schema number of the status snapshots (the wire protocol's
 #: ``status``, ``jobs`` and stream ``end`` frames).
 STATUS_SCHEMA = 1
+
+#: The machine configs a wire spec names.  :meth:`JobSpec.from_dict`
+#: hands out these very objects, so every wire job keys its points from
+#: configs whose canonical text is already encoded.
+_PROFILES = {"fast": SystemConfig.fast(), "paper": SystemConfig.paper()}
+
+
+@functools.lru_cache(maxsize=16)
+def _wire_mp_params(n_nodes):
+    """The shared ``MultiprocessorParams(n_nodes=n_nodes)`` of wire specs."""
+    return MultiprocessorParams(n_nodes=n_nodes)
 
 
 class JobStatus:
@@ -73,10 +85,6 @@ class JobSpec:
     engine: str = "burst"
     timeout: float = None
     max_retries: int = 2
-    #: Canonical config pair behind :meth:`cache_key`, computed once per
-    #: config object (see :func:`repro.experiments.cache.canonical_configs`).
-    _canonical: tuple = field(default=None, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         self.points = tuple(dedupe(SweepPoint(*p) for p in self.points))
@@ -102,27 +110,27 @@ class JobSpec:
         batch sweep path, so service and batch runs feed one cache)."""
         from repro.experiments import cache as cache_mod
         warmup, measure = self.point_window(point)
-        self._canonical = cache_mod.canonical_configs(
-            self.config, self.mp_params, self._canonical)
-        return cache_mod.hash_point_key(
+        return cache_mod.point_key(
             point.kind, point.name, point.scheme, point.n_contexts,
-            self._canonical[2], self.seed, warmup, measure)
+            self.config, self.mp_params, self.seed, warmup, measure)
 
     # -- wire (JSON) form -------------------------------------------------
 
     def to_dict(self):
         """JSON-ready form for the wire protocol.
 
-        The machine configs are carried as profile names + overrides
-        (the wire form is for remote clients and the CLI verbs; the
-        Python API can pass arbitrary config objects to
+        The machine configs are carried as a profile name and a node
+        count (the wire form is for remote clients and the CLI verbs;
+        the Python API can pass arbitrary config objects to
         :meth:`JobManager.submit` directly).
         """
-        profile = ("paper" if self.config == SystemConfig.paper()
-                   else "fast")
-        if profile == "fast" and self.config != SystemConfig.fast():
+        profile = next((name for name, config in _PROFILES.items()
+                        if self.config == config), None)
+        if (profile is None or self.mp_params
+                != _wire_mp_params(self.mp_params.n_nodes)):
             raise ValueError(
-                "only the 'fast'/'paper' profiles round-trip through the "
+                "only the 'fast'/'paper' profiles and "
+                "MultiprocessorParams(n_nodes=...) round-trip through the "
                 "wire; submit custom configs through JobManager.submit")
         return {
             "schema_version": SPEC_SCHEMA,
@@ -144,10 +152,9 @@ class JobSpec:
         if version != SPEC_SCHEMA:
             raise ValueError("unsupported job spec schema_version %r "
                              "(expected %d)" % (version, SPEC_SCHEMA))
-        config = (SystemConfig.paper() if payload.get("profile") == "paper"
-                  else SystemConfig.fast())
-        mp_params = MultiprocessorParams(
-            n_nodes=int(payload.get("nodes", 8)))
+        config = _PROFILES["paper" if payload.get("profile") == "paper"
+                           else "fast"]
+        mp_params = _wire_mp_params(int(payload.get("nodes", 8)))
         # Unknown keys are ignored (an old spec's "backend" key named a
         # removed knob); __post_init__ rejects an unknown engine.
         return cls(
@@ -177,7 +184,7 @@ class PointState:
         self.attempts = 0
         self.seconds = None
         self.error = None
-        self.state = None            # serialised result (cache format)
+        self.state = None            # computed state awaiting its cache write
         self.payload = None          # RunResult.to_json() string
         self.key = None              # ResultCache key, when there is a cache
         self.flushed = False         # in the ResultCache (read or written)?

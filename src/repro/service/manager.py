@@ -406,11 +406,11 @@ class JobManager:
         ps.status = COMPLETED
         ps.source = source
         ps.seconds = seconds
-        ps.state = state
         ps.payload = payload_from_state(point, spec, state)
         if source == "cache":
             ps.flushed = True          # read and validated: not rewritten
         elif self.cache is not None:
+            ps.state = state           # held until the cache has it
             self._cache_put(spec, ps)
         record.payloads.append(ps.payload)
         record.cond.notify_all()
@@ -440,6 +440,7 @@ class JobManager:
         except OSError:
             return                     # cache is best-effort persistence
         ps.flushed = True
+        ps.state = None
 
     def _fail_job(self, record, status, error, failed_point=None):
         """Terminalise a job: mark, drop its queue, kill its workers."""

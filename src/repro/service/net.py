@@ -434,7 +434,9 @@ class ServiceServer:
     async def _verb_stream(self, request, writer, rid):
         job_id = request["job_id"]
         index = int(request.get("from_index", 0))
-        self.manager.status(job_id)    # KeyError now, not mid-stream
+        # The first read raises KeyError for an unknown job now, not
+        # mid-stream.
+        ready = self.manager.payloads(job_id, index)
         self.stats.add("streams")
         if index > 0:
             self.stats.add("resumes")
@@ -443,7 +445,6 @@ class ServiceServer:
             # Every payload that already exists goes out in one batch
             # with one drain; only a payload still to come needs the
             # blocking wait, and so a thread.
-            ready = self.manager.payloads(job_id, index)
             if not ready:
                 await self._maybe_inject_drop(sent, writer)
                 payload = await asyncio.to_thread(
@@ -458,6 +459,7 @@ class ServiceServer:
                 index += 1
                 sent += 1
             await writer.drain()
+            ready = self.manager.payloads(job_id, index)
         status = self.manager.status(job_id)
         await self._send(writer, {"id": rid, "type": "end",
                                   "ok": status["status"] == COMPLETED,

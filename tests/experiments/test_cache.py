@@ -1,15 +1,18 @@
 """The on-disk result cache: keys, round-trips, corruption handling."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import SystemConfig, MultiprocessorParams
+from repro.config import SystemConfig, MultiprocessorParams, to_canonical
 from repro.core.simulator import RunResult
 from repro.core.mpsimulator import MPResult
 from repro.core.stats import CycleStats
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
+    CACHE_SCHEMA,
     CachedProtocol,
     ResultCache,
     code_version,
@@ -21,6 +24,7 @@ from repro.experiments.cache import (
     uniproc_from_state,
     uniproc_to_state,
 )
+from repro.service.jobs import JobSpec
 
 
 def _stats(offset=0):
@@ -44,6 +48,16 @@ def _uniproc_result():
 def _mp_result():
     return MPResult(123_456, [_stats(0), _stats(2)],
                     CachedProtocol(10, 20, 30, 40, 50, 60, 70))
+
+
+#: Key text with the characters JSON must escape, and non-ASCII.
+_KEY_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\x00\u00e9\u2603'
+                                              '\U0001f600'),
+                              st.characters()))
+_KEY_CONFIGS = (SystemConfig.fast(), SystemConfig.paper(),
+                SystemConfig.fast().with_pipeline(issue_width=2))
+_KEY_MP_PARAMS = (MultiprocessorParams(), MultiprocessorParams(n_nodes=2),
+                  MultiprocessorParams(lock_transfer_latency=40))
 
 
 def _key(**overrides):
@@ -103,6 +117,42 @@ class TestPointKey:
                                 warmup=30_000, measure=120_000)
         assert ctx.point_cache_key(*point) == digest
         assert ctx.point_cache_key(*point) == digest    # memoised
+        # A service job that came over the wire keys from the shared
+        # profile configs, through the same bytes.
+        spec = JobSpec(points=(point,), config=config, mp_params=mpp,
+                       seed=1994, warmup=30_000, measure=120_000)
+        wire = JobSpec.from_dict(spec.to_dict())
+        assert wire.cache_key(wire.points[0]) == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=_KEY_TEXT, name=_KEY_TEXT, scheme=_KEY_TEXT,
+           n_contexts=st.integers(min_value=0),
+           seed=st.integers(min_value=0), warmup=st.integers(min_value=0),
+           measure=st.integers(min_value=0), version=_KEY_TEXT,
+           config=st.sampled_from(_KEY_CONFIGS),
+           mp_params=st.sampled_from(_KEY_MP_PARAMS))
+    def test_templated_key_is_the_whole_dict_blob(
+            self, kind, name, scheme, n_contexts, seed, warmup, measure,
+            version, config, mp_params):
+        """The key fills a template with pre-encoded configs; its bytes
+        are those of one ``json.dumps`` over the whole key dict."""
+        payload = {
+            "schema": CACHE_SCHEMA,
+            "kind": kind,
+            "name": name,
+            "scheme": scheme,
+            "n_contexts": n_contexts,
+            "config": to_canonical(config),
+            "mp_params": to_canonical(mp_params),
+            "seed": seed,
+            "warmup": warmup,
+            "measure": measure,
+            "code_version": version,
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert point_key(kind, name, scheme, n_contexts, config, mp_params,
+                         seed, warmup, measure, version=version) == (
+            hashlib.sha256(blob.encode()).hexdigest())
 
     def test_code_version_component(self):
         """Default version comes from hashing the simulator sources."""

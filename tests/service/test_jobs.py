@@ -106,7 +106,7 @@ def test_cache_key_follows_reassigned_config():
                                              ).cache_key(mp_point)
 
 
-def test_spool_dict_round_trip():
+def test_wire_dict_round_trip():
     spec = _spec((("uniproc", "R1", "single", 1),
                   ("mp", "cholesky", "interleaved", 2)),
                  seed=7, warmup=500, measure=2_000, engine="burst",
@@ -121,7 +121,7 @@ def test_spool_dict_round_trip():
     assert back.max_retries == 4
 
 
-def test_spool_dict_rejects_events_engine():
+def test_wire_dict_rejects_events_engine():
     """The events engine was folded into burst; a stored spec naming it
     is rejected like any unknown engine, and a spec without an engine
     takes the default."""
@@ -134,7 +134,7 @@ def test_spool_dict_rejects_events_engine():
 
 
 @pytest.mark.parametrize("value", ["python", "numpy", "auto", None])
-def test_spool_dict_ignores_old_backend_key(value):
+def test_wire_dict_ignores_old_backend_key(value):
     """Older clients wrote a ``backend`` key; whatever it names, the
     spec parses as if the key were absent, keys the same cache entries
     and writes itself back without the key."""
@@ -148,16 +148,61 @@ def test_spool_dict_ignores_old_backend_key(value):
     assert old.to_dict() == without
 
 
-def test_spool_dict_rejects_unknown_schema():
+def test_wire_dict_rejects_unknown_schema():
     payload = _spec((("uniproc", "R1", "single", 1),)).to_dict()
     payload["schema_version"] = 999
     with pytest.raises(ValueError, match="schema_version"):
         JobSpec.from_dict(payload)
 
 
-def test_spool_dict_rejects_custom_config():
+def test_wire_dict_rejects_custom_config():
     import dataclasses
     custom = dataclasses.replace(SystemConfig.fast(), workload_scale=3.5)
     spec = _spec((("uniproc", "R1", "single", 1),), config=custom)
     with pytest.raises(ValueError):
         spec.to_dict()
+
+
+def test_wire_dict_rejects_custom_mp_params():
+    """The wire carries only a node count, so any other multiprocessor
+    setting would be swapped for the default machine's, and keyed and
+    cached as it."""
+    custom = MultiprocessorParams(n_nodes=2, lock_transfer_latency=40)
+    spec = _spec((("mp", "cholesky", "single", 1),), mp_params=custom)
+    with pytest.raises(ValueError, match="MultiprocessorParams"):
+        spec.to_dict()
+
+
+def test_wire_specs_canonicalise_each_profile_config_once(monkeypatch):
+    """Wire specs share one config per profile and one
+    MultiprocessorParams per node count, so keying every point of many
+    wire jobs walks each of those configs once."""
+    from repro import config as config_mod
+    from repro.service import jobs as jobs_mod
+    monkeypatch.setattr(jobs_mod, "_PROFILES",
+                        {"fast": SystemConfig.fast(),
+                         "paper": SystemConfig.paper()})
+    jobs_mod._wire_mp_params.cache_clear()
+    walked = []
+    to_canonical = config_mod.to_canonical
+
+    def counting(obj):
+        if isinstance(obj, (SystemConfig, MultiprocessorParams)):
+            walked.append(obj)
+        return to_canonical(obj)
+
+    monkeypatch.setattr(config_mod, "to_canonical", counting)
+    wire = dict(OLD_SPEC)
+    del wire["backend"]
+    keys = set()
+    for _ in range(3):
+        for profile in ("fast", "paper"):
+            for nodes in (2, 8):
+                spec = JobSpec.from_dict(dict(wire, profile=profile,
+                                              nodes=nodes))
+                keys.update(spec.cache_key(p) for p in spec.points)
+    assert len(keys) == 2 * 2 * len(wire["points"])
+    assert sorted(type(c).__name__ for c in walked) == [
+        "MultiprocessorParams", "MultiprocessorParams",
+        "SystemConfig", "SystemConfig"]
+    assert len({id(c) for c in walked}) == 4

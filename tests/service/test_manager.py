@@ -221,6 +221,62 @@ def test_corrupt_cache_entry_recovered_through_manager(tmp_path):
     assert cache3.get_state(spec.cache_key(point), point.kind) is not None
 
 
+def test_every_warm_hit_is_validated(tmp_path):
+    """No validated state outlives its read: on one manager and one
+    cache, an entry corrupted after a warm job is recomputed."""
+    cache = ResultCache(tmp_path / "rc")
+    spec = _spec()
+    with JobManager(workers=2, cache=cache) as mgr:
+        cold = mgr.results(mgr.submit(spec), timeout=240)
+        warm_id = mgr.submit(spec)
+        warm = mgr.results(warm_id, timeout=60)
+        assert mgr.status(warm_id)["cache_hits"] == 2
+        entry = cache._path(spec.cache_key(spec.points[0]))
+        entry.write_text(entry.read_text()[:40] + "GARBAGE")
+        again_id = mgr.submit(spec)
+        again = mgr.results(again_id, timeout=240)
+        status = mgr.status(again_id)
+    assert cache.corrupt == 1
+    assert [p["source"] for p in status["points"]] == ["computed", "cache"]
+    assert sorted(again) == sorted(warm) == sorted(cold)
+
+
+def test_point_states_are_dropped_once_cached(tmp_path, monkeypatch):
+    """A point's state is held only until the cache has it: a hit never
+    keeps one, a written computed point drops it, and one whose write
+    failed keeps it for ``flush_completed``."""
+    cache = ResultCache(tmp_path / "rc")
+    with JobManager(workers=2, cache=cache) as mgr:
+        cold = mgr.submit(_spec())
+        mgr.results(cold, timeout=240)
+        warm = mgr.submit(_spec())
+        mgr.results(warm, timeout=60)
+        for job_id in (cold, warm):
+            points = mgr._record(job_id).points.values()
+            assert [ps.state for ps in points] == [None, None]
+
+    flaky = ResultCache(tmp_path / "flaky")
+    put_state = flaky.put_state
+    failures = [OSError("disk full")]
+
+    def put_once_failing(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return put_state(*args, **kwargs)
+
+    monkeypatch.setattr(flaky, "put_state", put_once_failing)
+    spec = _spec(points=(("uniproc", "R1", "single", 1),),
+                 warmup=0, measure=500)
+    with JobManager(workers=1, cache=flaky) as mgr:
+        job_id = mgr.submit(spec)
+        mgr.results(job_id, timeout=240)
+        (ps,) = mgr._record(job_id).points.values()
+        assert ps.state is not None and not ps.flushed
+        assert mgr.flush_completed() == 1
+        assert ps.state is None and ps.flushed
+    assert flaky.get_state(spec.cache_key(ps.point), "uniproc") is not None
+
+
 def test_two_jobs_run_concurrently(tmp_path):
     with JobManager(workers=2, cache=ResultCache(tmp_path / "rc")) as mgr:
         a = mgr.submit(_spec(points=(("uniproc", "R1", "single", 1),)))
