@@ -32,12 +32,25 @@ program would actually hand the engine — no simulator runs:
   positive completion times, and both tuples are reg-sorted (the
   engine's bulk ops rely on the order).
 
+The width-1 *block* table (runs through loads and stores to their
+closing branch, the table a workstation processor dispatches from) is
+audited too, against maximal block runs, with the checks above plus
+its ops (:attr:`repro.isa.segments.Burst.ops`): they must be exactly
+the block's loads, stores and closing branch, in order (B205); each
+must account every slot before it, ``index + short + long == cycle``,
+with cycles and stall counts inside the whole window's, and a closing
+branch must issue in the window's last cycle (B201); the write-outs of
+a block that closes with a branch are the writes before it (B205).  A
+plain table holds no op.
+
 Maximal runs are recomputed here independently from
-:func:`repro.isa.segments.burstable`, so a table built from a stale or
-hand-edited schedule cannot vouch for itself.
+:func:`repro.isa.segments.burstable` and
+:func:`~repro.isa.segments.block_member`, so a table built from a stale
+or hand-edited schedule cannot vouch for itself.
 """
 
-from repro.isa.segments import MIN_BURST, burstable
+from repro.isa.instruction import KIND_CONTROL, KIND_PLAIN
+from repro.isa.segments import MIN_BURST, block_member, burstable
 from repro.analysis.diagnostics import Diagnostic
 
 #: Issue widths audited by default — the widths the experiments use
@@ -45,59 +58,74 @@ from repro.analysis.diagnostics import Diagnostic
 DEFAULT_WIDTHS = (1, 2, 4)
 
 
-def maximal_runs(program):
-    """Maximal straight-line burstable runs as ``(start, end)`` pairs."""
+def maximal_runs(program, memory_ops=False):
+    """Maximal straight-line runs as ``(start, end)`` pairs: burstable
+    runs, or with ``memory_ops`` block runs, each with the branch or
+    jump that closes it."""
     insts = program.instructions
+    member = block_member if memory_ops else burstable
     n = len(insts)
     runs = []
     i = 0
     while i < n:
-        if not burstable(insts[i]):
+        if not member(insts[i]):
             i += 1
             continue
         j = i
-        while j < n and burstable(insts[j]):
+        while j < n and member(insts[j]):
+            j += 1
+        if memory_ops and j < n and insts[j].kind == KIND_CONTROL:
             j += 1
         runs.append((i, j))
         i = j
     return runs
 
 
+def _run_ends(program, memory_ops):
+    """Entry pc -> end of its maximal run, for every eligible entry."""
+    run_end = {}
+    for i, j in maximal_runs(program, memory_ops):
+        for s in range(i, j - MIN_BURST + 1):
+            run_end[s] = j
+    return run_end
+
+
 def audit_bursts(program, threshold, widths=DEFAULT_WIDTHS):
-    """Audit ``program``'s burst tables; returns a list of Diagnostics."""
+    """Audit ``program``'s burst tables — one per width in ``widths``,
+    plus the block table when 1 is among them; returns a list of
+    Diagnostics."""
     diags = []
     name = program.name
     insts = program.instructions
-    runs = maximal_runs(program)
-    #: entry pc -> end of its maximal run, for every eligible entry.
-    run_end = {}
-    for i, j in runs:
-        for s in range(i, j - MIN_BURST + 1):
-            run_end[s] = j
-
     tables = {w: program.bursts_for(threshold, w) for w in widths}
+    plain_ends = _run_ends(program, False)
+    audited = [(w, False, tables[w], plain_ends) for w in widths]
+    if 1 in widths:
+        audited.append((1, True, program.bursts_for(threshold, 1, True),
+                        _run_ends(program, True)))
 
-    for width in widths:
-        table = tables[width]
+    for width, blocks, table, run_end in audited:
+        label = "width-1 block" if blocks else "width-%d" % width
         if len(table) != len(insts):
             diags.append(Diagnostic(
-                "B205", "width-%d burst table has %d entries for a "
-                "%d-instruction program" % (width, len(table),
+                "B205", "%s burst table has %d entries for a "
+                "%d-instruction program" % (label, len(table),
                                             len(insts)), program=name))
             continue
         for s, burst in enumerate(table):
             if burst is None:
                 if width == 1 and s in run_end:
                     diags.append(Diagnostic(
-                        "B204", "width-1 table missing the suffix burst "
+                        "B204", "%s table missing the suffix burst "
                         "for entry pc %d (run ends at %d)"
-                        % (s, run_end[s]), program=name, pc=s))
+                        % (label, s, run_end[s]), program=name, pc=s))
                 continue
             if s not in run_end:
                 diags.append(Diagnostic(
-                    "B204", "width-%d burst at pc %d, which is not an "
-                    "eligible entry of any burstable run"
-                    % (width, s), program=name, pc=s))
+                    "B204", "%s burst at pc %d, which is not an "
+                    "eligible entry of any %s run"
+                    % (label, s, "block" if blocks else "burstable"),
+                    program=name, pc=s))
                 continue
             _audit_one(burst, width, s, run_end[s], insts, name, diags)
 
@@ -165,6 +193,49 @@ def _audit_one(burst, width, pc, end, insts, name, diags):
                     "B205", "width-%d burst at pc %d: write-out delta "
                     "%d for reg %d is not a completion time"
                     % (width, pc, value, reg), program=name, pc=pc))
+    _audit_ops(burst, pc, name, diags)
+
+
+def _audit_ops(burst, pc, name, diags):
+    """B201/B205 over a burst's ops (a plain burst has none)."""
+    insts = burst.instructions
+    positions = [op[0] for op in burst.ops]
+    expected = [k for k, inst in enumerate(insts)
+                if inst.kind != KIND_PLAIN]
+    if positions != expected:
+        diags.append(Diagnostic(
+            "B205", "burst at pc %d records ops at %s; its loads, stores "
+            "and closing branch sit at %s" % (pc, positions, expected),
+            program=name, pc=pc))
+        return
+    last = (-1, 0, 0)
+    for index, cycle, short, long_, writes in burst.ops:
+        if (index + short + long_ != cycle
+                or not last[0] < cycle < burst.duration
+                or not last[1] <= short <= burst.short_stalls
+                or not last[2] <= long_ <= burst.long_stalls
+                or (insts[index].kind == KIND_CONTROL
+                    and cycle != burst.duration - 1)):
+            diags.append(Diagnostic(
+                "B201", "burst at pc %d: op %d at cycle %d after %d "
+                "issues + %d short + %d long stalls does not fit the "
+                "%d-cycle window" % (pc, index, cycle, index, short,
+                                     long_, burst.duration),
+                program=name, pc=pc))
+        if (list(writes) != sorted(writes)
+                or any(not 1 <= reg <= 63 or delta < 1
+                       for reg, delta in writes)):
+            diags.append(Diagnostic(
+                "B205", "burst at pc %d: the writes before op %d are "
+                "unsorted or out of bounds" % (pc, index),
+                program=name, pc=pc))
+        last = (cycle, short, long_)
+    if (positions and insts[-1].kind == KIND_CONTROL
+            and burst.writes_out != burst.ops[-1][4]):
+        diags.append(Diagnostic(
+            "B205", "burst at pc %d closes with a branch but its "
+            "write-outs are not the writes before it" % pc,
+            program=name, pc=pc))
 
 
 def _audit_guard_monotonicity(tables, widths, name, diags):

@@ -8,9 +8,13 @@ invariants that no unit test can pin as directly as the source itself:
   the burst bulk-add path (``_try_burst``); every stall category the
   naive hazard branch of ``_try_issue`` can charge must be charged by
   the bulk window/burst paths (``_skip_stall_window`` / ``_try_burst``).
-  A counter added to one path and forgotten on the other diverges the
-  engines on the first burst dispatch — exactly the bug class the
-  differential harness only catches dynamically.
+  The burst path is ``_try_burst`` together with the processor methods
+  it calls (``self.name(...)``, one level deep, so its bulk-charge
+  helper counts) — never ``_retire`` itself, which a block calls for
+  the ops it issues one by one: crediting it would let the bulk charge
+  vanish unseen.  A counter added to one path and forgotten on the
+  other diverges the engines on the first burst dispatch — exactly the
+  bug class the differential harness only catches dynamically.
 * **L403 — counter registration.**  Every ``Stall.X`` referenced in
   ``core/`` must be a declared :class:`~repro.pipeline.stalls.Stall`
   member, and every mutated ``stats.*`` attribute (or called ``stats``
@@ -134,6 +138,22 @@ def _stall_refs(node, aliases):
     return refs
 
 
+def _burst_path(tree, burst):
+    """``_try_burst`` and the methods it calls as ``self.name(...)``
+    (one level deep), leaving out ``_retire``."""
+    funcs = [burst]
+    for node in ast.walk(burst):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+                and node.func.attr not in ("_retire", "_try_burst")):
+            helper = _find_func(tree, node.func.attr)
+            if helper is not None and helper not in funcs:
+                funcs.append(helper)
+    return funcs
+
+
 def _find_hazard_branch(func):
     """The ``if until > now:`` hazard branch of ``_try_issue``."""
     for node in ast.walk(func):
@@ -170,7 +190,10 @@ def check_stats_parity(root=None):
             "stats-parity extraction no longer matches processor.py",
             path=_PARITY_FILE))
     else:
-        missing = _mutations(retire, aliases) - _mutations(burst, aliases)
+        bulk = set()
+        for func in _burst_path(tree, burst):
+            bulk |= _mutations(func, aliases)
+        missing = _mutations(retire, aliases) - bulk
         for kind, name in sorted(missing):
             diags.append(Diagnostic(
                 "L401", "naive retire path mutates %s counter %r but "
@@ -195,7 +218,9 @@ def check_stats_parity(root=None):
     charged = set()
     for stmt in hazard.body:
         charged |= _stall_refs(stmt, aliases)
-    covered = _stall_refs(skip, aliases) | _stall_refs(burst, aliases)
+    covered = _stall_refs(skip, aliases)
+    for func in _burst_path(tree, burst):
+        covered |= _stall_refs(func, aliases)
     for name in sorted(charged - covered):
         diags.append(Diagnostic(
             "L402", "naive hazard branch charges Stall.%s but neither "

@@ -37,6 +37,10 @@ class NodeMemory:
 
     #: Ideal instruction cache (paper Section 5.2): every fetch hits.
     ideal_icache = True
+    #: The machine serves every node's accesses in the loop's cycle
+    #: order, so a node's access must not run ahead of the clock: runs
+    #: end at memory ops (see :mod:`repro.isa.segments`).
+    runs_ahead = False
 
     def __init__(self, machine, node_id):
         self.machine = machine

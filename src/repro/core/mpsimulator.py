@@ -162,12 +162,15 @@ class MultiprocessorSimulator:
         that reports nothing runnable is *parked* — its idle accounting
         is deferred until it is woken by its own clock (``parked_due``),
         by a sync handoff (``context_woken``), or by the run ending.  A
-        node that dispatched a burst or charged a hazard-stall window is
-        busy — and fully accounted — until its ``burst_until``; it is
+        node that dispatched a burst or charged a hazard-stall or doomed
+        window is busy — and fully accounted — until its
+        ``burst_until``; it is
         simply skipped (not stepped, not parked) while other nodes keep
         their per-cycle lockstep.  When every node is parked or
         mid-window the loop jumps to the earliest due cycle.  Windows
-        hold no memory or synchronisation operations, so a mid-window
+        hold no memory or synchronisation operations (``NodeMemory``
+        declares ``runs_ahead`` False, so bursts here stay plain and
+        never span a load or store), so a mid-window
         node cannot affect any other node, and the policy's ownership
         test (``ContextPolicy.owns_window``) vetoes any window a
         handoff from another node could cut short.

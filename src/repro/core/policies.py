@@ -5,8 +5,8 @@ decides (a) which context owns each issue slot, (b) what a context pays
 to get off the processor when it hits a long-latency event, and (c)
 whether the context it selected owns a whole multi-cycle window — the
 question the burst engine asks before retiring a straight-line run or
-charging a hazard-stall window in one step (:meth:`ContextPolicy.
-owns_window`):
+charging a hazard-stall or doomed window in one step
+(:meth:`ContextPolicy.owns_window`):
 
 **single** (baseline)
     One context.  Loads that miss are stall-on-use (the lockup-free cache
@@ -93,11 +93,16 @@ class ContextPolicy:
         """Whether ``ctx``, just selected, owns every issue slot up to
         cycle ``end`` (exclusive).
 
-        Asked before a burst dispatch or a bulk-charged hazard-stall
-        window, neither of which holds a memory, sync, switch or backoff
-        op, so ``ctx`` stays RUNNING throughout.  ``extern`` marks a
-        machine where another processor's lock or barrier handoff can
-        wake a context here at any time.
+        Asked before a burst dispatch, a bulk-charged hazard-stall
+        window or a bulk-charged doomed window.  None holds a sync,
+        switch or backoff op.  A burst may hold loads and stores (a
+        block); the dispatch stops at the first that leaves its
+        schedule, so ``ctx`` stays RUNNING through every slot the
+        dispatch charges.  In a doomed window ``ctx`` is DOOMED
+        throughout and owns the window when stepping would select it
+        for every slot of it.  ``extern`` marks a machine where another
+        processor's lock or barrier handoff can wake a context here at
+        any time.
         """
         raise NotImplementedError
 

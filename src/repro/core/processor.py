@@ -105,11 +105,10 @@ class Processor:
         #: Optional data-access hook ``fn(cycle, ctx, pc, addr, is_write)``
         #: fired once per retired load/store, before it executes — the
         #: dynamic oracle of the race analysis
-        #: (:class:`repro.core.tracing.SharedAccessRecorder`).  Every
-        #: load and store retires through the per-instruction path (a
-        #: burst or a charged stall window holds none), so the fast
-        #: paths stay on while it is installed; None (the default) is
-        #: free.
+        #: (:class:`repro.core.tracing.SharedAccessRecorder`).  A block
+        #: fires it for each load and store it issues, at the op's issue
+        #: cycle, as stepping does, so the fast paths stay on while it
+        #: is installed; None (the default) is free.
         self.access_log = None
         # Idle-parking state (see park/unpark below): while
         # parked, idle-slot accounting is deferred and settled lazily so
@@ -123,17 +122,23 @@ class Processor:
         self._parked_reason = IDLE
         # Burst-engine state: when enabled, straight-line runs whose
         # precompiled schedule is valid retire in one step (_try_burst),
-        # hazard-stall windows are charged in one step
-        # (_skip_stall_window), and the processor is busy — fully
-        # accounted — until burst_until.  burst_limit bounds a window so
-        # it never crosses the advance window or a scheduler interrupt,
-        # and extern_wakes marks machines (the multiprocessor) where a
-        # lock/barrier handoff from another processor could land inside
-        # a window.
+        # hazard-stall and doomed windows are charged in one step
+        # (_skip_stall_window, _skip_doomed_window), and the processor
+        # is busy — fully accounted — until burst_until.  burst_limit
+        # bounds a window so it never crosses the advance window or a
+        # scheduler interrupt, and extern_wakes marks machines (the
+        # multiprocessor) where a lock/barrier handoff from another
+        # processor could land inside a window.
         self.burst_enabled = False
         self.burst_until = 0
         self.burst_limit = NEVER
         self.extern_wakes = False
+        # Runs span loads, stores and their closing branch (blocks) only
+        # where a dispatch may perform accesses ahead of the loop's
+        # clock and every stop falls on a cycle boundary: a memory
+        # system this processor alone uses, one issue slot per cycle.
+        self._memory_ops = (pipeline_params.issue_width == 1
+                            and memsys.runs_ahead)
 
     # -- process management ----------------------------------------------------
 
@@ -144,7 +149,8 @@ class Processor:
         self.scoreboard.clear_context(slot)
         if self.burst_enabled:
             ctx.burst_table = process.program.bursts_for(
-                self.pp.short_stall_threshold, self.pp.issue_width)
+                self.pp.short_stall_threshold, self.pp.issue_width,
+                self._memory_ops)
         return ctx
 
     def unload_process(self, slot):
@@ -441,6 +447,22 @@ class Processor:
             if self.on_halt is not None:
                 self.on_halt(ctx, now)
 
+    def _retire_bulk(self, ctx, n, short, long_):
+        """Charge ``n`` retired instructions of a burst and the ``short``
+        and ``long_`` hazard-stall slots between them: every counter
+        :meth:`_retire` bumps per instruction, in one add each."""
+        stats = self.stats
+        stats.add(BUSY, n)
+        if short:
+            stats.add(INST_SHORT, short)
+        if long_:
+            stats.add(INST_LONG, long_)
+        stats.issued += n
+        stats.retired += n
+        ctx.run_instructions += n
+        if ctx.process is not None:
+            ctx.process.retired += n
+
     def _try_burst(self, ctx, now):
         """Dispatch a precompiled straight-line burst, if legal at ``now``.
 
@@ -458,20 +480,31 @@ class Processor:
         * every live-in register is ready early enough that the
           precomputed schedule is exact (scoreboard guard);
         * every instruction line of the run is present in the I-cache
-          (checked last: the hit counters are bumped only on success;
-          a memory model whose I-cache is ideal is not probed).
+          (a memory model whose I-cache is ideal is not probed).
 
-        On success the whole run is executed functionally, the
-        scoreboard and stats take one bulk update each, and the
-        processor is busy until ``now + duration``.  The burst's
-        schedule is packed for this pipeline's issue width (the table
-        is built per ``(threshold, width)``), so its stall counts
-        already cover every slot of every cycle in the window —
-        ``n + short + long == duration * width`` — and dispatch happens
-        only at slot 0 of a cycle, matching the packed schedule's
-        cycle-boundary start.
+        Plain instructions execute functionally and retire in bulk: the
+        scoreboard and stats take one bulk update each.  A block's ops
+        (:attr:`Burst.ops`) issue at their scheduled cycles ``t``.  A
+        load or store that hits the L1 D-cache commits through
+        ``MemorySystem.l1_hit`` and the block goes on.  Anything else —
+        a miss, a TLB refill, an MSHR-forward retry, the closing branch
+        — first charges the prefix before it, then issues through the
+        processor's own path at ``t`` exactly as stepping would.  The
+        block goes on after that only when the op retired leaving the
+        schedule intact (a single-context store miss, whose
+        write-allocate completes in the background, or an MSHR-forward
+        retry); otherwise the dispatch stops there and the
+        processor is busy to ``t + 1``, or to the end of a window the op
+        itself opened.  A completed dispatch leaves the processor busy
+        until ``now + duration``.  Every slot of every cycle up to there
+        is accounted — the schedule is packed for this pipeline's issue
+        width, and dispatch happens only at slot 0 of a cycle, matching
+        its cycle-boundary start — and the I-cache counts one hit per
+        instruction stepping would have fetched.
         """
-        burst = ctx.burst_table[ctx.state.pc]
+        state = ctx.state
+        pc = state.pc
+        burst = ctx.burst_table[pc]
         if burst is None or now < ctx.next_issue_min:
             return False
         end = now + burst.duration
@@ -482,32 +515,96 @@ class Processor:
             return False
         if not self.scoreboard.can_dispatch_burst(ctx.cid, burst, now):
             return False
-        state = ctx.state
+        memsys = self.memsys
+        code_base = ctx.program.code_base
         if not self._ideal_icache:
-            pc = state.pc
-            fetch_addr = ctx.program.code_base + 4 * pc
-            already = 1 if (ctx.fetch_valid and ctx.fetch_pc == pc) else 0
-            if not self.memsys.inst_run_hits(fetch_addr, burst.n, already):
+            if not memsys.inst_run_present(code_base + 4 * pc, burst.n):
                 return False
+            # Stepping fetches an instruction once, at its first attempt.
+            already = 1 if (ctx.fetch_valid and ctx.fetch_pc == pc) else 0
         memory = self.memory
-        for inst in burst.instructions:
-            execute(state, inst, memory)
-        self.scoreboard.apply_burst(ctx.cid, now, burst.writes_out)
-        stats = self.stats
-        n = burst.n
-        stats.add(BUSY, n)
-        if burst.short_stalls:
-            stats.add(INST_SHORT, burst.short_stalls)
-        if burst.long_stalls:
-            stats.add(INST_LONG, burst.long_stalls)
-        stats.issued += n
-        stats.retired += n
-        ctx.run_instructions += n
-        if ctx.process is not None:
-            ctx.process.retired += n
-        ctx.fetch_valid = False
-        self.burst_until = end
+        insts = burst.instructions
+        done = charged = short_charged = long_charged = 0
+        for index, cycle, short, long_, writes in burst.ops:
+            for inst in insts[done:index]:
+                execute(state, inst, memory)
+            done = index + 1
+            op = insts[index]
+            t = now + cycle
+            if op.kind == KIND_MEM and ctx.satisfied_pc != state.pc:
+                addr = state.regs[op.rs1] + op.imm
+                is_store = op.info.is_store
+                if memsys.l1_hit(addr, is_store, t) is not None:
+                    if self.access_log is not None:
+                        self.access_log(t, ctx, state.pc, addr, is_store)
+                    execute(state, op, memory)
+                    continue
+            # The op issues through its own path at t, as stepping
+            # issues it, after the prefix it follows is charged.
+            self._retire_bulk(ctx, index - charged, short - short_charged,
+                              long_ - long_charged)
+            self.scoreboard.apply_burst(ctx.cid, now, writes)
+            op_pc = state.pc
+            ctx.fetch_pc = op_pc
+            ctx.fetch_valid = True
+            self.burst_until = t + 1
+            if op.kind == KIND_CONTROL:
+                self._retire(ctx, op, t)
+                self._resolve_control(ctx, op, code_base + 4 * op_pc, t)
+                break
+            self._issue_memory(ctx, op, t)
+            if state.pc == op_pc:
+                # Not retired: a doomed miss, a TLB refill or an MSHR
+                # wait.
+                if ctx.status is DOOMED:
+                    self._skip_doomed_window(ctx, t, 1)
+                break
+            if op.writes >= 0 and self.scoreboard.reg_mem[
+                    (ctx.cid << 6) + op.writes]:
+                break               # a stall-on-use load miss
+            charged = done
+            short_charged = short
+            long_charged = long_
+        else:
+            for inst in insts[done:]:
+                execute(state, inst, memory)
+            done = burst.n
+            self._retire_bulk(ctx, done - charged,
+                              burst.short_stalls - short_charged,
+                              burst.long_stalls - long_charged)
+            self.scoreboard.apply_burst(ctx.cid, now, burst.writes_out)
+            ctx.fetch_valid = False
+            self.burst_until = end
+        if not self._ideal_icache:
+            memsys.count_fetch_hits(done - already)
         return True
+
+    def _skip_doomed_window(self, ctx, now, slots_left):
+        """Bulk-charge the squash slots of a doomed window (burst engine
+        only).
+
+        ``ctx`` entered its doomed window at ``now`` with one of the
+        ``slots_left`` slots left in that cycle.  While it owns the
+        window up to its WB-stage detection cycle (as the policy
+        decides, see :meth:`_try_burst`), stepping would select it for
+        every later slot of the window and squash each one: the rest of
+        cycle ``now``, then ``issue_width`` slots of every cycle up to
+        the detection.  Charges those slots (capped at
+        :attr:`burst_limit`) at once and marks the processor busy to
+        the window's end, where stepping resumes with the detection.
+        """
+        tgt = ctx.doomed_detect
+        if tgt > self.burst_limit:
+            tgt = self.burst_limit
+        n = slots_left - 1 + (tgt - now - 1) * self.pp.issue_width
+        if n <= 0 or not self.policy.owns_window(ctx, self.contexts, tgt,
+                                                 self.extern_wakes):
+            return
+        stats = self.stats
+        stats.add(SWITCH, n)
+        stats.squashed += n
+        ctx.doomed_count += n
+        self.burst_until = tgt
 
     def _skip_stall_window(self, ctx, now, until, kind, slots_left):
         """Bulk-charge a hazard-stall window (burst engine only).
@@ -618,6 +715,10 @@ class Processor:
             self._issue_switch(ctx, inst, now)
         else:
             self._retire(ctx, inst, now)
+        if fast and ctx.status is DOOMED:
+            # The op's miss just doomed the context (step never issues
+            # for a DOOMED one).
+            self._skip_doomed_window(ctx, now, slots_left)
 
     def _access_satisfied(self, ctx, inst, now):
         """Perform the timing access for a memory op; True when usable.

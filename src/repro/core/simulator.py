@@ -127,8 +127,10 @@ class WorkstationSimulator:
 
         Attaches a :class:`repro.core.tracing.SharedAccessRecorder` to
         the processor and returns it.  The burst engine keeps its fast
-        paths: bursts and charged stall windows hold no load or store,
-        so the log is the one naive stepping records.  Subsequent
+        paths: a block logs each load and store it issues at the op's
+        issue cycle, as stepping does, and a charged stall or doomed
+        window holds no access, so the log is the one naive stepping
+        records.  Subsequent
         ``run()`` windows attach the JSON-ready log to their core
         window result as ``shared_accesses``.
         """

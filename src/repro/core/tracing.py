@@ -6,7 +6,8 @@ those events into the paper's Figure 3 notation — one character per
 slot: the context's letter for an issued instruction, the lowercase
 letter for a squashed slot, ``.`` for a stall or idle slot.
 
-The ``access_log`` hook fires once per retired load/store;
+The ``access_log`` hook fires once per retired load/store, at its
+issue cycle, whichever path issues it;
 :class:`SharedAccessRecorder` stamps each access with the lock words
 its context held and the global barrier episode, producing the replay
 log the dynamic race oracle (:func:`repro.analysis.dynamic_races`)
@@ -70,10 +71,11 @@ class SharedAccessRecorder:
     """Collects every retired data access with its synchronisation
     context (the ``trace_shared_accesses`` hook).
 
-    Every load/store retires through the per-instruction path, where the
-    hook fires: a burst or a bulk-charged stall window holds none, so
-    the burst engine keeps both fast paths while the recorder is
-    installed and logs what naive stepping logs.  Each record carries
+    The hook fires for every load/store the per-instruction path
+    retires and for every one a block issues, at the op's issue cycle;
+    a bulk-charged stall or doomed window holds none.  So the burst
+    engine keeps its fast paths while the recorder is installed and
+    logs what naive stepping logs.  Each record carries
     the context id (``Process.pid``), the cycle, pc, byte address,
     direction, the lock words the context held at that instant, and the
     global barrier episode — exactly the tuple

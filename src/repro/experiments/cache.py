@@ -204,9 +204,17 @@ SERIALIZERS = {
 }
 
 
-def _checksum(result_state):
-    blob = json.dumps(result_state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _canonical(result_state):
+    """The result's compact canonical text: what an entry stores and
+    its checksum (SHA-256, hex) hashes."""
+    return json.dumps(result_state, sort_keys=True, separators=(",", ":"))
+
+
+#: What precedes the stored result in an entry.  The header is written
+#: with ``json.dumps``' default ``": "`` separator and the result in
+#: compact form, which has no space after a colon, so the entry's last
+#: occurrence of this marker is the one before its result.
+_RESULT_MARKER = b'"result": '
 
 
 class CorruptEntry(Exception):
@@ -218,9 +226,12 @@ class ResultCache:
 
     Layout: ``<root>/<key[:2]>/<key>.json``; each payload carries a
     schema number, its own key, a checksum of the result body, and a
-    human-readable ``meta`` block describing the point.  Writes are
-    atomic (temp file + rename) so a killed sweep never leaves a
-    half-written entry that later reads as valid.
+    human-readable ``meta`` block describing the point, then the result
+    itself, last, as the compact canonical text the checksum hashes.  A
+    read therefore checks the stored bytes against the checksum without
+    encoding the parsed result again.  Writes are atomic (temp file +
+    rename) so a killed sweep never leaves a half-written entry that
+    later reads as valid.
     """
 
     def __init__(self, root=None):
@@ -268,7 +279,8 @@ class ResultCache:
     def _load_validated(self, path, key, kind):
         try:
             with open(path, "rb") as fh:
-                payload = json.loads(fh.read())
+                data = fh.read()
+            payload = json.loads(data)
         except (ValueError, UnicodeDecodeError) as exc:
             raise CorruptEntry("undecodable: %s" % exc)
         except OSError as exc:
@@ -282,8 +294,12 @@ class ResultCache:
         if payload.get("key") != key or payload.get("kind") != kind:
             raise CorruptEntry("key/kind mismatch")
         result = payload.get("result")
+        start = data.rfind(_RESULT_MARKER) + len(_RESULT_MARKER)
+        stored = data[start:-1]
         if (not isinstance(result, dict)
-                or payload.get("checksum") != _checksum(result)):
+                or start < len(_RESULT_MARKER)
+                or payload.get("checksum")
+                != hashlib.sha256(stored).hexdigest()):
             raise CorruptEntry("checksum mismatch")
         return payload
 
@@ -294,20 +310,21 @@ class ResultCache:
 
     def put_state(self, key, kind, state, meta=None):
         """Persist an already-serialised result state (sweep workers)."""
-        payload = {
+        result = _canonical(state).encode()
+        header = json.dumps({
             "schema": CACHE_SCHEMA,
             "key": key,
             "kind": kind,
             "meta": dict(meta) if meta else {},
-            "checksum": _checksum(state),
-            "result": state,
-        }
+            "checksum": hashlib.sha256(result).hexdigest(),
+        }, sort_keys=True).encode()
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(b"%s, %s%s}" % (header[:-1], _RESULT_MARKER,
+                                         result))
             os.replace(tmp, path)
         except BaseException:
             try:

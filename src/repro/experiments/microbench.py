@@ -20,6 +20,9 @@ class FixedLatencyMemory:
 
     #: The I-cache is ideal, so the processor never probes it.
     ideal_icache = True
+    #: Accesses are served through ``data_access`` only (no ``l1_hit``
+    #: probe), so runs end at memory ops.
+    runs_ahead = False
 
     def __init__(self, latency=30, miss_addrs=()):
         self.latency = latency

@@ -84,8 +84,9 @@ class Program:
         #: :meth:`to_source`, never part of the fingerprint.
         self.annotations = dict(annotations) if annotations else {}
         # Burst tables (repro.isa.segments), memoised per
-        # (stall threshold, issue width); built on demand so
-        # naive-engine runs never pay the segmentation cost.
+        # (stall threshold, issue width, memory ops); each entry is
+        # built on demand, so naive-engine runs never pay the
+        # segmentation cost.
         self._burst_tables = {}
         # Static-analysis memos (repro.analysis.absint fixpoint, race
         # access lists), same contract as the burst tables: the
@@ -97,23 +98,27 @@ class Program:
     def __len__(self):
         return len(self.instructions)
 
-    def bursts_for(self, short_stall_threshold, issue_width=1):
+    def bursts_for(self, short_stall_threshold, issue_width=1,
+                   memory_ops=False):
         """Burst-per-entry-PC table for the burst engine (memoised).
 
         The schedule depends only on the static Table 3 latencies, the
         pipeline's short/long stall split, and the slot packing of its
-        issue width, so one table per ``(threshold, width)`` serves
-        every processor and context running this program.  The width
-        *must* key the memo: a width-2 schedule packs two slots per
-        cycle and its durations, stall splits, and write-out deltas are
-        all different from the width-1 schedule of the same run.
+        issue width, so one table per ``(threshold, width, memory_ops)``
+        serves every processor and context running this program.  The
+        width *must* key the memo: a width-2 schedule packs two slots
+        per cycle and its durations, stall splits, and write-out deltas
+        are all different from the width-1 schedule of the same run.
+        ``memory_ops`` asks for blocks (runs through loads and stores to
+        their closing branch; width 1 only, see
+        :mod:`repro.isa.segments`).
         """
-        key = (short_stall_threshold, issue_width)
+        key = (short_stall_threshold, issue_width, memory_ops)
         table = self._burst_tables.get(key)
         if table is None:
-            from repro.isa.segments import build_burst_table
-            table = build_burst_table(self, short_stall_threshold,
-                                      issue_width)
+            from repro.isa.segments import BurstTable
+            table = BurstTable(self, short_stall_threshold, issue_width,
+                               memory_ops)
             self._burst_tables[key] = table
         return table
 

@@ -20,14 +20,18 @@ def _log2(x):
 class DirectMappedCache:
     """Tag array + dirty bits + port occupancy for one cache level."""
 
-    __slots__ = ("params", "line_bits", "index_bits", "tags", "dirty",
-                 "port", "fill_port", "hits", "misses", "writebacks",
-                 "invalidations")
+    __slots__ = ("params", "line_bits", "index_bits", "index_mask",
+                 "tag_shift", "tags", "dirty", "port", "fill_port", "hits",
+                 "misses", "writebacks", "invalidations")
 
     def __init__(self, params):
         self.params = params
         self.line_bits = _log2(params.line_size)
         self.index_bits = _log2(params.n_lines)
+        # The hot tag checks split an address inline with these:
+        # index = addr >> line_bits & index_mask, tag = addr >> tag_shift.
+        self.index_mask = (1 << self.index_bits) - 1
+        self.tag_shift = self.line_bits + self.index_bits
         self.tags = [-1] * params.n_lines
         self.dirty = bytearray(params.n_lines)
         self.port = Resource(params.name + ".port")
@@ -43,10 +47,10 @@ class DirectMappedCache:
     # -- address helpers -----------------------------------------------------
 
     def index_of(self, addr):
-        return (addr >> self.line_bits) & ((1 << self.index_bits) - 1)
+        return (addr >> self.line_bits) & self.index_mask
 
     def tag_of(self, addr):
-        return addr >> (self.line_bits + self.index_bits)
+        return addr >> self.tag_shift
 
     def line_addr(self, addr):
         return addr >> self.line_bits << self.line_bits
@@ -55,7 +59,8 @@ class DirectMappedCache:
 
     def lookup(self, addr, count=True):
         """Tag check; returns True on hit.  Updates hit/miss counters."""
-        hit = self.tags[self.index_of(addr)] == self.tag_of(addr)
+        hit = (self.tags[(addr >> self.line_bits) & self.index_mask]
+               == addr >> self.tag_shift)
         if count:
             if hit:
                 self.hits += 1
@@ -65,7 +70,8 @@ class DirectMappedCache:
 
     def present(self, addr):
         """Tag check with no statistics side effects."""
-        return self.tags[self.index_of(addr)] == self.tag_of(addr)
+        return (self.tags[(addr >> self.line_bits) & self.index_mask]
+                == addr >> self.tag_shift)
 
     def fill(self, addr):
         """Install the line containing ``addr``.

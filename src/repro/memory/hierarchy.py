@@ -57,8 +57,13 @@ class MemorySystem:
     """Workstation memory system: L1I, L1D+MSHR, TLB, L2, bus, banks."""
 
     #: The L1 I-cache is real and blocking: the processor probes it for
-    #: every fetch (``inst_fetch``) and burst run (``inst_run_hits``).
+    #: every fetch (``inst_fetch``) and burst run (``inst_run_present``).
     ideal_icache = False
+    #: Only this model's own processor uses it, so that processor may
+    #: perform an access for a cycle ahead of the loop's clock: a block
+    #: dispatch issues each load and store at its scheduled cycle,
+    #: through ``l1_hit`` (see :mod:`repro.isa.segments`).
+    runs_ahead = True
 
     def __init__(self, params):
         self.params = params
@@ -131,6 +136,41 @@ class MemorySystem:
 
     # -- public API ------------------------------------------------------------
 
+    def l1_hit(self, addr, is_write, now):
+        """Perform the access at ``now`` if it hits the L1 D-cache.
+
+        A hit needs a TLB hit, no fill pending for the line, and the tag
+        present.  It is then committed as :meth:`data_access` commits it
+        — TLB LRU order and hit count, the cache port's reservation, the
+        hit count, and the dirty bit of a store — and the port's start
+        cycle is returned.  Anything else returns None and changes no
+        statistic (the block dispatch then issues the access through
+        the processor's own path, which calls :meth:`data_access`).
+        """
+        dtlb = self.dtlb
+        page = addr >> dtlb.page_bits
+        pages = dtlb.pages
+        if page not in pages:
+            return None
+        mshr = self.mshr
+        l1d = self.l1d
+        if mshr.entries:
+            mshr.purge(now)
+            if (addr >> l1d.line_bits << l1d.line_bits) in mshr.entries:
+                return None
+        index = (addr >> l1d.line_bits) & l1d.index_mask
+        if l1d.tags[index] != addr >> l1d.tag_shift:
+            return None
+        pages.move_to_end(page)
+        dtlb.hits += 1
+        p = self.params.l1d
+        start = l1d.port.acquire(
+            now, p.write_occupancy if is_write else p.read_occupancy)
+        l1d.hits += 1
+        if is_write:
+            l1d.dirty[index] = 1
+        return start
+
     def data_access(self, addr, is_write, now):
         """Access ``addr`` at cycle ``now``; returns an :class:`AccessResult`.
 
@@ -138,26 +178,24 @@ class MemorySystem:
         latency already covers the primary-cache access (Table 2's 1-cycle
         hit is part of the DF stages).
         """
+        start = self.l1_hit(addr, is_write, now)
+        if start is not None:
+            return AccessResult("l1", start)
         p = self.params
         if not self.dtlb.lookup(addr):
             self.tlb_stall_count += 1
             return AccessResult("tlb", now + p.tlb.miss_penalty)
 
-        self.mshr.purge(now)
         line = self.l1d.line_addr(addr)
         pending = self.mshr.pending(line)
         if pending is not None:
             self.mshr.merge(line)
             return AccessResult("pending", pending)
 
-        occ = (p.l1d.write_occupancy if is_write
-               else p.l1d.read_occupancy)
-        port_start = self.l1d.port.acquire(now, occ)
-        if self.l1d.lookup(addr):
-            if is_write:
-                self.l1d.mark_dirty(addr)
-            return AccessResult("l1", port_start)
-
+        # A miss (l1_hit found the tag absent) still occupies the port.
+        self.l1d.port.acquire(now, p.l1d.write_occupancy if is_write
+                              else p.l1d.read_occupancy)
+        self.l1d.misses += 1
         if len(self.mshr.entries) >= self.mshr.capacity:
             # All MSHRs busy: structural stall, retry when one frees up.
             self.mshr.structural_stalls += 1
@@ -177,25 +215,25 @@ class MemorySystem:
         brings in two lines (Table 1 fetch size), the second as a
         prefetch that adds occupancy but no latency.
         """
-        if self.l1i.lookup(addr):
+        l1i = self.l1i
+        if (l1i.tags[(addr >> l1i.line_bits) & l1i.index_mask]
+                == addr >> l1i.tag_shift):
+            l1i.hits += 1
             return AccessResult("l1", now)
-        level, ready = self._miss_path(self.l1i, addr, now, is_inst=True)
-        next_line = self.l1i.line_addr(addr) + self.params.l1i.line_size
-        if not self.l1i.present(next_line):
-            self._miss_path(self.l1i, next_line, now, is_inst=True)
+        l1i.misses += 1
+        level, ready = self._miss_path(l1i, addr, now, is_inst=True)
+        next_line = l1i.line_addr(addr) + self.params.l1i.line_size
+        if not l1i.present(next_line):
+            self._miss_path(l1i, next_line, now, is_inst=True)
         return AccessResult(level, ready)
 
-    def inst_run_hits(self, addr, n_insts, already_fetched):
-        """Probe a straight-line fetch run of ``n_insts`` instructions.
+    def inst_run_present(self, addr, n_insts):
+        """Whether every line of a straight-line fetch run of
+        ``n_insts`` instructions from ``addr`` is in the I-cache.
 
-        Burst-engine fetch guard: returns True — and bulk-counts the
-        I-cache hits — only when every line the run touches is already
-        present, so the run cannot stall the front end.  A False return
-        leaves all statistics untouched (the caller falls back to
-        per-instruction fetch, which handles the miss the usual way).
-        ``already_fetched`` is 1 when the first instruction's fetch was
-        already counted this instance (the once-per-instruction fetch
-        caching of the per-issue path), else 0.
+        The burst engine's fetch guard: a run whose lines are all
+        present cannot stall the front end.  Counts nothing; the
+        dispatch counts the fetches it makes (:meth:`count_fetch_hits`).
         """
         l1i = self.l1i
         line_size = self.params.l1i.line_size
@@ -205,8 +243,12 @@ class MemorySystem:
             if not l1i.present(line):
                 return False
             line += line_size
-        l1i.hits += n_insts - already_fetched
         return True
+
+    def count_fetch_hits(self, n_insts):
+        """Count ``n_insts`` instruction fetches that hit (a dispatched
+        run's, whose lines :meth:`inst_run_present` found)."""
+        self.l1i.hits += n_insts
 
     def scheduler_interference(self, n_switched, os_params, rng):
         """Displace cache lines on an OS scheduler invocation (Table 6)."""

@@ -58,7 +58,7 @@ def _tamper(width, **overrides):
     p = _program()
     table = list(p.bursts_for(THRESHOLD, width))
     table[0] = _clone(table[0], **overrides)
-    p._burst_tables[(THRESHOLD, width)] = table
+    p._burst_tables[(THRESHOLD, width, False)] = table
     return p
 
 
@@ -91,7 +91,7 @@ def test_b203_guard_slack_monotonicity():
     table[pc] = _clone(w2[pc], guard=bumped,
                        duration=w2[pc].duration + 10,
                        short_stalls=w2[pc].short_stalls + 20)
-    p._burst_tables[(THRESHOLD, 2)] = table
+    p._burst_tables[(THRESHOLD, 2, False)] = table
     assert "B203" in _codes(audit_bursts(p, THRESHOLD, widths=(1, 2)))
 
 
@@ -99,7 +99,7 @@ def test_b204_missing_suffix_burst():
     p = _program()
     table = list(p.bursts_for(THRESHOLD, 1))
     table[1] = None                    # hole at an eligible entry pc
-    p._burst_tables[(THRESHOLD, 1)] = table
+    p._burst_tables[(THRESHOLD, 1, False)] = table
     assert "B204" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
 
 
@@ -108,7 +108,7 @@ def test_b204_burst_at_ineligible_pc():
     table = list(p.bursts_for(THRESHOLD, 1))
     halt_pc = len(p.instructions) - 1
     table[halt_pc] = _clone(table[0], start=halt_pc)
-    p._burst_tables[(THRESHOLD, 1)] = table
+    p._burst_tables[(THRESHOLD, 1, False)] = table
     assert "B204" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
 
 
@@ -117,7 +117,7 @@ def test_b204_truncated_width1_suffix():
     real = p.bursts_for(THRESHOLD, 1)[0]
     table = list(p.bursts_for(THRESHOLD, 1))
     table[0] = _clone(real, instructions=real.instructions[:-1])
-    p._burst_tables[(THRESHOLD, 1)] = table
+    p._burst_tables[(THRESHOLD, 1, False)] = table
     assert "B204" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
 
 
@@ -148,3 +148,86 @@ def test_min_burst_respected_by_real_tables():
         for burst in p.bursts_for(THRESHOLD, width):
             if burst is not None:
                 assert burst.n >= MIN_BURST
+
+
+# -- blocks: runs through loads and stores to their closing branch ---------
+
+def _block_program():
+    b = AsmBuilder("blocks", data_base=0x1000)
+    arr = b.space("arr", 8)
+    b.li("t0", arr)
+    b.label("top")
+    b.lw("t1", 0, "t0")
+    b.addi("t2", "t1", 1)
+    b.sw("t2", 4, "t0")
+    b.sll("t3", "t2", 2)
+    b.lw("t4", 8, "t0")
+    b.add("t5", "t3", "t4")
+    b.bne("t5", "zero", "top")
+    b.halt()
+    return b.build()
+
+
+def _real_block():
+    return _block_program().bursts_for(THRESHOLD, 1, True)[1]
+
+
+def _tamper_block(**overrides):
+    """Fresh block program with the block entered at pc 1 doctored."""
+    p = _block_program()
+    table = list(p.bursts_for(THRESHOLD, 1, True))
+    clone = _clone(table[1])
+    clone.ops = table[1].ops
+    for name, value in overrides.items():
+        setattr(clone, name, value)
+    table[1] = clone
+    p._burst_tables[(THRESHOLD, 1, True)] = table
+    return p
+
+
+def test_block_tables_pass_and_span_memory_ops():
+    p = _block_program()
+    assert audit_bursts(p, THRESHOLD, widths=(1, 2, 4)) == []
+    assert maximal_runs(p, memory_ops=True) == [(0, 8)]
+    block = p.bursts_for(THRESHOLD, 1, True)[1]
+    assert block.n == 7
+    assert [op[0] for op in block.ops] == [0, 2, 4, 6]
+    # The plain tables never hold a load, a store or a branch.
+    assert all(not b.ops for b in p.bursts_for(THRESHOLD, 1)
+               if b is not None)
+
+
+def test_b201_block_op_at_the_wrong_cycle():
+    real = _real_block()
+    index, cycle, short, long_, writes = real.ops[1]
+    ops = list(real.ops)
+    ops[1] = (index, cycle + 1, short, long_, writes)
+    p = _tamper_block(ops=tuple(ops))
+    assert "B201" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
+
+
+def test_b201_closing_branch_not_in_the_last_cycle():
+    real = _real_block()
+    p = _tamper_block(duration=real.duration + 1,
+                      short_stalls=real.short_stalls + 1)
+    assert "B201" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
+
+
+def test_b205_block_missing_an_op():
+    real = _real_block()
+    p = _tamper_block(ops=real.ops[:1] + real.ops[2:])
+    assert "B205" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
+
+
+def test_b205_block_write_outs_include_the_branch_writes():
+    p = _tamper_block(writes_out=_real_block().writes_out + ((31, 9),))
+    assert "B205" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))
+
+
+def test_b204_plain_table_holding_a_block():
+    p = _block_program()
+    block = p.bursts_for(THRESHOLD, 1, True)[1]
+    table = list(p.bursts_for(THRESHOLD, 1))
+    table[1] = block
+    p._burst_tables[(THRESHOLD, 1, False)] = table
+    assert "B204" in _codes(audit_bursts(p, THRESHOLD, widths=(1,)))

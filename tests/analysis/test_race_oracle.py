@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis import dynamic_races, race_findings, uncovered_races
 from repro.core.simulator import WorkstationSimulator
+from repro.isa.instruction import KIND_MEM
 from repro.workloads.generator import GenSpec, generate_processes
 
 _WINDOW = 4000
@@ -37,11 +38,12 @@ def _spec(sharing):
     return GenSpec(name="orc", seed=11, sharing=sharing, **_SMALL)
 
 
-def _run(sharing, scheme, engine, bursts=None):
-    """Run one recorded window; ``bursts``, when given, collects the
-    outcome of every burst-dispatch attempt."""
+def _run(sharing, scheme, engine, bursts=None, n_contexts=2):
+    """Run one recorded window; ``bursts``, when given, collects for
+    every burst-dispatch attempt whether it dispatched and how many
+    loads and stores its burst holds."""
     procs = generate_processes(_spec(sharing), 2, verify=False)
-    sim = WorkstationSimulator(procs, scheme=scheme, n_contexts=2,
+    sim = WorkstationSimulator(procs, scheme=scheme, n_contexts=n_contexts,
                                engine=engine)
     recorder = sim.trace_shared_accesses()
     if bursts is not None:
@@ -49,8 +51,11 @@ def _run(sharing, scheme, engine, bursts=None):
         try_burst = proc._try_burst
 
         def spy(ctx, now):
+            burst = ctx.burst_table[ctx.state.pc]
             taken = try_burst(ctx, now)
-            bursts.append(taken)
+            bursts.append((taken, sum(
+                burst.instructions[op[0]].kind == KIND_MEM
+                for op in burst.ops) if taken else 0))
             return taken
         proc._try_burst = spy
     result = sim.run(until=_WINDOW)
@@ -79,14 +84,18 @@ def test_static_covers_dynamic(sharing, scheme, engine):
 @pytest.mark.parametrize("sharing", SHARINGS)
 def test_recorder_keeps_burst_dispatch(sharing):
     """The recorder observes the path the default engine really takes:
-    bursts still dispatch under blocked-2 with it installed, and the
-    log equals naive's record for record (a burst holds no load or
-    store, so it has nothing to log)."""
-    bursts = []
-    _procs, fast = _run(sharing, "blocked", "burst", bursts)
-    assert any(bursts), "no burst dispatched with the recorder installed"
-    _procs, naive = _run(sharing, "blocked", "naive")
-    assert fast.records == naive.records
+    under single and blocked-2, blocks that hold loads and stores still
+    dispatch with it installed, each logging its accesses at their
+    issue cycles, and the log equals naive's record for record."""
+    for scheme, n_contexts in (("single", 1), ("blocked", 2)):
+        bursts = []
+        _procs, fast = _run(sharing, scheme, "burst", bursts, n_contexts)
+        assert any(taken and n_mem for taken, n_mem in bursts), (
+            "no block with a load or store dispatched under %s with "
+            "the recorder installed" % scheme)
+        _procs, naive = _run(sharing, scheme, "naive",
+                             n_contexts=n_contexts)
+        assert fast.records == naive.records, scheme
 
 
 @pytest.mark.parametrize("engine", ENGINES)

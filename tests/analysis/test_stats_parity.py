@@ -186,6 +186,52 @@ def test_real_tree_dropped_burst_busy_charge_fires_l401(tmp_path):
     assert any(d.code == "L401" and "BUSY" in d.message for d in diags)
 
 
+# -- the burst path through its helpers ------------------------------------
+
+_BULK_INLINE = """    def _try_burst(self, ctx, now):
+        stats = self.stats
+        stats.add(Stall.BUSY, n)
+        stats.add(Stall.INST_SHORT, burst.short_stalls)
+        stats.issued += n
+        stats.retired += n
+        ctx.run_instructions += n
+"""
+
+_BULK_HELPER = """    def _retire_bulk(self, ctx, n, short):
+        stats = self.stats
+        stats.add(Stall.BUSY, n)
+        stats.add(Stall.INST_SHORT, short)
+        stats.issued += n
+        stats.retired += n
+        ctx.run_instructions += n
+
+    def _try_burst(self, ctx, now):
+        self._retire_bulk(ctx, n, burst.short_stalls)
+        self._retire(ctx, branch, now)
+"""
+
+_PROCESSOR_HELPER = _PROCESSOR_OK.replace(_BULK_INLINE, _BULK_HELPER)
+
+
+def test_bulk_charge_in_a_helper_passes(tmp_path):
+    """A block dispatch charges its bulk through a helper and retires
+    its closing branch through ``_retire``: the rule follows the
+    helper."""
+    assert _PROCESSOR_HELPER != _PROCESSOR_OK
+    assert check_stats_parity(_tree(tmp_path,
+                                    processor=_PROCESSOR_HELPER)) == []
+
+
+def test_l401_retire_call_does_not_cover_a_dropped_bulk_charge(tmp_path):
+    """``_try_burst`` calling ``_retire`` for one op must not vouch for
+    the bulk charge: dropping the helper's BUSY add still fires."""
+    broken = _PROCESSOR_HELPER.replace(
+        "        stats.add(Stall.BUSY, n)\n", "")
+    assert broken != _PROCESSOR_HELPER
+    diags = check_stats_parity(_tree(tmp_path, processor=broken))
+    assert any(d.code == "L401" and "BUSY" in d.message for d in diags)
+
+
 # -- L403: unregistered counters -------------------------------------------
 
 def test_l403_unregistered_stats_attribute(tmp_path):

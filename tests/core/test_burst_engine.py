@@ -29,7 +29,7 @@ from repro.isa import AsmBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.segments import (
-    MIN_BURST, build_burst_table, burstable, schedule_burst,
+    MIN_BURST, BurstTable, burstable, schedule_burst,
 )
 from repro.pipeline.scoreboard import Scoreboard
 from repro.workloads.generator import GenSpec, generate_process
@@ -221,7 +221,7 @@ class TestSchedulePrecomputation:
 
 
 class TestBurstTable:
-    """build_burst_table(): suffix coverage and run maximality."""
+    """BurstTable: suffix coverage and run maximality."""
 
     def _program(self):
         from repro.workloads.generator import generate_program
@@ -234,7 +234,7 @@ class TestBurstTable:
     def test_every_entry_is_a_maximal_suffix(self):
         program = self._program()
         insts = program.instructions
-        table = build_burst_table(program, THRESHOLD)
+        table = BurstTable(program, THRESHOLD)
         assert len(table) == len(insts)
         hits = 0
         for pc, burst in enumerate(table):
@@ -252,7 +252,7 @@ class TestBurstTable:
     def test_every_long_enough_run_has_a_burst(self):
         program = self._program()
         insts = program.instructions
-        table = build_burst_table(program, THRESHOLD)
+        table = BurstTable(program, THRESHOLD)
         for pc in range(len(insts)):
             j = pc
             while j < len(insts) and burstable(insts[j]):

@@ -27,8 +27,8 @@ HOT_PATHS = {
     "core/processor.py": {
         "step", "idle_until", "park", "_set_parked_due", "unpark",
         "context_woken", "_update_contexts", "_detect_miss", "_retire",
-        "_try_burst", "_skip_stall_window", "_try_issue",
-        "_access_satisfied"},
+        "_try_burst", "_retire_bulk", "_skip_stall_window",
+        "_skip_doomed_window", "_try_issue", "_access_satisfied"},
     "core/policies.py": {"select", "owns_window", "idle_wake_info"},
     "core/simulator.py": {"_restart_process", "_advance_naive",
                           "_advance_burst"},

@@ -389,3 +389,86 @@ class TestBurstTableMemo:
             naive = _run_spec(spec, "naive", width, scheme="interleaved",
                               n_contexts=2)
             assert _comparable(burst) == _comparable(naive), width
+
+
+# -- the doomed window, charged in one step at every width ---------------------
+
+def _spec_with_misses(seed=5):
+    """Load/store-heavy streams over a footprint larger than the L1:
+    misses doom their context, which squashes every slot it owns up to
+    the WB-stage detection."""
+    return GenSpec(name="miss", block_size=12, loop_iterations=32,
+                   load_fraction=0.3, store_fraction=0.1,
+                   fp_fraction=0.1, branch_fraction=0.0,
+                   dependency_distance=8, footprint_words=16384,
+                   seed=seed)
+
+
+class TestDoomedWindowWidths:
+    """``_skip_doomed_window`` charges the rest of the miss's cycle and
+    then ``width`` squash slots per cycle up to the detection, exactly
+    as per-slot stepping squashes them."""
+
+    @pytest.mark.parametrize("width", (1, 2, 4))
+    @pytest.mark.parametrize("scheme", ("blocked", "interleaved"))
+    def test_doomed_window_bit_identical_and_charged(self, scheme, width,
+                                                      monkeypatch):
+        from repro.core.processor import Processor
+        charged = []
+        original = Processor._skip_doomed_window
+
+        def spy(self, ctx, now, slots_left):
+            squashed = self.stats.squashed
+            original(self, ctx, now, slots_left)
+            if self.stats.squashed != squashed:
+                charged.append(slots_left)
+        monkeypatch.setattr(Processor, "_skip_doomed_window", spy)
+        spec = _spec_with_misses()
+        burst = _run_spec(spec, "burst", width, scheme=scheme,
+                          n_contexts=2)
+        naive = _run_spec(spec, "naive", width, scheme=scheme,
+                          n_contexts=2)
+        assert _comparable(burst) == _comparable(naive)
+        assert charged, "no doomed window was charged in one step"
+
+    @pytest.mark.parametrize("width", (2, 4))
+    @pytest.mark.parametrize("scheme", ("blocked", "interleaved"))
+    def test_window_opened_mid_cycle(self, scheme, width, monkeypatch):
+        """An ALU op shares the missing load's cycle, so the load dooms
+        its context at slot 1: the charge starts with the rest of that
+        cycle (``slots_left - 1`` slots)."""
+        from repro.core.processor import Processor
+        from repro.core.simulator import Process
+        from repro.isa import AsmBuilder
+        charged = []
+        original = Processor._skip_doomed_window
+
+        def spy(self, ctx, now, slots_left):
+            squashed = self.stats.squashed
+            original(self, ctx, now, slots_left)
+            if self.stats.squashed != squashed:
+                charged.append(slots_left)
+        monkeypatch.setattr(Processor, "_skip_doomed_window", spy)
+
+        def run(engine):
+            processes = []
+            for i in range(2):
+                b = AsmBuilder("m%d" % i, code_base=0x1000 * (i + 1),
+                               data_base=0x400000)
+                b.li("t0", 0x800000 + 0x100000 * i)
+                b.label("top")
+                b.addi("t1", "t1", 1)
+                b.lw("t2", 0, "t0")          # a new line every time
+                b.addi("t0", "t0", 32)
+                b.j("top")
+                b.halt()
+                processes.append(Process("m%d" % i, b.build()))
+            config = SystemConfig.fast().with_pipeline(issue_width=width)
+            sim = WorkstationSimulator(processes, scheme=scheme,
+                                       n_contexts=2, config=config,
+                                       engine=engine)
+            return workstation_run_result(sim, sim.measure(3_000))
+        burst = run("burst")
+        naive = run("naive")
+        assert _comparable(burst) == _comparable(naive)
+        assert any(left < width for left in charged)

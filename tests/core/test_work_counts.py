@@ -14,6 +14,10 @@ point does not.  For each of the 25 points this gate counts
   calls and True returns: ``stall_window_attempts``, ``stall_windows``);
 * park attempts and parks (``Processor.park`` calls and True returns:
   ``park_attempts``, ``parks``);
+* functional executions (calls of ``execute`` through the name the
+  processor module calls it by: ``executes``), which pins "each
+  instruction the processor commits executes exactly once": a fast path
+  that executed a prefix and then executed it again would change it;
 * the point's cycles (the measured window of a uniprocessor or
   dedicated point, the run to completion of an mp point) and retired
   instructions,
@@ -43,11 +47,13 @@ import pathlib
 import pytest
 
 from repro.config import MultiprocessorParams, SystemConfig
+from repro.core import processor as processor_module
 from repro.core.policies import (
     BlockedPolicy, InterleavedPolicy, SinglePolicy,
 )
 from repro.core.processor import Processor
 from repro.experiments import runner
+from repro.isa.executor import ArchState
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "golden" / (
     "work_counts.json")
@@ -80,7 +86,7 @@ _WRAPPED = {
 
 COUNTERS = tuple(sorted(
     [name for pair in _WRAPPED.values() for name in pair if name]
-    + ["cycles", "retired"]))
+    + ["cycles", "executes", "retired"]))
 
 
 def point_id(point):
@@ -89,7 +95,14 @@ def point_id(point):
 
 def _install_counters(monkeypatch, counts):
     """Wrap the counted :class:`Processor` methods so every call (and
-    every True return) bumps ``counts``."""
+    every True return) bumps ``counts``, and the processor module's
+    ``execute`` so every functional execution bumps ``executes``."""
+    execute = processor_module.execute
+
+    def counted_execute(state, inst, memory):
+        counts["executes"] += 1
+        execute(state, inst, memory)
+    monkeypatch.setattr(processor_module, "execute", counted_execute)
     for method, (calls, successes) in _WRAPPED.items():
         original = getattr(Processor, method)
 
@@ -200,3 +213,19 @@ def test_gate_catches_window_ownership_refused(golden, monkeypatch):
                             lambda self, ctx, contexts, end, extern: False)
     named = _assert_gate_names_point_and_counter(golden)
     assert {"bursts", "stall_windows", "steps"} <= named
+
+
+def test_gate_catches_double_execute(golden, monkeypatch):
+    """Seeded regression: ``_retire`` executes every instruction twice,
+    once on a scratch copy of the context's registers.  The functional
+    results are unchanged (a store writes the same word twice), so only
+    the execution count can tell."""
+    retire = Processor._retire
+
+    def retire_twice(self, ctx, inst, now):
+        scratch = ArchState(entry=ctx.state.pc)
+        scratch.regs[:] = ctx.state.regs
+        processor_module.execute(scratch, inst, self.memory)
+        retire(self, ctx, inst, now)
+    monkeypatch.setattr(Processor, "_retire", retire_twice)
+    assert "executes" in _assert_gate_names_point_and_counter(golden)

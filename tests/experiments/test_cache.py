@@ -228,6 +228,47 @@ class TestResultCache:
         assert cache.get(key, "uniproc") is None
         assert cache.corrupt == 1
 
+    def test_entry_stores_the_hashed_text_last(self, tmp_path):
+        """The result is the entry's last value, stored as the compact
+        canonical text its checksum hashes."""
+        cache = ResultCache(tmp_path)
+        state = cache_mod.uniproc_to_state(_uniproc_result())
+        path = cache.put_state(_key(), "uniproc", state)
+        text = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        data = path.read_bytes()
+        assert data.endswith(b'"result": ' + text.encode() + b"}")
+        payload = json.loads(data)
+        assert list(payload)[-1] == "result"
+        assert payload["checksum"] == hashlib.sha256(
+            text.encode()).hexdigest()
+
+    def test_flipped_byte_in_stored_result_is_corrupt(self, tmp_path):
+        """A flipped digit still parses, so only the byte check sees
+        it: the entry reads as corrupt and is deleted."""
+        cache = ResultCache(tmp_path)
+        key = _key()
+        path = cache.put(key, "uniproc", _uniproc_result())
+        data = path.read_bytes()
+        at = data.index(b'"duration":20000')
+        path.write_bytes(data[:at] + b'"duration":20001'
+                         + data[at + 16:])
+        assert json.loads(path.read_bytes())["result"]["duration"] \
+            == 20001
+        assert cache.get(key, "uniproc") is None
+        assert cache.corrupt == 1
+        assert not path.exists()
+
+    def test_old_layout_entry_is_recomputed(self, tmp_path):
+        """An entry written whole by ``json.dump`` (result not stored as
+        its canonical text) fails the byte check."""
+        cache = ResultCache(tmp_path)
+        key = _key()
+        path = cache.put(key, "uniproc", _uniproc_result())
+        path.write_text(json.dumps(json.loads(path.read_bytes()),
+                                   sort_keys=True))
+        assert cache.get(key, "uniproc") is None
+        assert cache.corrupt == 1
+
     def test_schema_and_kind_mismatch_detected(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = _key()
