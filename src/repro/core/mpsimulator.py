@@ -131,48 +131,22 @@ class MultiprocessorSimulator:
                            self.machine))
 
     def _advance(self, end):
-        if self.engine == "naive":
-            self._advance_naive(end)
-        else:
-            self._advance_burst(end)
+        """Step the nodes to cycle ``end`` or completion, jumping where
+        they may.
 
-    def _advance_naive(self, end):
-        """Reference engine: lockstep-step every node every cycle.
-
-        The fast engine's contract is defined against this loop — any
-        run must produce bit-identical statistics and cycle counts.
-        """
-        procs = self.processors
-        halted = self._halted
-        now = self.now
-        n_live = len(self.processes)
-        while now < end:
-            if halted.n >= n_live:
-                break
-            for p in procs:
-                p.step(now)
-            now += 1
-        self.now = now
-
-    def _advance_burst(self, end):
-        """Fast engine: park idle nodes, skip mid-burst nodes, jump.
-
-        Each cycle only the nodes with work are stepped (in node order,
-        preserving the lockstep access interleaving exactly).  A node
-        that reports nothing runnable is *parked* — its idle accounting
-        is deferred until it is woken by its own clock (``parked_due``),
-        by a sync handoff (``context_woken``), or by the run ending.  A
-        node that dispatched a burst or charged a hazard-stall or doomed
-        window is busy — and fully accounted — until its
-        ``burst_until``; it is
-        simply skipped (not stepped, not parked) while other nodes keep
-        their per-cycle lockstep.  When every node is parked or
-        mid-window the loop jumps to the earliest due cycle.  Windows
-        hold no memory or synchronisation operations (``NodeMemory``
-        declares ``runs_ahead`` False, so bursts here stay plain and
-        never span a load or store), so a mid-window
-        node cannot affect any other node, and the policy's ownership
-        test (``ContextPolicy.owns_window``) vetoes any window a
+        Each cycle only the nodes with work are stepped, in node order,
+        preserving the lockstep access interleaving exactly.  Under the
+        naive engine nothing parks or sets ``burst_until``, so every
+        node steps every cycle: the reference the burst engine must
+        match bit for bit.  A burst-engine step may park its node
+        (``Processor._park``) until its own clock (``parked_due``), a
+        sync handoff (``context_woken``) or the run's end, or leave it
+        fully accounted to ``burst_until``; either way it is skipped
+        while the others keep their lockstep, and when no node is due
+        the loop jumps to the earliest due cycle.  Windows hold no
+        memory or synchronisation operations (``NodeMemory`` declares
+        ``runs_ahead`` False), so a mid-window node cannot affect
+        another, and ``ContextPolicy.owns_window`` vetoes any window a
         handoff from another node could cut short.
         """
         procs = self.processors
@@ -201,12 +175,8 @@ class MultiprocessorSimulator:
                             min_due = due
                         continue
                     p.unpark(now)
-                idle = p.step(now)
+                p.step(now)
                 stepped = True
-                if p.burst_until > now:
-                    continue
-                if idle or p.stall_until > now + 1:
-                    p.park(now + 1)
             if stepped:
                 now += 1
                 continue

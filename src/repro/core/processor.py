@@ -110,14 +110,14 @@ class Processor:
         #: cycle, as stepping does, so the fast paths stay on while it
         #: is installed; None (the default) is free.
         self.access_log = None
-        # Idle-parking state (see park/unpark below): while
+        # Idle-parking state (see _park/unpark below): while
         # parked, idle-slot accounting is deferred and settled lazily so
         # a fast-forwarding loop never steps this processor cycle by
         # cycle through a known-idle window.
         self._parked_from = None
         #: Cycle a parked processor must be stepped again, or None when
         #: only an external wake (or nothing) can make it runnable; set
-        #: by park and context_woken, read by the advance loops.
+        #: by _park and context_woken, read by the advance loops.
         self.parked_due = None
         self._parked_reason = IDLE
         # Burst-engine state: when enabled, straight-line runs whose
@@ -163,25 +163,35 @@ class Processor:
     # -- simulation interface ----------------------------------------------------
 
     def step(self, now):
-        """Simulate one cycle; returns True when the cycle was idle.
+        """Simulate one cycle.
 
         With ``issue_width > 1`` (the Section 7 in-order multi-issue
         extension) each cycle offers several issue slots; every slot is
         accounted separately, so utilisation and breakdown fractions are
         per-slot.  A processor-wide stall (blocking I-miss, TLB refill,
         blocked-scheme switch tail) wastes all of a cycle's slots.
+
+        Under the burst engine a cycle that leaves nothing to issue at
+        the next one parks the processor from there (:meth:`_park`):
+        a cycle with no selectable context, or one whose processor-wide
+        stall runs past the next cycle.
         """
         stats = self.stats
         width = self.pp.issue_width
         if now < self.burst_until:
             # Inside a dispatched burst window: every slot up to
             # burst_until was charged at dispatch time.
-            return False
+            return
         if now < self.stall_until:
+            # A processor-wide stall window.  The burst engine steps one
+            # here only where its park was cut short: by the end of an
+            # advance, or by a scheduler interrupt that swapped groups.
             stats.add(self.stall_category, width)
             if self.trace is not None:
                 self.trace(now, None, "stall")
-            return False
+            if self.burst_enabled and self.stall_until > now + 1:
+                self._park(now + 1, self.stall_until, self.stall_category)
+            return
         policy = self.policy
         # One pass in issue order from the policy's pointer applies each
         # context's due wake or miss detection, counts the selectable
@@ -205,9 +215,18 @@ class Processor:
             ready += 1
             if ctx is None:
                 ctx = cand
-        if ctx is not None:
-            policy.pointer = ((ctx.cid + policy.round_robin)
-                              % policy.n_contexts)
+        if ctx is None:
+            # Nothing is selectable, so no slot of this cycle issues;
+            # the next wake (None: only an external one) is known now.
+            wake, reason = idle_wake_info(self.contexts)
+            stats.add(reason, width)
+            if self.trace is not None:
+                for _slot in range(width):
+                    self.trace(now, None, "idle")
+            if self.burst_enabled and wake != now + 1:
+                self._park(now + 1, wake, reason)
+            return
+        policy.pointer = (ctx.cid + policy.round_robin) % policy.n_contexts
         # One check per cycle decides whether this cycle may take a fast
         # path (a burst dispatch or a bulk-charged hazard window): the
         # burst engine is on, the slot tracer is off, and — under
@@ -217,17 +236,15 @@ class Processor:
         fast = (self.burst_enabled and self.trace is None
                 and (ready < 2 or not policy.round_robin))
         trace = self.trace
-        idle = True
         for _slot in range(width):
             if _slot:
                 ctx = policy.select(self.contexts, now)
-            if ctx is None:
-                _, reason = idle_wake_info(self.contexts)
-                stats.add(reason)
-                if trace is not None:
-                    trace(now, None, "idle")
-                continue
-            idle = False
+                if ctx is None:
+                    _, reason = idle_wake_info(self.contexts)
+                    stats.add(reason)
+                    if trace is not None:
+                        trace(now, None, "idle")
+                    continue
             if ctx.status is DOOMED:
                 ctx.doomed_count += 1
                 stats.add(SWITCH)
@@ -264,41 +281,25 @@ class Processor:
                 remaining = width - _slot - 1
                 if remaining:
                     stats.add(self.stall_category, remaining)
+                if self.burst_enabled and self.stall_until > now + 1:
+                    self._park(now + 1, self.stall_until,
+                               self.stall_category)
                 break
-        return idle
 
-    def idle_until(self, now):
-        """(wake_cycle, reason) when nothing can issue before wake_cycle.
+    def _park(self, start, wake, reason):
+        """Defer idle accounting from cycle ``start`` (burst engine only).
 
-        Returns None when the processor has work this cycle.  A wake_cycle
-        of None means the processor can only be woken externally (lock or
-        barrier release from another processor) or is fully halted.  The
-        probe behind :meth:`park`.
+        Nothing can issue from ``start`` until ``wake`` (None: until an
+        external wake, or never), and stepping would charge every slot
+        in between to ``reason``.  The owning loop must not step a
+        parked processor before :attr:`parked_due`, and must
+        :meth:`unpark` it before doing so; idle slots are charged on
+        unpark, and external wakes are reconciled by
+        :meth:`context_woken`.
         """
-        if now < self.stall_until:
-            return self.stall_until, self.stall_category
-        if self._update_contexts(now):
-            return None
-        return idle_wake_info(self.contexts)
-
-    def park(self, now):
-        """Begin deferring idle accounting from cycle ``now``.
-
-        Returns True when the processor has nothing to issue at ``now``
-        (it is then parked); the owning loop must not step a parked
-        processor again before :attr:`parked_due`, and must
-        :meth:`unpark` it before doing so.  Equivalent to stepping every
-        cycle of the window: idle slots are charged on unpark with the
-        reason cycle-stepping would have used, and external wakes are
-        reconciled by :meth:`context_woken`.
-        """
-        info = self.idle_until(now)
-        if info is None:
-            return False
-        self._parked_from = now
-        wake, self._parked_reason = info
-        self._set_parked_due(wake)
-        return True
+        self._parked_from = start
+        self.parked_due = wake
+        self._parked_reason = reason
 
     def _set_parked_due(self, wake):
         """:attr:`parked_due` for a park from ``_parked_from`` whose
@@ -356,28 +357,6 @@ class Processor:
         self._set_parked_due(wake)
 
     # -- internals ---------------------------------------------------------------
-
-    def _update_contexts(self, now):
-        """Apply the wakes and miss detections due at ``now``; returns
-        the number of selectable (RUNNING or DOOMED) contexts (the
-        probe of :meth:`idle_until`; ``step`` makes the same pass)."""
-        ready = 0
-        for ctx in self.contexts:
-            status = ctx.status
-            if status is RUNNING:
-                ready += 1
-            elif status is WAITING:
-                if ctx.wake_at <= now:
-                    ctx.status = RUNNING
-                    ready += 1
-            elif status is DOOMED:
-                if now < ctx.doomed_detect:
-                    ready += 1
-                    continue
-                self._detect_miss(ctx, now)
-                if ctx.status is RUNNING:
-                    ready += 1
-        return ready
 
     def _detect_miss(self, ctx, now):
         """WB-stage miss determination for a DOOMED context at ``now``:
@@ -558,6 +537,10 @@ class Processor:
                 # wait.
                 if ctx.status is DOOMED:
                     self._skip_doomed_window(ctx, t, 1)
+                elif self.stall_until > t + 1:
+                    # A TLB refill outlasting the dispatch.
+                    self._park(t + 1, self.stall_until,
+                               self.stall_category)
                 break
             if op.writes >= 0 and self.scoreboard.reg_mem[
                     (ctx.cid << 6) + op.writes]:

@@ -166,8 +166,12 @@ class WorkstationSimulator:
         for slot in range(n, self.n_contexts):
             self.processor.unload_process(slot)
 
-    def _scheduler_interrupt(self):
-        """Called every time slice; swaps groups at affinity boundaries."""
+    def _scheduler_interrupt(self, now):
+        """Called every time slice; swaps groups at affinity boundaries.
+
+        A swap settles a parked window first (the next group may have
+        work at ``now``); an interrupt that swaps nothing leaves it.
+        """
         self._slices_elapsed += 1
         os_params = self.config.os
         residency = os_params.affinity_slices * self.n_contexts
@@ -178,6 +182,7 @@ class WorkstationSimulator:
             return
         if self._slices_elapsed % residency:
             return
+        self.processor.unpark(now)
         for slot in range(self.n_contexts):
             self.processor.unload_process(slot)
         self._load_group()
@@ -208,60 +213,30 @@ class WorkstationSimulator:
         return workstation_run_result(self, window)
 
     def _advance(self, end):
-        if self.engine == "naive":
-            self._advance_naive(end)
-        else:
-            self._advance_burst(end)
+        """Step the processor to cycle ``end``, jumping where it may.
 
-    def _advance_naive(self, end):
-        """Reference engine: step every cycle.
-
-        The fast engine's contract is defined against this loop — any
-        run must produce bit-identical statistics either way.
-        """
-        proc = self.processor
-        now = self.now
-        slice_len = self.config.os.time_slice
-        next_interrupt = ((now // slice_len) + 1) * slice_len
-        while now < end:
-            if now >= next_interrupt:
-                self._scheduler_interrupt()
-                next_interrupt += slice_len
-            proc.step(now)
-            now += 1
-        self.now = now
-
-    def _advance_burst(self, end):
-        """Fast engine: park/unpark fast-forward plus one-step bursts.
-
-        The processor is parked (``Processor.park``) only when the
-        previous step was idle or froze the front end, keeping the idle
-        probe off the busy hot path.  A parked window runs to the
-        processor's own due cycle (``parked_due``) and never crosses
-        ``end`` or a scheduler interrupt; ``unpark`` then charges every
-        skipped slot as naive stepping would.  When every context has
-        halted nothing is due by itself, so the window runs to the next
-        interrupt, which may load the next group.  When ``step``
-        dispatched a precompiled burst or charged a hazard-stall window
-        the processor is busy — and fully accounted — until
-        ``burst_until``, so the clock jumps straight there.
-        ``burst_limit`` keeps any such window inside both the advance
-        window and the current time slice, so scheduler interrupts fire
-        on exactly the cycle naive stepping would fire them.
+        Under the naive engine nothing parks or sets ``burst_until``, so
+        this steps every cycle: the reference the burst engine must
+        match bit for bit.  A burst-engine step may park the processor
+        (``Processor._park``); nothing issues before ``parked_due``, so
+        the clock jumps there (to the next interrupt when every context
+        has halted), never past ``end`` or an interrupt, and the park
+        stays open across an interrupt that swaps nothing; ``unpark``
+        charges the skipped slots.  A step that dispatched a burst or
+        charged a window is fully accounted to ``burst_until``, which
+        ``burst_limit`` keeps inside the advance and the time slice.
         """
         proc = self.processor
         now = self.now
         slice_len = self.config.os.time_slice
         next_interrupt = ((now // slice_len) + 1) * slice_len
         proc.burst_limit = min(end, next_interrupt)
-        check_idle = True
         while now < end:
             if now >= next_interrupt:
-                self._scheduler_interrupt()
+                self._scheduler_interrupt(now)
                 next_interrupt += slice_len
                 proc.burst_limit = min(end, next_interrupt)
-                check_idle = True
-            if check_idle and proc.park(now):
+            if proc._parked_from is not None:
                 due = proc.parked_due
                 if due is None:
                     if not proc.all_halted():
@@ -269,17 +244,16 @@ class WorkstationSimulator:
                             "all contexts blocked on %s with nothing "
                             "running" % proc._parked_reason.name)
                     due = next_interrupt
-                now = min(due, end, next_interrupt)
+                if due > now:
+                    now = min(due, end, next_interrupt)
+                    continue
                 proc.unpark(now)
-                continue
-            check_idle = proc.step(now)
+            proc.step(now)
             if proc.burst_until > now:
                 now = proc.burst_until
-                check_idle = False
             else:
                 now += 1
-            if not check_idle and proc.stall_until > now:
-                check_idle = True
+        proc.unpark(now)
         self.now = now
 
     def measure(self, cycles, warmup=0):

@@ -2,7 +2,7 @@
 
 Every module exposes ``run(...)`` returning a structured result and
 ``render(result)`` returning the table/figure as text; the CLI
-(``interleaving-experiments``) and the benchmark suite drive these.
+(``repro-experiments``) and the benchmark suite drive these.
 """
 
 from repro.experiments import (

@@ -12,9 +12,6 @@ Usage::
     repro-experiments submit --connect 127.0.0.1:7994 --workloads R1
     repro-experiments jobs --connect 127.0.0.1:7994        # job statuses
     repro-experiments jobs job-0001 --connect 127.0.0.1:7994
-
-(``interleaving-experiments`` is the historical alias of the same
-entry point.)
 """
 
 import argparse
@@ -499,7 +496,7 @@ def _lint(args):
     """The 'lint' verb: codebase rules and/or program verification."""
     import json as _json
     from repro.analysis import (lint_codebase, render_report, has_errors)
-    both = args.lint_all or not (args.codebase or args.programs)
+    both = not (args.codebase or args.programs)
     do_codebase = args.codebase or both
     do_programs = args.programs or both
     diags = []
@@ -686,13 +683,11 @@ def main(argv=None, _ready=None):
         "lint", "options for the 'lint' verb")
     lint_group.add_argument("--codebase", action="store_true",
                             help="lint src/repro with the determinism "
-                                 "and stats-parity rules")
+                                 "and stats-parity rules (with neither "
+                                 "this nor --programs: both)")
     lint_group.add_argument("--programs", action="store_true",
                             help="run the static verifier + burst audit "
                                  "on every committed example program")
-    lint_group.add_argument("--all", dest="lint_all", action="store_true",
-                            help="both --codebase and --programs (the "
-                                 "default when neither is given)")
     lint_group.add_argument("--races", action="store_true",
                             help="also race-check every committed "
                                  "multi-context group (R7xx rules)")

@@ -262,4 +262,4 @@ class MemorySystem:
         self.l1d.flush()
         self.l2.flush()
         self.dtlb.flush()
-        self.mshr.entries.clear()
+        self.mshr.clear()

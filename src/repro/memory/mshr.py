@@ -7,27 +7,45 @@ suffers a structural stall and must retry.
 """
 
 
-class MSHRFile:
-    """Outstanding-miss tracking for a lockup-free cache."""
+#: :attr:`MSHRFile.earliest` of an empty file: no fill completes.
+NO_FILL = 1 << 62
 
-    __slots__ = ("capacity", "entries", "merges", "allocations",
-                 "structural_stalls")
+
+class MSHRFile:
+    """Outstanding-miss tracking for a lockup-free cache.
+
+    :attr:`entries` changes only through :meth:`allocate`,
+    :meth:`purge` and :meth:`clear`, which keep :attr:`earliest` equal
+    to its earliest completion cycle.
+    """
+
+    __slots__ = ("capacity", "entries", "earliest", "merges",
+                 "allocations", "structural_stalls")
 
     def __init__(self, capacity):
         self.capacity = capacity
         #: line address -> completion cycle of the in-flight fill
         self.entries = {}
+        #: The earliest completion cycle in ``entries`` (NO_FILL when
+        #: empty): nothing is due for a purge before it.
+        self.earliest = NO_FILL
         self.merges = 0
         self.allocations = 0
         self.structural_stalls = 0
 
     def purge(self, now):
         """Retire entries whose fills have completed."""
-        if not self.entries:
+        if now < self.earliest:
             return
-        done = [line for line, t in self.entries.items() if t <= now]
-        for line in done:
-            del self.entries[line]
+        entries = self.entries
+        for line in [line for line, t in entries.items() if t <= now]:
+            del entries[line]
+        self.earliest = min(entries.values(), default=NO_FILL)
+
+    def clear(self):
+        """Drop every entry (cold start)."""
+        self.entries.clear()
+        self.earliest = NO_FILL
 
     def pending(self, line_addr):
         """Completion cycle of an in-flight fill for this line, or None."""
@@ -44,12 +62,14 @@ class MSHRFile:
             self.structural_stalls += 1
             return False
         self.entries[line_addr] = completion
+        if completion < self.earliest:
+            self.earliest = completion
         self.allocations += 1
         return True
 
     def earliest_completion(self):
         """Completion cycle of the oldest outstanding fill (or None)."""
-        return min(self.entries.values()) if self.entries else None
+        return self.earliest if self.entries else None
 
     def __len__(self):
         return len(self.entries)

@@ -47,6 +47,9 @@ from repro.service.worker import make_task, worker_main
 #: never is).  Its computed points stay in the result cache.
 MAX_FINISHED_JOBS = 256
 
+#: Longest the scheduler thread sleeps with nothing due (seconds).
+POLL_INTERVAL = 0.05
+
 
 class ServiceError(RuntimeError):
     """A job cannot deliver results (failed, timed out, or cancelled)."""
@@ -86,14 +89,11 @@ class JobManager:
     """
 
     def __init__(self, workers=2, cache=None, default_timeout=None,
-                 backoff=0.25, poll_interval=0.05, mp_context=None):
+                 backoff=0.25):
         self.workers = max(1, int(workers))
         self.cache = cache
         self.default_timeout = default_timeout
         self.backoff = backoff
-        self.poll_interval = poll_interval
-        self._mp = (mp_context if mp_context is not None
-                    else multiprocessing.get_context())
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._jobs = {}
@@ -102,7 +102,7 @@ class JobManager:
         self._delayed = []             # _Tasks waiting out a backoff
         self._slots = []               # live _Slots
         self._stopping = False
-        self._wake_r, self._wake_w = self._mp.Pipe(duplex=False)
+        self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
         self._thread = threading.Thread(target=self._scheduler_loop,
                                         name="repro-service-scheduler",
                                         daemon=True)
@@ -318,9 +318,9 @@ class JobManager:
         record = task.record
         payload = make_task(record.spec, task.point, attempt=task.attempt,
                             fail_times=record.fail_times)
-        recv, send = self._mp.Pipe(duplex=False)
-        process = self._mp.Process(target=worker_main,
-                                   args=(send, payload), daemon=True)
+        recv, send = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(target=worker_main,
+                                          args=(send, payload), daemon=True)
         with record.cond:
             ps = record.points[task.point]
             ps.status = RUNNING
@@ -332,7 +332,7 @@ class JobManager:
 
     def _next_wait(self):
         """How long the scheduler may sleep before something is due."""
-        horizon = time.monotonic() + self.poll_interval
+        horizon = time.monotonic() + POLL_INTERVAL
         for t in self._delayed:
             horizon = min(horizon, t.not_before)
         with self._lock:

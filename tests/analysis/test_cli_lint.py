@@ -22,7 +22,7 @@ def test_lint_codebase_json(capsys):
 
 @pytest.mark.slow
 def test_lint_all_verifies_programs(capsys):
-    assert main(["lint", "--all", "--json"]) == 0
+    assert main(["lint", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["programs"]["errors"] == 0
     assert payload["programs"]["verified"] >= 50

@@ -3,15 +3,15 @@
 The contract (docs/architecture.md, "The fast engine"): for any
 workload and configuration, ``engine="burst"`` must produce statistics
 *bit-identical* to ``engine="naive"`` — idle and processor-wide stall
-fast-forwards (``Processor.park``/``unpark``), precompiled burst
-dispatch and bulk stall-window charging are optimisations, never
-approximations.  These tests enforce the contract over every Table 5
-uniprocessor workload and across schemes, property-check the compile
-step (a precompiled schedule must retire instructions in program order
-and charge exactly the stall slots, in exactly the categories, the
-per-cycle scoreboard loop would) and the idle probe behind ``park``,
-pin the deadlock detector the jumping loop needs, and pin the
-keyword-only run API.
+fast-forwards (the parks ``Processor.step`` makes, settled by
+``unpark``), precompiled burst dispatch and bulk stall-window charging
+are optimisations, never approximations.  These tests enforce the
+contract over every Table 5 uniprocessor workload and across schemes,
+property-check the compile step (a precompiled schedule must retire
+instructions in program order and charge exactly the stall slots, in
+exactly the categories, the per-cycle scoreboard loop would) and the
+parks' wake predictions, pin the deadlock detector the jumping loop
+needs, and pin the keyword-only run API.
 """
 
 import dataclasses
@@ -336,13 +336,13 @@ class TestEngineSelection:
 
 
 class TestIdleProbe:
-    """``Processor.idle_until``, the probe behind ``park``, never
-    overshoots a wakeup.
+    """A park that ``Processor.step`` makes never overshoots a wakeup.
 
-    Property: whenever the probe predicts the next issue opportunity
-    strictly in the future, stepping the current cycle must not issue or
-    retire anything — a prediction that skipped over real work would
-    corrupt the fast-forward.
+    Property: from the cycle a park starts up to its ``parked_due``
+    (forever when None), stepping must not issue or retire anything —
+    a park that skipped over real work would corrupt the fast-forward.
+    The processor runs the burst engine's fast paths but is stepped
+    every cycle, through its parks, as naive stepping would.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -362,28 +362,34 @@ class TestIdleProbe:
         sim = WorkstationSimulator(procs, scheme=scheme,
                                    n_contexts=n_contexts,
                                    config=SystemConfig.fast(),
-                                   restart_halted=False, engine="naive")
+                                   restart_halted=False, engine="burst")
         proc = sim.processor
         stats = proc.stats
+        parks = []
+        park = proc._park
+
+        def record(start, wake, reason):
+            parks.append((start, wake))
+            park(start, wake, reason)
+        proc._park = record
+        quiet_until = 0
         for now in range(3_000):
-            idle = proc.idle_until(now)
-            if idle is None:
-                predicted = now
-            else:
-                # A wake of None: nothing wakes this processor by the clock.
-                predicted = NEVER if idle[0] is None else idle[0]
-            assert predicted >= now
-            if predicted > now:
-                retired, issued = stats.retired, stats.issued
-                proc.step(now)
+            retired, issued = stats.retired, stats.issued
+            proc.step(now)
+            if now < quiet_until:
                 assert stats.retired == retired, (
-                    "retired at %d despite wake predicted at %d"
-                    % (now, predicted))
+                    "retired at %d inside a park due at %d"
+                    % (now, quiet_until))
                 assert stats.issued == issued, (
-                    "issued at %d despite wake predicted at %d"
-                    % (now, predicted))
-            else:
-                proc.step(now)
+                    "issued at %d inside a park due at %d"
+                    % (now, quiet_until))
+            for start, wake in parks:
+                # A wake of None: nothing wakes this processor by the
+                # clock.
+                due = NEVER if wake is None else wake
+                assert now < start < due
+                quiet_until = max(quiet_until, due)
+            parks.clear()
 
 
 class TestDeadlockSemantics:

@@ -25,14 +25,13 @@ HOT_PATHS = {
     "isa/executor.py": {"execute"} | {
         fn.__name__ for fn in executor._HANDLERS.values()},
     "core/processor.py": {
-        "step", "idle_until", "park", "_set_parked_due", "unpark",
-        "context_woken", "_update_contexts", "_detect_miss", "_retire",
-        "_try_burst", "_retire_bulk", "_skip_stall_window",
-        "_skip_doomed_window", "_try_issue", "_access_satisfied"},
+        "step", "_park", "_set_parked_due", "unpark", "context_woken",
+        "_detect_miss", "_retire", "_try_burst", "_retire_bulk",
+        "_skip_stall_window", "_skip_doomed_window", "_try_issue",
+        "_access_satisfied"},
     "core/policies.py": {"select", "owns_window", "idle_wake_info"},
-    "core/simulator.py": {"_restart_process", "_advance_naive",
-                          "_advance_burst"},
-    "core/mpsimulator.py": {"__call__", "_advance_naive", "_advance_burst"},
+    "core/simulator.py": {"_restart_process", "_advance"},
+    "core/mpsimulator.py": {"__call__", "_advance"},
 }
 
 

@@ -91,20 +91,26 @@ class TestProcessorMisc:
         proc = Processor("single", 1, SystemConfig.fast().pipeline,
                          FixedLatencyMemory(), memory,
                          sync=SyncManager())
+        proc.burst_enabled = True
+        proc.step(99)   # no process loaded: nothing to issue, ever
+        assert proc._parked_from == 100 and proc.parked_due is None
         before = proc.stats.total_cycles
-        assert proc.park(100)       # no process loaded: nothing to issue
         proc.unpark(50)             # settle point in the past
         assert proc.stats.total_cycles == before
 
-    def test_idle_until_respects_processor_stall(self):
+    def test_park_respects_processor_stall(self):
         memory = Memory()
         proc = Processor("single", 1, SystemConfig.fast().pipeline,
                          FixedLatencyMemory(), memory,
                          sync=SyncManager())
+        proc.burst_enabled = True
         proc.stall_until = 500
         proc.stall_category = Stall.ICACHE
-        wake, reason = proc.idle_until(100)
-        assert wake == 500 and reason is Stall.ICACHE
+        proc.step(99)   # charges cycle 99, parks from 100 to the end
+        assert proc._parked_from == 100 and proc.parked_due == 500
+        proc.unpark(500)
+        assert proc.stats.counts[Stall.ICACHE] == 401
+        assert proc.stats.total_cycles == 401
 
 
 class TestMicrobenchHelpers:

@@ -175,10 +175,22 @@ def reference_select(scheme, contexts, start):
     return None, start
 
 
+def update_contexts(proc, now):
+    """Apply the wakes and miss detections due at ``now``, context by
+    context in cid order: the separate pass ``Processor.step`` made
+    before it folded the wakes into its pick."""
+    for ctx in proc.contexts:
+        if ctx.status is Status.WAITING:
+            if ctx.wake_at <= now:
+                ctx.status = Status.RUNNING
+        elif ctx.status is Status.DOOMED and now >= ctx.doomed_detect:
+            proc._detect_miss(ctx, now)
+
+
 class TestRoundRobinPass:
     """``Processor.step`` picks slot 0's context in one pass over the
-    contexts under every scheme; it must leave what ``_update_contexts``
-    followed by the scheme's own selection rule
+    contexts under every scheme; it must leave what
+    :func:`update_contexts` followed by the scheme's own selection rule
     (:func:`reference_select`) leaves.  Both engines run that pass, so
     only this test and the golden pins can see a wrong pick."""
 
@@ -186,7 +198,7 @@ class TestRoundRobinPass:
     @given(_processors())
     def test_one_pass_equals_update_then_select(self, proc):
         ref = copy.deepcopy(proc)
-        ref._update_contexts(NOW)
+        update_contexts(ref, NOW)
         want, want_pointer = reference_select(
             proc.scheme, ref.contexts, ref.policy.pointer)
         reported = []

@@ -119,6 +119,7 @@ class TestParkedSyncWake:
         proc = Processor("blocked", 2, PipelineParams(),
                          FixedLatencyMemory(), memory,
                          sync=SyncManager(), proc_id=1)
+        proc.burst_enabled = True
         for slot in range(2):
             build(proc, memory, slot, lambda b: b.halt())
         return proc
@@ -131,11 +132,12 @@ class TestParkedSyncWake:
         # context 1 can run once the tail ends.
         waiting.wait_on_lock(0x100)
         proc.stall_until, proc.stall_category = 110, Stall.SWITCH
-        assert proc.park(100)
+        proc.step(99)   # the tail's cycle 99; parks from 100
+        assert proc._parked_from == 100 and proc.parked_due == 110
         proc.context_woken(waiting, 140, 104, SimpleNamespace(proc_id=0))
         assert proc.parked_due == 110
         proc.unpark(110)
-        assert proc.stats.counts[Stall.SWITCH] == 10
+        assert proc.stats.counts[Stall.SWITCH] == 11
         assert proc.stats.counts[Stall.SYNC] == 0
 
     def test_wake_at_tail_end_with_a_runner_is_due_at_once(self):
@@ -143,7 +145,8 @@ class TestParkedSyncWake:
         waiting = proc.contexts[0]
         waiting.wait_on_lock(0x100)
         proc.stall_until, proc.stall_category = 105, Stall.SWITCH
-        assert proc.park(100)
+        proc.step(99)
+        assert proc._parked_from == 100 and proc.parked_due == 105
         # A higher-id waker: the wake is visible at now + 1, the cycle
         # the tail ends, when context 1 can issue.
         proc.context_woken(waiting, 140, 104, SimpleNamespace(proc_id=2))

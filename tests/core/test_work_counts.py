@@ -12,8 +12,8 @@ point does not.  For each of the 25 points this gate counts
   True returns: ``burst_attempts``, ``bursts``);
 * stall-window attempts and charges (``Processor._skip_stall_window``
   calls and True returns: ``stall_window_attempts``, ``stall_windows``);
-* park attempts and parks (``Processor.park`` calls and True returns:
-  ``park_attempts``, ``parks``);
+* parks (calls of ``Processor._park``, the one place ``step`` parks
+  the processor: ``parks``);
 * functional executions (calls of ``execute`` through the name the
   processor module calls it by: ``executes``), which pins "each
   instruction the processor commits executes exactly once": a fast path
@@ -81,7 +81,7 @@ _WRAPPED = {
     "step": ("steps", None),
     "_try_burst": ("burst_attempts", "bursts"),
     "_skip_stall_window": ("stall_window_attempts", "stall_windows"),
-    "park": ("park_attempts", "parks"),
+    "_park": ("parks", None),
 }
 
 COUNTERS = tuple(sorted(
@@ -116,14 +116,14 @@ def _install_counters(monkeypatch, counts):
         monkeypatch.setattr(Processor, method, wrapper)
 
 
-def _run_point(point):
+def _run_point(point, engine="burst"):
     """The point's serialised state, computed as the sweep computes it."""
     kind, name, scheme, n_contexts = point
     warmup, measure_ = runner.point_window(kind, runner.UNIPROC_WARMUP,
                                            runner.UNIPROC_MEASURE)
     return runner.compute_point_state(
         kind, name, scheme, n_contexts, SystemConfig.fast(),
-        MultiprocessorParams(), SEED, warmup, measure_)
+        MultiprocessorParams(), SEED, warmup, measure_, engine=engine)
 
 
 def measure(points):
@@ -229,3 +229,43 @@ def test_gate_catches_double_execute(golden, monkeypatch):
         retire(self, ctx, inst, now)
     monkeypatch.setattr(Processor, "_retire", retire_twice)
     assert "executes" in _assert_gate_names_point_and_counter(golden)
+
+
+#: A workstation and a multiprocessor ledger point on which the burst
+#: engine both parks and dispatches bursts.
+NAIVE_POINTS = (("uniproc", "DC", "blocked", 2),
+                ("mp", "locus", "interleaved", 2))
+
+
+@pytest.mark.parametrize("point", NAIVE_POINTS, ids=point_id)
+def test_naive_engine_steps_every_processor_every_cycle(point,
+                                                        monkeypatch):
+    """The oracle: under ``engine="naive"`` the one advance loop steps
+    every processor exactly once per cycle, in cycle order, and no
+    processor parks or opens a burst window."""
+    next_cycle = {}             # processor id -> the cycle it steps next
+    counts = {"steps": 0, "parks": 0}
+    step = Processor.step
+    park = Processor._park
+
+    def counted_step(self, now):
+        assert now == next_cycle.get(self.proc_id, 0), self.proc_id
+        next_cycle[self.proc_id] = now + 1
+        counts["steps"] += 1
+        step(self, now)
+        assert self.burst_until == 0
+
+    def counted_park(self, *args):
+        counts["parks"] += 1
+        park(self, *args)
+    monkeypatch.setattr(Processor, "step", counted_step)
+    monkeypatch.setattr(Processor, "_park", counted_park)
+    state = _run_point(point, engine="naive")
+    if point[0] == "mp":
+        cycles = state["cycles"]
+        nodes = len(state["node_stats"])
+    else:
+        cycles = runner.UNIPROC_WARMUP + state["duration"]
+        nodes = 1
+    assert counts == {"steps": cycles * nodes, "parks": 0}
+    assert next_cycle == dict.fromkeys(range(nodes), cycles)

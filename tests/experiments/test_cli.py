@@ -1,4 +1,4 @@
-"""The interleaving-experiments command-line interface."""
+"""The repro-experiments command-line interface."""
 
 import pytest
 

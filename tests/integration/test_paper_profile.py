@@ -2,7 +2,7 @@
 
 These runs use short windows — the point is that the Table 1/2 machine
 is exercised as configured, not to regenerate results at paper scale
-(that is a CLI flag: ``interleaving-experiments table7 --profile paper``).
+(that is a CLI flag: ``repro-experiments table7 --profile paper``).
 """
 
 import pytest
