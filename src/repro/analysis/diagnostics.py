@@ -76,10 +76,6 @@ CATALOG = {
     "L403": (ERROR, "unregistered counter: a mutated Stats attribute or "
                     "Stall member is not declared in core/stats.py / "
                     "pipeline/stalls.py"),
-    "L404": (ERROR, "DSM counter parity: a DSMachine protocol counter "
-                    "is not zero-initialised, not serialised by "
-                    "mp_to_state, or out of sync with "
-                    "CachedProtocol.__slots__"),
     # -- allowlist hygiene ------------------------------------------------
     "L501": (ERROR, "allowlist directive without a justification "
                     "(use '# lint: allow(CODE) -- why')"),

@@ -24,7 +24,6 @@ FILE_RULES = (determinism.check_determinism,)
 
 #: fn(root) -> list[Diagnostic]
 PROJECT_RULES = (stats_parity.check_stats_parity,
-                 stats_parity.check_counter_registration,
-                 stats_parity.check_dsm_counter_parity)
+                 stats_parity.check_counter_registration)
 
 __all__ = ["FILE_RULES", "PROJECT_RULES"]

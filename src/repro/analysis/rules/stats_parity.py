@@ -21,15 +21,6 @@ invariants that no unit test can pin as directly as the source itself:
   method) must be declared by ``CycleStats`` in ``core/stats.py`` —
   with ``__slots__`` this would raise at runtime, but only on the path
   that actually executes; the lint rejects it on every path.
-* **L404 — DSM counter parity.**  Every protocol counter the
-  :class:`~repro.coherence.dsm.DSMachine` mutates (``self.X += ...``)
-  must be zero-initialised in its ``__init__``, serialised under the
-  same name by ``mp_to_state``'s protocol dict in
-  ``experiments/cache.py``, and carried by ``CachedProtocol.__slots__``
-  — and the serialiser must not carry orphan keys no machine counter
-  backs.  A counter added to the machine but forgotten in the
-  serialiser silently drops that statistic from every cached/exported
-  mp result; an orphan key crashes ``mp_from_state`` at reload time.
 
 These are *project* rules: they parse several modules under a package
 root.  ``root`` defaults to the installed ``repro`` package and is
@@ -319,155 +310,4 @@ def check_counter_registration(root=None):
     return diags
 
 
-_DSM_FILE = "coherence/dsm.py"
-_CACHE_FILE = "experiments/cache.py"
-
-
-def _find_class(tree, name):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _dsm_counters(machine_class):
-    """(declared, mutated) DSMachine counter names.
-
-    Declared: ``self.X = 0`` in ``__init__`` (the shape every protocol
-    counter uses; object/parameter attributes are never literal zero).
-    Mutated: ``self.X += ...`` anywhere in the class.
-    """
-    declared = set()
-    init = next((n for n in machine_class.body
-                 if isinstance(n, ast.FunctionDef)
-                 and n.name == "__init__"), None)
-    if init is not None:
-        for node in ast.walk(init):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Constant)
-                    and node.value.value == 0
-                    and node.value.value is not False):
-                for t in node.targets:
-                    if (isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "self"):
-                        declared.add(t.attr)
-    mutated = {}
-    for node in ast.walk(machine_class):
-        if (isinstance(node, ast.AugAssign)
-                and isinstance(node.target, ast.Attribute)
-                and isinstance(node.target.value, ast.Name)
-                and node.target.value.id == "self"):
-            mutated.setdefault(node.target.attr, node.lineno)
-    return declared, mutated
-
-
-def _protocol_dict(func):
-    """The {key: machine-attr} mapping of mp_to_state's protocol dict.
-
-    Returns None when the shape no longer matches (loud failure at the
-    caller); a value that is not a plain ``....machine.X`` chain maps to
-    ``'<dynamic>'``.
-    """
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Dict):
-            continue
-        for key, value in zip(node.keys, node.values):
-            if (isinstance(key, ast.Constant) and key.value == "protocol"
-                    and isinstance(value, ast.Dict)):
-                mapping = {}
-                for k, v in zip(value.keys, value.values):
-                    if not isinstance(k, ast.Constant):
-                        return None
-                    if (isinstance(v, ast.Attribute)
-                            and _attr_base(v) == "machine"):
-                        mapping[k.value] = v.attr
-                    else:
-                        mapping[k.value] = "<dynamic>"
-                return mapping
-    return None
-
-
-def _class_slots(cls):
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign):
-            for t in stmt.targets:
-                if isinstance(t, ast.Name) and t.id == "__slots__":
-                    return {elt.value for elt in stmt.value.elts
-                            if isinstance(elt, ast.Constant)}
-    return None
-
-
-def check_dsm_counter_parity(root=None):
-    """L404: DSMachine counters <-> mp_to_state/CachedProtocol parity."""
-    root = _package_root(root)
-    dsm_path = root / "coherence" / "dsm.py"
-    cache_path = root / "experiments" / "cache.py"
-    diags = []
-    machine = (_find_class(_parse(dsm_path), "DSMachine")
-               if dsm_path.exists() else None)
-    if machine is None:
-        diags.append(Diagnostic(
-            "L404", "could not locate class DSMachine under %s — the "
-            "DSM counter-parity proof has nothing to check" % root,
-            path=_DSM_FILE))
-        return diags
-    declared, mutated = _dsm_counters(machine)
-    if not declared:
-        diags.append(Diagnostic(
-            "L404", "no zero-initialised counters found in "
-            "DSMachine.__init__ — the counter extraction no longer "
-            "matches dsm.py", path=_DSM_FILE, line=machine.lineno))
-        return diags
-
-    for name in sorted(set(mutated) - declared):
-        diags.append(Diagnostic(
-            "L404", "DSMachine mutates self.%s but __init__ does not "
-            "zero-initialise it" % name,
-            path=_DSM_FILE, line=mutated[name]))
-
-    cache_tree = _parse(cache_path) if cache_path.exists() else None
-    to_state = (_find_func(cache_tree, "mp_to_state")
-                if cache_tree is not None else None)
-    protocol = _protocol_dict(to_state) if to_state is not None else None
-    cached = (_find_class(cache_tree, "CachedProtocol")
-              if cache_tree is not None else None)
-    slots = _class_slots(cached) if cached is not None else None
-    if protocol is None or slots is None:
-        diags.append(Diagnostic(
-            "L404", "could not extract mp_to_state's protocol dict or "
-            "CachedProtocol.__slots__ under %s — the serialiser "
-            "extraction no longer matches cache.py" % root,
-            path=_CACHE_FILE))
-        return diags
-
-    serialised = set(protocol)
-    for name in sorted(set(mutated) & declared - serialised):
-        diags.append(Diagnostic(
-            "L404", "DSMachine counter %r is mutated but mp_to_state's "
-            "protocol dict does not serialise it — cached/exported mp "
-            "results silently drop it" % name,
-            path=_CACHE_FILE, line=to_state.lineno))
-    for key in sorted(serialised - declared):
-        diags.append(Diagnostic(
-            "L404", "mp_to_state serialises protocol key %r but "
-            "DSMachine declares no such counter" % key,
-            path=_CACHE_FILE, line=to_state.lineno))
-    for key, attr in sorted(protocol.items()):
-        if attr != key:
-            diags.append(Diagnostic(
-                "L404", "protocol key %r reads machine attribute %r — "
-                "serialised names must match the counters they carry"
-                % (key, attr), path=_CACHE_FILE, line=to_state.lineno))
-    for name in sorted(serialised ^ slots):
-        where = ("missing from" if name in serialised
-                 else "orphaned in")
-        diags.append(Diagnostic(
-            "L404", "CachedProtocol.__slots__ %s the protocol dict: %r "
-            "— mp_from_state cannot round-trip" % (where, name),
-            path=_CACHE_FILE, line=cached.lineno))
-    return diags
-
-
-__all__ = ["check_stats_parity", "check_counter_registration",
-           "check_dsm_counter_parity"]
+__all__ = ["check_stats_parity", "check_counter_registration"]

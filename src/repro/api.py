@@ -119,41 +119,39 @@ def _stats_fields(stats, cycles, categories):
     )
 
 
+def build_run_result(kind, raw, workload, scheme, n_contexts, seed,
+                     engine, completed, per_process):
+    """The one :class:`RunResult` builder, for a live run and for a
+    state restored from the result cache alike.
+
+    ``raw`` is the core result: a workstation window (its ``duration``
+    is the result's ``cycles``) or an ``MPResult`` (its ``cycles``).
+    """
+    if kind == "multiprocessor":
+        cycles, categories = raw.cycles, MULTIPROCESSOR_CATEGORIES
+    else:
+        cycles, categories = raw.duration, UNIPROCESSOR_CATEGORIES
+    return RunResult(
+        kind=kind, workload=workload, scheme=scheme, n_contexts=n_contexts,
+        seed=seed, engine=engine, cycles=cycles, completed=completed,
+        per_process=per_process, raw=raw,
+        **_stats_fields(raw.stats, cycles, categories))
+
+
 def workstation_run_result(sim, window, workload=None):
     """Wrap a workstation measurement window as a :class:`RunResult`."""
-    stats = window.stats
-    return RunResult(
-        kind="workstation",
-        workload=workload,
-        scheme=sim.processor.scheme,
-        n_contexts=sim.n_contexts,
-        seed=sim.seed,
-        engine=sim.engine,
-        cycles=window.duration,
-        completed=True,
-        per_process=dict(window.per_process),
-        raw=window,
-        **_stats_fields(stats, window.duration, UNIPROCESSOR_CATEGORIES),
-    )
+    return build_run_result(
+        "workstation", window, workload, sim.processor.scheme,
+        sim.n_contexts, sim.seed, sim.engine, True,
+        dict(window.per_process))
 
 
 def multiprocessor_run_result(sim, mp_result):
     """Wrap a multiprocessor run as a :class:`RunResult`."""
-    stats = mp_result.stats
-    return RunResult(
-        kind="multiprocessor",
-        workload=sim.app.name,
-        scheme=sim.scheme,
-        n_contexts=sim.n_contexts,
-        seed=sim.seed,
-        engine=sim.engine,
-        cycles=mp_result.cycles,
-        completed=sim.all_halted(),
-        per_process={p.name: p.retired for p in sim.processes},
-        raw=mp_result,
-        **_stats_fields(stats, mp_result.cycles,
-                        MULTIPROCESSOR_CATEGORIES),
-    )
+    return build_run_result(
+        "multiprocessor", mp_result, sim.app.name, sim.scheme,
+        sim.n_contexts, sim.seed, sim.engine, sim.all_halted(),
+        {p.name: p.retired for p in sim.processes})
 
 
 class Simulation:

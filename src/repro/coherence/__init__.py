@@ -10,7 +10,7 @@ from the Table 8 ranges.
 
 from repro.coherence.directory import Directory, DirEntry
 from repro.coherence.interconnect import LatencyModel
-from repro.coherence.dsm import DSMachine, NodeMemory
+from repro.coherence.dsm import DSMachine, NodeMemory, ProtocolCounters
 
 __all__ = ["Directory", "DirEntry", "LatencyModel", "DSMachine",
-           "NodeMemory"]
+           "NodeMemory", "ProtocolCounters"]

@@ -52,10 +52,47 @@ class NodeMemory:
         self.data_access = functools.partial(machine.access, node_id)
 
 
-class DSMachine:
-    """Caches + directory + interconnect for ``n_nodes`` nodes."""
+class ProtocolCounters:
+    """The directory protocol's traffic counts (paper Section 5.2).
+
+    The one declaration of the counters: :class:`DSMachine` counts into
+    them, and the result cache stores, restores and exports exactly
+    ``__slots__``, so a counter added here is carried everywhere.
+    """
+
+    __slots__ = (
+        "read_misses",
+        "write_misses",
+        "upgrades",
+        "invalidations_sent",
+        "dirty_remote_services",
+        # Fills serviced off-node (home memory on another node, or a
+        # 3-hop transfer out of a remote cache) — the communication
+        # misses that dominate the multiprocessor's latency budget.
+        "remote_fills",
+        # MSHR-full NACKs: the request is refused and the processor
+        # retries later (each refusal also counts in the refusing
+        # node's ``mshr.structural_stalls``).
+        "nack_retries",
+    )
+
+    def __init__(self):
+        for name in ProtocolCounters.__slots__:
+            setattr(self, name, 0)
+
+
+class DSMachine(ProtocolCounters):
+    """Caches + directory + interconnect for ``n_nodes`` nodes.
+
+    Slotted, so a protocol counter can only be added in
+    :class:`ProtocolCounters`: assigning any other attribute raises.
+    """
+
+    __slots__ = ("params", "n_nodes", "mshr_capacity", "latency",
+                 "directory", "memory", "nodes", "page_home")
 
     def __init__(self, params, seed=None, mshr_capacity=8):
+        ProtocolCounters.__init__(self)
         self.params = params
         self.n_nodes = params.n_nodes
         self.mshr_capacity = mshr_capacity
@@ -64,20 +101,6 @@ class DSMachine:
         self.memory = Memory()            # functional image, shared
         self.nodes = [NodeMemory(self, i) for i in range(self.n_nodes)]
         self.page_home = {}               # page -> node overrides
-        # statistics
-        self.read_misses = 0
-        self.write_misses = 0
-        self.upgrades = 0
-        self.invalidations_sent = 0
-        self.dirty_remote_services = 0
-        # Fills serviced off-node (home memory on another node, or a
-        # 3-hop transfer out of a remote cache) — the communication
-        # misses that dominate the multiprocessor's latency budget.
-        self.remote_fills = 0
-        # MSHR-full NACKs: the request is refused and the processor
-        # retries later (each refusal also counts in the refusing
-        # node's ``mshr.structural_stalls``).
-        self.nack_retries = 0
 
     # -- placement ---------------------------------------------------------------
 

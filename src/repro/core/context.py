@@ -25,9 +25,9 @@ class HardwareContext:
 
     __slots__ = ("cid", "status", "state", "program", "process",
                  "wake_at", "wake_reason", "doomed_detect",
-                 "doomed_completion", "doomed_count", "next_issue_min",
-                 "waiting_on_lock", "fetch_pc", "fetch_valid",
-                 "satisfied_pc", "run_instructions", "burst_table")
+                 "doomed_completion", "next_issue_min", "fetch_pc",
+                 "fetch_valid", "satisfied_pc", "run_instructions",
+                 "burst_table")
 
     def __init__(self, cid):
         self.cid = cid
@@ -39,11 +39,8 @@ class HardwareContext:
         self.wake_reason = Stall.DCACHE
         self.doomed_detect = 0
         self.doomed_completion = 0
-        self.doomed_count = 0
         #: Redirect bubble after a branch mispredict: no issue before this.
         self.next_issue_min = 0
-        #: Lock address this context is blocked on (None otherwise).
-        self.waiting_on_lock = None
         #: Instruction-fetch tracking: the I-cache is probed once per
         #: instruction, not once per (possibly stalled) issue attempt.
         self.fetch_pc = -1
@@ -68,9 +65,7 @@ class HardwareContext:
         self.program = process.program
         self.status = Status.HALTED if process.state.halted else Status.RUNNING
         self.wake_at = 0
-        self.doomed_count = 0
         self.next_issue_min = 0
-        self.waiting_on_lock = None
         self.fetch_valid = False
         self.satisfied_pc = -1
         self.run_instructions = 0
@@ -89,16 +84,15 @@ class HardwareContext:
         self.wake_at = cycle
         self.wake_reason = reason
 
-    def wait_on_lock(self, lock_addr, reason=Stall.SYNC):
-        """Block until an explicit wake (lock release / barrier)."""
+    def wait_on_lock(self):
+        """Block on synchronisation until an explicit wake (lock
+        release / barrier)."""
         self.status = Status.WAITING
         self.wake_at = _NEVER
-        self.wake_reason = reason
-        self.waiting_on_lock = lock_addr
+        self.wake_reason = Stall.SYNC
 
     def wake(self, cycle=None):
         """Make the context available again (at ``cycle`` if given)."""
-        self.waiting_on_lock = None
         if cycle is None or cycle <= 0:
             self.status = Status.RUNNING
             self.next_issue_min = 0
@@ -110,7 +104,6 @@ class HardwareContext:
         self.status = Status.DOOMED
         self.doomed_detect = detect_at
         self.doomed_completion = completion
-        self.doomed_count = 0
 
     def __repr__(self):
         return ("<ctx%d %s %s>"

@@ -99,8 +99,9 @@ class Processor:
         #: Optional per-slot trace hook ``fn(cycle, ctx_or_None, kind)``
         #: with kind in {"busy", "squash", "stall", "idle"}; used by the
         #: Figure 2/3 trace reproductions.  Setting it disables the fast
-        #: paths (burst dispatch and stall-window skipping) so every slot
-        #: is stepped and reported; None (the default) is free.
+        #: paths (burst dispatch, stall-window skipping and parking) so
+        #: every slot is stepped and reported; None (the default) is
+        #: free.
         self.trace = None
         #: Optional data-access hook ``fn(cycle, ctx, pc, addr, is_write)``
         #: fired once per retired load/store, before it executes — the
@@ -171,8 +172,9 @@ class Processor:
         per-slot.  A processor-wide stall (blocking I-miss, TLB refill,
         blocked-scheme switch tail) wastes all of a cycle's slots.
 
-        Under the burst engine a cycle that leaves nothing to issue at
-        the next one parks the processor from there (:meth:`_park`):
+        Under the burst engine, with no slot tracer, a cycle that leaves
+        nothing to issue at the next one parks the processor from there
+        (:meth:`_park`):
         a cycle with no selectable context, or one whose processor-wide
         stall runs past the next cycle.
         """
@@ -182,14 +184,19 @@ class Processor:
             # Inside a dispatched burst window: every slot up to
             # burst_until was charged at dispatch time.
             return
+        trace = self.trace
+        # One condition gates every fast path of this step, its parks
+        # included: the burst engine is on and the slot tracer is off,
+        # so a traced run steps and reports every slot.
+        skips = self.burst_enabled and trace is None
         if now < self.stall_until:
             # A processor-wide stall window.  The burst engine steps one
             # here only where its park was cut short: by the end of an
             # advance, or by a scheduler interrupt that swapped groups.
             stats.add(self.stall_category, width)
-            if self.trace is not None:
-                self.trace(now, None, "stall")
-            if self.burst_enabled and self.stall_until > now + 1:
+            if trace is not None:
+                trace(now, None, "stall")
+            if skips and self.stall_until > now + 1:
                 self._park(now + 1, self.stall_until, self.stall_category)
             return
         policy = self.policy
@@ -220,22 +227,18 @@ class Processor:
             # the next wake (None: only an external one) is known now.
             wake, reason = idle_wake_info(self.contexts)
             stats.add(reason, width)
-            if self.trace is not None:
+            if trace is not None:
                 for _slot in range(width):
-                    self.trace(now, None, "idle")
-            if self.burst_enabled and wake != now + 1:
+                    trace(now, None, "idle")
+            if skips and wake != now + 1:
                 self._park(now + 1, wake, reason)
             return
         policy.pointer = (ctx.cid + policy.round_robin) % policy.n_contexts
-        # One check per cycle decides whether this cycle may take a fast
-        # path (a burst dispatch or a bulk-charged hazard window): the
-        # burst engine is on, the slot tracer is off, and — under
-        # round-robin issue — no second context is selectable, in which
-        # case the policy could not give the window to one context
-        # anyway.
-        fast = (self.burst_enabled and self.trace is None
-                and (ready < 2 or not policy.round_robin))
-        trace = self.trace
+        # This cycle may take a burst dispatch or a bulk-charged hazard
+        # window only where, under round-robin issue, no second context
+        # is selectable: the policy could not give the window to one
+        # context anyway.
+        fast = skips and (ready < 2 or not policy.round_robin)
         for _slot in range(width):
             if _slot:
                 ctx = policy.select(self.contexts, now)
@@ -246,7 +249,6 @@ class Processor:
                         trace(now, None, "idle")
                     continue
             if ctx.status is DOOMED:
-                ctx.doomed_count += 1
                 stats.add(SWITCH)
                 stats.squashed += 1
                 if trace is not None:
@@ -281,7 +283,7 @@ class Processor:
                 remaining = width - _slot - 1
                 if remaining:
                     stats.add(self.stall_category, remaining)
-                if self.burst_enabled and self.stall_until > now + 1:
+                if skips and self.stall_until > now + 1:
                     self._park(now + 1, self.stall_until,
                                self.stall_category)
                 break
@@ -379,7 +381,6 @@ class Processor:
         self.stats.squashed += 1
         self._end_run(ctx)
         ctx.enter_doomed(now + self.pp.miss_detect_offset + 1, result.ready)
-        ctx.doomed_count = 1
         ctx.satisfied_pc = ctx.state.pc
 
     def _end_run(self, ctx):
@@ -586,7 +587,6 @@ class Processor:
         stats = self.stats
         stats.add(SWITCH, n)
         stats.squashed += n
-        ctx.doomed_count += n
         self.burst_until = tgt
 
     def _skip_stall_window(self, ctx, now, until, kind, slots_left):
@@ -785,7 +785,7 @@ class Processor:
         else:
             self.stats.add(SYNC)
         self._end_run(ctx)
-        ctx.wait_on_lock(addr)
+        ctx.wait_on_lock()
         ctx.fetch_valid = False
 
     def _issue_unlock(self, ctx, inst, now):
@@ -802,7 +802,7 @@ class Processor:
             if self.policy.off_cost > 0:
                 self._pay_off_cost(now)
             self._end_run(ctx)
-            ctx.wait_on_lock(None, SYNC)
+            ctx.wait_on_lock()
             ctx.fetch_valid = False
 
     def _issue_backoff(self, ctx, inst, now):

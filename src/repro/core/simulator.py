@@ -130,9 +130,9 @@ class WorkstationSimulator:
         paths: a block logs each load and store it issues at the op's
         issue cycle, as stepping does, and a charged stall or doomed
         window holds no access, so the log is the one naive stepping
-        records.  Subsequent
-        ``run()`` windows attach the JSON-ready log to their core
-        window result as ``shared_accesses``.
+        records.  Subsequent windows (``run`` and ``measure``) attach
+        the JSON-ready log to their core window result as
+        ``shared_accesses``.
         """
         from repro.core.tracing import SharedAccessRecorder
         self.access_recorder = SharedAccessRecorder(self.sync).attach(
@@ -200,17 +200,23 @@ class WorkstationSimulator:
         ``until``.
         """
         from repro.api import workstation_run_result
+        return workstation_run_result(self, self._window(until))
+
+    def _window(self, end):
+        """Advance to cycle ``end``; returns the window's
+        :class:`RunResult`, with the access log attached while a
+        recorder is installed."""
         start = self.now
         stats_before = self.processor.stats.snapshot()
         retired_before = {p.name: p.retired for p in self.processes}
-        self._advance(until)
+        self._advance(end)
         stats = self.processor.stats.delta_since(stats_before)
         per_process = {p.name: p.retired - retired_before[p.name]
                        for p in self.processes}
         window = RunResult(self.now - start, stats, per_process)
         if self.access_recorder is not None:
             window.shared_accesses = self.access_recorder.to_payload()
-        return workstation_run_result(self, window)
+        return window
 
     def _advance(self, end):
         """Step the processor to cycle ``end``, jumping where it may.
@@ -265,10 +271,4 @@ class WorkstationSimulator:
         """
         if warmup:
             self._advance(self.now + warmup)
-        stats_before = self.processor.stats.snapshot()
-        retired_before = {p.name: p.retired for p in self.processes}
-        self._advance(self.now + cycles)
-        stats = self.processor.stats.delta_since(stats_before)
-        per_process = {p.name: p.retired - retired_before[p.name]
-                       for p in self.processes}
-        return RunResult(cycles, stats, per_process)
+        return self._window(self.now + cycles)

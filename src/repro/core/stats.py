@@ -14,22 +14,19 @@ _N_STALLS = max(Stall) + 1
 class CycleStats:
     """Per-processor cycle and instruction accounting."""
 
+    #: The one declaration of the record's fields: ``counts`` (issue
+    #: slots per Stall bucket) and the scalar counters, among them the
+    #: runlength statistics (instructions between unavailability
+    #: events; paper Section 5.1).  Every copier below and the result
+    #: cache's (de)serialisers iterate over it.
     __slots__ = ("counts", "retired", "issued", "squashed",
                  "context_switches", "backoffs", "run_count",
                  "run_inst_sum", "run_max")
 
     def __init__(self):
         self.counts = [0] * _N_STALLS
-        self.retired = 0
-        self.issued = 0
-        self.squashed = 0
-        self.context_switches = 0
-        self.backoffs = 0
-        # Runlength statistics (instructions between unavailability
-        # events; paper Section 5.1).
-        self.run_count = 0
-        self.run_inst_sum = 0
-        self.run_max = 0
+        for name in SCALARS:
+            setattr(self, name, 0)
 
     # -- recording -----------------------------------------------------------
 
@@ -81,27 +78,17 @@ class CycleStats:
         """A copy, for warmup-subtraction by the experiment harness."""
         s = CycleStats()
         s.counts = list(self.counts)
-        s.retired = self.retired
-        s.issued = self.issued
-        s.squashed = self.squashed
-        s.context_switches = self.context_switches
-        s.backoffs = self.backoffs
-        s.run_count = self.run_count
-        s.run_inst_sum = self.run_inst_sum
-        s.run_max = self.run_max
+        for name in SCALARS:
+            setattr(s, name, getattr(self, name))
         return s
 
     def delta_since(self, earlier):
         """Stats accumulated since ``earlier`` (a snapshot of self)."""
         s = CycleStats()
         s.counts = [a - b for a, b in zip(self.counts, earlier.counts)]
-        s.retired = self.retired - earlier.retired
-        s.issued = self.issued - earlier.issued
-        s.squashed = self.squashed - earlier.squashed
-        s.context_switches = self.context_switches - earlier.context_switches
-        s.backoffs = self.backoffs - earlier.backoffs
-        s.run_count = self.run_count - earlier.run_count
-        s.run_inst_sum = self.run_inst_sum - earlier.run_inst_sum
+        for name in _ADDITIVE:
+            setattr(s, name, getattr(self, name) - getattr(earlier, name))
+        # A maximum cannot be subtracted: the window keeps the later one.
         s.run_max = self.run_max
         return s
 
@@ -109,16 +96,18 @@ class CycleStats:
         """Sum of two stats objects (aggregating processors)."""
         s = CycleStats()
         s.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        s.retired = self.retired + other.retired
-        s.issued = self.issued + other.issued
-        s.squashed = self.squashed + other.squashed
-        s.context_switches = self.context_switches + other.context_switches
-        s.backoffs = self.backoffs + other.backoffs
-        s.run_count = self.run_count + other.run_count
-        s.run_inst_sum = self.run_inst_sum + other.run_inst_sum
+        for name in _ADDITIVE:
+            setattr(s, name, getattr(self, name) + getattr(other, name))
         s.run_max = max(self.run_max, other.run_max)
         return s
 
     def __repr__(self):
         return ("CycleStats(cycles=%d, retired=%d, util=%.3f)"
                 % (self.total_cycles, self.retired, self.utilization()))
+
+
+#: Every scalar field of :class:`CycleStats`, in declaration order.
+SCALARS = tuple(name for name in CycleStats.__slots__ if name != "counts")
+#: The scalars a window delta subtracts and a merge adds; ``run_max``
+#: has its own rule in each.
+_ADDITIVE = tuple(name for name in SCALARS if name != "run_max")

@@ -27,8 +27,9 @@ import pathlib
 import tempfile
 from json.encoder import encode_basestring_ascii
 
+from repro.coherence.dsm import ProtocolCounters
 from repro.core.simulator import RunResult
-from repro.core.stats import CycleStats
+from repro.core.stats import SCALARS, CycleStats
 from repro.core.mpsimulator import MPResult
 
 #: Bump when the on-disk payload layout changes.
@@ -109,30 +110,17 @@ def point_key(kind, name, scheme, n_contexts, config, mp_params, seed,
 # -- result (de)serialisation -------------------------------------------------
 
 def stats_to_state(stats):
-    return {
-        "counts": list(stats.counts),
-        "retired": stats.retired,
-        "issued": stats.issued,
-        "squashed": stats.squashed,
-        "context_switches": stats.context_switches,
-        "backoffs": stats.backoffs,
-        "run_count": stats.run_count,
-        "run_inst_sum": stats.run_inst_sum,
-        "run_max": stats.run_max,
-    }
+    state = {"counts": list(stats.counts)}
+    for name in SCALARS:
+        state[name] = getattr(stats, name)
+    return state
 
 
 def stats_from_state(state):
     s = CycleStats()
     s.counts = list(state["counts"])
-    s.retired = state["retired"]
-    s.issued = state["issued"]
-    s.squashed = state["squashed"]
-    s.context_switches = state["context_switches"]
-    s.backoffs = state["backoffs"]
-    s.run_count = state["run_count"]
-    s.run_inst_sum = state["run_inst_sum"]
-    s.run_max = state["run_max"]
+    for name in SCALARS:
+        setattr(s, name, state[name])
     return s
 
 
@@ -150,46 +138,35 @@ def uniproc_from_state(state):
                      dict(state["per_process"]))
 
 
-class CachedProtocol:
-    """The DSMachine protocol counters an exported MPResult needs."""
-
-    __slots__ = ("read_misses", "write_misses", "upgrades",
-                 "invalidations_sent", "dirty_remote_services",
-                 "remote_fills", "nack_retries")
-
-    def __init__(self, read_misses, write_misses, upgrades,
-                 invalidations_sent, dirty_remote_services,
-                 remote_fills, nack_retries):
-        self.read_misses = read_misses
-        self.write_misses = write_misses
-        self.upgrades = upgrades
-        self.invalidations_sent = invalidations_sent
-        self.dirty_remote_services = dirty_remote_services
-        self.remote_fills = remote_fills
-        self.nack_retries = nack_retries
+#: The protocol dict of an mp state names exactly these counters.
+_PROTOCOL_NAMES = frozenset(ProtocolCounters.__slots__)
 
 
 def mp_to_state(result):
     """An MPResult as a plain dictionary."""
+    machine = result.machine
     return {
         "cycles": result.cycles,
         "node_stats": [stats_to_state(s) for s in result.node_stats],
-        "protocol": {
-            "read_misses": result.machine.read_misses,
-            "write_misses": result.machine.write_misses,
-            "upgrades": result.machine.upgrades,
-            "invalidations_sent": result.machine.invalidations_sent,
-            "dirty_remote_services": result.machine.dirty_remote_services,
-            "remote_fills": result.machine.remote_fills,
-            "nack_retries": result.machine.nack_retries,
-        },
+        "protocol": {name: getattr(machine, name)
+                     for name in ProtocolCounters.__slots__},
     }
 
 
 def mp_from_state(state):
+    """The MPResult of a state; its ``machine`` is the restored
+    :class:`~repro.coherence.dsm.ProtocolCounters`, and a protocol dict
+    that misses a declared counter or names another one raises
+    TypeError."""
+    counts = state["protocol"]
+    if counts.keys() != _PROTOCOL_NAMES:
+        raise TypeError("protocol counters %s are not the declared %s"
+                        % (sorted(counts), sorted(_PROTOCOL_NAMES)))
+    protocol = ProtocolCounters()
+    for name in ProtocolCounters.__slots__:
+        setattr(protocol, name, counts[name])
     node_stats = [stats_from_state(s) for s in state["node_stats"]]
-    return MPResult(state["cycles"], node_stats,
-                    CachedProtocol(**state["protocol"]))
+    return MPResult(state["cycles"], node_stats, protocol)
 
 
 SERIALIZERS = {

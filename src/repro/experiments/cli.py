@@ -451,17 +451,14 @@ def _race_pass():
     return diags, suppressed, summary
 
 
-def _render_races_text(diags, suppressed):
-    """Race-pass text report: R704 summarised, everything else full."""
-    from repro.analysis import render_report
-    lines = []
-    loud = [d for d in diags if d.code != "R704"]
-    if loud:
-        lines.append(render_report(loud))
+def _render_race_audits(diags, suppressed):
+    """The race pass's R704 audits summarised per program, then its
+    sanctioned findings, one line each."""
     audits = {}
     for d in diags:
         if d.code == "R704":
             audits[d.program] = audits.get(d.program, 0) + 1
+    lines = []
     if audits:
         lines.append("R704 unbounded-access audits (run with --json "
                      "for the full list): %s"
@@ -473,27 +470,9 @@ def _render_races_text(diags, suppressed):
     return "\n".join(lines)
 
 
-def _races(args):
-    """The 'races' verb: cross-context race analysis of every
-    committed multi-context group (R7xx rules)."""
-    import json as _json
-    from repro.analysis import has_errors
-    diags, suppressed, summary = _race_pass()
-    if args.json:
-        payload = {"races": summary,
-                   "suppressed": suppressed,
-                   "diagnostics": [d.to_dict() for d in diags]}
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        text = _render_races_text(diags, suppressed)
-        if text:
-            print(text)
-        print("races: %s" % summary)
-    return 1 if has_errors(diags) else 0
-
-
 def _lint(args):
-    """The 'lint' verb: codebase rules and/or program verification."""
+    """The 'lint' verb: codebase rules and/or program verification,
+    plus the race pass with --races."""
     import json as _json
     from repro.analysis import (lint_codebase, render_report, has_errors)
     both = not (args.codebase or args.programs)
@@ -528,8 +507,7 @@ def _lint(args):
         loud = [d for d in diags if d.code != "R704"]
         if loud:
             print(render_report(loud))
-        race_text = _render_races_text(
-            [d for d in diags if d.code == "R704"], suppressed_races)
+        race_text = _render_race_audits(diags, suppressed_races)
         if race_text:
             print(race_text)
         for section in sorted(summary):
@@ -567,7 +545,6 @@ def main(argv=None, _ready=None):
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["all", "sweep",
                                                        "cache", "lint",
-                                                       "races",
                                                        "generate",
                                                        "serve", "submit",
                                                        "jobs"],
@@ -576,9 +553,9 @@ def main(argv=None, _ready=None):
                              "the on-disk cache and renders everything; "
                              "'cache' administers the cache; 'lint' runs "
                              "the static-analysis layer (codebase rules "
-                             "and program verification); 'races' runs "
-                             "the cross-context race analysis over every "
-                             "committed multi-context group; 'generate' "
+                             "and program verification, and with --races "
+                             "the cross-context race analysis of every "
+                             "committed multi-context group); 'generate' "
                              "emits a family of generated programs from "
                              "--spec/--seed; 'serve' runs submitted "
                              "jobs on a worker pool behind a TCP "
@@ -710,8 +687,6 @@ def main(argv=None, _ready=None):
         return _cache_admin(args)
     if args.experiment == "lint":
         return _lint(args)
-    if args.experiment == "races":
-        return _races(args)
     if args.experiment == "generate":
         return _generate(args)
     if args.experiment in ("serve", "submit", "jobs"):

@@ -7,7 +7,12 @@ into plain dictionaries and writes them as JSON.
 
 import json
 
+from repro.coherence.dsm import ProtocolCounters
 from repro.pipeline.stalls import Stall
+
+#: The protocol counters whose export key is not their declared name.
+_EXPORT_NAMES = {"invalidations_sent": "invalidations",
+                 "dirty_remote_services": "cache_to_cache"}
 
 
 def stats_to_dict(stats):
@@ -39,19 +44,13 @@ def uniproc_run_to_dict(run):
 
 def mp_result_to_dict(result):
     """An MPResult as a plain dictionary."""
+    machine = result.machine
     return {
         "cycles": result.cycles,
         "nodes": [stats_to_dict(s) for s in result.node_stats],
         "stats": stats_to_dict(result.stats),
-        "protocol": {
-            "read_misses": result.machine.read_misses,
-            "write_misses": result.machine.write_misses,
-            "upgrades": result.machine.upgrades,
-            "invalidations": result.machine.invalidations_sent,
-            "cache_to_cache": result.machine.dirty_remote_services,
-            "remote_fills": result.machine.remote_fills,
-            "nack_retries": result.machine.nack_retries,
-        },
+        "protocol": {_EXPORT_NAMES.get(name, name): getattr(machine, name)
+                     for name in ProtocolCounters.__slots__},
     }
 
 

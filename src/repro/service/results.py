@@ -10,49 +10,26 @@ contract makes the recorded ``engine`` the submitting spec's engine,
 exactly as a live run under that spec would report.)
 """
 
-from repro.api import (RunResult, _stats_fields)
+from repro.api import build_run_result
 from repro.experiments import cache as cache_mod
-from repro.pipeline.stalls import (UNIPROCESSOR_CATEGORIES,
-                                   MULTIPROCESSOR_CATEGORIES)
 
 
 def result_from_state(point, spec, state):
     """The :class:`repro.api.RunResult` a live run would have returned."""
     if point.kind == "mp":
         mp = cache_mod.mp_from_state(state)
-        return RunResult(
-            kind="multiprocessor",
-            workload=point.name,
-            scheme=point.scheme,
-            n_contexts=point.n_contexts,
-            seed=spec.seed,
-            engine=spec.engine,
-            cycles=mp.cycles,
-            # compute_mp refuses to cache an unfinished run, so every
-            # cached mp state is a completed one.
-            completed=True,
-            per_process=_mp_per_process(point, spec, mp),
-            raw=mp,
-            **_stats_fields(mp.stats, mp.cycles,
-                            MULTIPROCESSOR_CATEGORIES),
-        )
+        # compute_mp refuses to cache an unfinished run, so every cached
+        # mp state is a completed one.
+        return build_run_result(
+            "multiprocessor", mp, point.name, point.scheme,
+            point.n_contexts, spec.seed, spec.engine, True,
+            _mp_per_process(point, spec, mp))
     scheme = "single" if point.kind == "dedicated" else point.scheme
     n_contexts = 1 if point.kind == "dedicated" else point.n_contexts
     window = cache_mod.uniproc_from_state(state)
-    return RunResult(
-        kind="workstation",
-        workload=point.name,
-        scheme=scheme,
-        n_contexts=n_contexts,
-        seed=spec.seed,
-        engine=spec.engine,
-        cycles=window.duration,
-        completed=True,
-        per_process=dict(window.per_process),
-        raw=window,
-        **_stats_fields(window.stats, window.duration,
-                        UNIPROCESSOR_CATEGORIES),
-    )
+    return build_run_result(
+        "workstation", window, point.name, scheme, n_contexts, spec.seed,
+        spec.engine, True, dict(window.per_process))
 
 
 def _mp_per_process(point, spec, mp_result):

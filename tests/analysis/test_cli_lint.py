@@ -30,7 +30,9 @@ def test_lint_all_verifies_programs(capsys):
 
 @pytest.mark.slow
 def test_races_verb_json(capsys):
-    assert main(["races", "--json"]) == 0
+    """The race report CI uploads: 'lint --races' is the race pass's
+    only entry point."""
+    assert main(["lint", "--codebase", "--races", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     # Every committed multi-context group is covered; the only R-errors
     # (mp3d's deliberate scatter) are sanctioned, so none stay active.
@@ -39,7 +41,8 @@ def test_races_verb_json(capsys):
     assert "R702" not in payload["races"]
     assert payload["races"]["suppressed"] >= 1
     assert any(s["code"] == "R701" and s["rationale"]
-               for s in payload["suppressed"])
+               for s in payload["suppressed_races"])
+    # The codebase lints clean, so every diagnostic is a race audit.
     assert payload["diagnostics"], "expected R704 audit diagnostics"
     for diag in payload["diagnostics"]:
         assert diag["rule_category"] == "races"
@@ -48,7 +51,7 @@ def test_races_verb_json(capsys):
 
 @pytest.mark.slow
 def test_races_verb_text_summarises_audits(capsys):
-    assert main(["races"]) == 0
+    assert main(["lint", "--codebase", "--races"]) == 0
     out = capsys.readouterr().out
     assert "R704 unbounded-access audits" in out
     assert "suppressed R701" in out

@@ -1,5 +1,4 @@
-"""Stats-parity (L401/L402), counter-registration (L403), and
-DSM counter-parity (L404) rules.
+"""Stats-parity (L401/L402) and counter-registration (L403) rules.
 
 Passing cases run against the real tree (these double as the proof that
 the current processor keeps the naive and burst accounting in sync);
@@ -9,8 +8,7 @@ triggering cases point the project rules at doctored miniature trees.
 import textwrap
 
 from repro.analysis.rules.stats_parity import (
-    check_stats_parity, check_counter_registration,
-    check_dsm_counter_parity)
+    check_stats_parity, check_counter_registration)
 
 _STALLS = """
 class Stall:
@@ -280,104 +278,3 @@ def test_l403_missing_ground_truth_is_loud(tmp_path):
     diags = check_counter_registration(tmp_path)
     assert "L403" in _codes(diags)
     assert any("ground truth" in d.message for d in diags)
-
-
-# -- L404: DSM counter <-> serializer parity -------------------------------
-
-_DSM_OK = """
-class DSMachine:
-    def __init__(self, params):
-        self.params = params
-        self.n_nodes = params.n_nodes
-        self.read_misses = 0
-        self.remote_fills = 0
-
-    def access(self, node_id, addr, is_write, now):
-        self.read_misses += 1
-        self.remote_fills += 1
-"""
-
-_CACHE_OK = """
-class CachedProtocol:
-    __slots__ = ("read_misses", "remote_fills")
-
-    def __init__(self, read_misses, remote_fills):
-        self.read_misses = read_misses
-        self.remote_fills = remote_fills
-
-
-def mp_to_state(result):
-    return {
-        "cycles": result.cycles,
-        "protocol": {
-            "read_misses": result.machine.read_misses,
-            "remote_fills": result.machine.remote_fills,
-        },
-    }
-"""
-
-
-def _dsm_tree(tmp_path, dsm=_DSM_OK, cache=_CACHE_OK):
-    (tmp_path / "coherence").mkdir()
-    (tmp_path / "experiments").mkdir()
-    (tmp_path / "coherence" / "dsm.py").write_text(textwrap.dedent(dsm))
-    (tmp_path / "experiments" / "cache.py").write_text(
-        textwrap.dedent(cache))
-    return tmp_path
-
-
-def test_real_tree_dsm_counter_parity_holds():
-    assert check_dsm_counter_parity() == []
-
-
-def test_l404_doctored_consistent_passes(tmp_path):
-    assert check_dsm_counter_parity(_dsm_tree(tmp_path)) == []
-
-
-def test_l404_mutated_but_not_serialised(tmp_path):
-    broken = _CACHE_OK.replace(
-        '            "remote_fills": result.machine.remote_fills,\n', ""
-    ).replace('__slots__ = ("read_misses", "remote_fills")',
-              '__slots__ = ("read_misses",)')
-    diags = check_dsm_counter_parity(_dsm_tree(tmp_path, cache=broken))
-    assert _codes(diags) == {"L404"}
-    assert any("remote_fills" in d.message and "serialise" in d.message
-               for d in diags)
-
-
-def test_l404_orphan_serialiser_key(tmp_path):
-    broken = _DSM_OK.replace("        self.remote_fills = 0\n", "") \
-                    .replace("        self.remote_fills += 1\n", "")
-    diags = check_dsm_counter_parity(_dsm_tree(tmp_path, dsm=broken))
-    assert any(d.code == "L404" and "no such counter" in d.message
-               for d in diags)
-
-
-def test_l404_mutated_without_zero_init(tmp_path):
-    broken = _DSM_OK.replace("        self.remote_fills = 0\n", "")
-    diags = check_dsm_counter_parity(_dsm_tree(tmp_path, dsm=broken))
-    assert any(d.code == "L404" and "zero-initialise" in d.message
-               for d in diags)
-
-
-def test_l404_slots_out_of_sync(tmp_path):
-    broken = _CACHE_OK.replace(
-        '__slots__ = ("read_misses", "remote_fills")',
-        '__slots__ = ("read_misses",)')
-    diags = check_dsm_counter_parity(_dsm_tree(tmp_path, cache=broken))
-    assert any(d.code == "L404" and "round-trip" in d.message
-               for d in diags)
-
-
-def test_l404_extraction_failure_is_loud(tmp_path):
-    no_dict = "def mp_to_state(result):\n    return build(result)\n"
-    diags = check_dsm_counter_parity(
-        _dsm_tree(tmp_path, cache=no_dict))
-    assert any(d.code == "L404" and "no longer matches" in d.message
-               for d in diags)
-
-
-def test_l404_missing_machine_is_loud(tmp_path):
-    diags = check_dsm_counter_parity(tmp_path)
-    assert any(d.code == "L404" and "DSMachine" in d.message
-               for d in diags)

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import MultiprocessorParams
-from repro.coherence.dsm import DSMachine
+from repro.coherence.dsm import DSMachine, ProtocolCounters
 
 
 def machine(n_nodes=4, seed=7):
     return DSMachine(MultiprocessorParams(n_nodes=n_nodes), seed=seed)
+
+
+def test_machine_counts_only_declared_counters():
+    m = machine()
+    assert all(getattr(m, name) == 0 for name in ProtocolCounters.__slots__)
+    # Slotted: a counter kept anywhere but ProtocolCounters raises.
+    with pytest.raises(AttributeError):
+        m.coherence_misses = 0
 
 
 class TestProtocolTransitions:

@@ -63,22 +63,21 @@ class TestWaiting:
     def test_wait_on_lock_never_self_wakes(self):
         ctx = HardwareContext(0)
         ctx.load(make_process())
-        ctx.wait_on_lock(0x100)
+        ctx.wait_on_lock()
         assert ctx.wake_at == NEVER
-        assert ctx.waiting_on_lock == 0x100
+        assert ctx.wake_reason is Stall.SYNC
 
     def test_wake_immediately(self):
         ctx = HardwareContext(0)
         ctx.load(make_process())
-        ctx.wait_on_lock(0x100)
+        ctx.wait_on_lock()
         ctx.wake()
         assert ctx.status is Status.RUNNING
-        assert ctx.waiting_on_lock is None
 
     def test_wake_at_future_cycle(self):
         ctx = HardwareContext(0)
         ctx.load(make_process())
-        ctx.wait_on_lock(0x100)
+        ctx.wait_on_lock()
         ctx.wake(cycle=77)
         assert ctx.status is Status.WAITING
         assert ctx.wake_at == 77
@@ -92,7 +91,6 @@ class TestDoomed:
         assert ctx.status is Status.DOOMED
         assert ctx.doomed_detect == 17
         assert ctx.doomed_completion == 40
-        assert ctx.doomed_count == 0
 
     def test_repr_mentions_state(self):
         ctx = HardwareContext(3)

@@ -130,7 +130,7 @@ class TestParkedSyncWake:
         # A failed LOCK: context 0 waits on the lock and the blocked
         # scheme's switch tail freezes the processor until cycle 110;
         # context 1 can run once the tail ends.
-        waiting.wait_on_lock(0x100)
+        waiting.wait_on_lock()
         proc.stall_until, proc.stall_category = 110, Stall.SWITCH
         proc.step(99)   # the tail's cycle 99; parks from 100
         assert proc._parked_from == 100 and proc.parked_due == 110
@@ -143,7 +143,7 @@ class TestParkedSyncWake:
     def test_wake_at_tail_end_with_a_runner_is_due_at_once(self):
         proc = self._blocked()
         waiting = proc.contexts[0]
-        waiting.wait_on_lock(0x100)
+        waiting.wait_on_lock()
         proc.stall_until, proc.stall_category = 105, Stall.SWITCH
         proc.step(99)
         assert proc._parked_from == 100 and proc.parked_due == 105

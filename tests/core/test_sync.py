@@ -37,8 +37,8 @@ class TestLocks:
         sm.try_acquire(0x100, "p", a)
         sm.try_acquire(0x100, "p", b)
         sm.try_acquire(0x100, "p", c)
-        b.wait_on_lock(0x100)
-        c.wait_on_lock(0x100)
+        b.wait_on_lock()
+        c.wait_on_lock()
         sm.release(0x100, "p", a, now=100)
         assert sm.holder_of(0x100) == ("p", b)
         assert b.status is Status.WAITING and b.wake_at == 120
@@ -74,9 +74,9 @@ class TestBarriers:
         sm.configure_barrier(1, 3)
         ctxs = [ctx(i) for i in range(3)]
         assert not sm.barrier_arrive(1, "p", ctxs[0], 10)
-        ctxs[0].wait_on_lock(None)
+        ctxs[0].wait_on_lock()
         assert not sm.barrier_arrive(1, "p", ctxs[1], 11)
-        ctxs[1].wait_on_lock(None)
+        ctxs[1].wait_on_lock()
         assert sm.barrier_arrive(1, "p", ctxs[2], 12)
         assert ctxs[0].wake_at == 32
         assert ctxs[1].wake_at == 32

@@ -48,3 +48,23 @@ class TestRecording:
         proc = build_four_thread_processor("interleaved")
         assert recorder.attach(proc) is recorder
         assert proc.trace is recorder
+
+
+def _traced_run(engine, until=20_000):
+    from repro.api import Simulation
+    from repro.config import SystemConfig
+    sim = Simulation.from_config(SystemConfig.fast(), scheme="blocked",
+                                 n_contexts=2, seed=1994,
+                                 engine=engine).load("DC")
+    recorder = TimelineRecorder().attach(sim.simulator.processor)
+    sim.simulator.run(until=until)
+    return recorder
+
+
+def test_burst_engine_trace_equals_naive_slot_for_slot():
+    # A traced processor takes no fast path, parks included, so the
+    # burst engine reports every slot, each as naive stepping does.
+    naive = _traced_run("naive")
+    burst = _traced_run("burst")
+    assert len(naive) == 20_000
+    assert burst.events == naive.events

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coherence.dsm import ProtocolCounters
 from repro.config import SystemConfig, MultiprocessorParams, to_canonical
 from repro.core.simulator import RunResult
 from repro.core.mpsimulator import MPResult
@@ -13,7 +14,6 @@ from repro.core.stats import CycleStats
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
     CACHE_SCHEMA,
-    CachedProtocol,
     ResultCache,
     code_version,
     mp_from_state,
@@ -45,9 +45,16 @@ def _uniproc_result():
     return RunResult(20_000, _stats(), {"mxm.0": 5000, "li.1": 4000})
 
 
+def _protocol(counts):
+    protocol = ProtocolCounters()
+    for name, value in zip(ProtocolCounters.__slots__, counts):
+        setattr(protocol, name, value)
+    return protocol
+
+
 def _mp_result():
     return MPResult(123_456, [_stats(0), _stats(2)],
-                    CachedProtocol(10, 20, 30, 40, 50, 60, 70))
+                    _protocol([10, 20, 30, 40, 50, 60, 70]))
 
 
 #: Key text with the characters JSON must escape, and non-ASCII.
@@ -193,6 +200,77 @@ class TestRoundTrips:
         """States survive an actual JSON round-trip (the disk format)."""
         state = json.loads(json.dumps(mp_to_state(_mp_result())))
         assert mp_from_state(state).cycles == 123_456
+
+
+_COUNT = st.integers(min_value=0, max_value=1 << 40)
+
+
+@st.composite
+def _any_stats(draw):
+    """A CycleStats with a random value in every declared field."""
+    s = CycleStats()
+    for name in CycleStats.__slots__:
+        if name == "counts":
+            value = draw(st.lists(_COUNT, min_size=len(s.counts),
+                                  max_size=len(s.counts)))
+        else:
+            value = draw(_COUNT)
+        setattr(s, name, value)
+    return s
+
+
+class TestDeclarations:
+    """Every copier and serialiser carries every declared field, so a
+    field added to ``CycleStats.__slots__`` or to
+    ``ProtocolCounters.__slots__`` is covered here without an edit."""
+
+    @given(a=_any_stats(), b=_any_stats())
+    def test_every_stats_field_is_copied(self, a, b):
+        snap = a.snapshot()
+        delta = a.delta_since(b)
+        merged = a.merged_with(b)
+        restored = stats_from_state(
+            json.loads(json.dumps(stats_to_state(a))))
+        for name in CycleStats.__slots__:
+            mine, other = getattr(a, name), getattr(b, name)
+            assert getattr(snap, name) == mine, name
+            assert getattr(restored, name) == mine, name
+            if name == "counts":
+                assert snap.counts is not a.counts
+                assert delta.counts == [x - y for x, y in zip(mine, other)]
+                assert merged.counts == [x + y
+                                         for x, y in zip(mine, other)]
+            elif name == "run_max":
+                assert delta.run_max == mine
+                assert merged.run_max == max(mine, other)
+            else:
+                assert getattr(delta, name) == mine - other, name
+                assert getattr(merged, name) == mine + other, name
+
+    @given(st.lists(_COUNT, min_size=len(ProtocolCounters.__slots__),
+                    max_size=len(ProtocolCounters.__slots__)))
+    def test_every_protocol_counter_round_trips(self, counts):
+        result = MPResult(9, [_stats()], _protocol(counts))
+        state = json.loads(json.dumps(mp_to_state(result)))
+        assert state["protocol"] == dict(zip(ProtocolCounters.__slots__,
+                                             counts))
+        restored = mp_from_state(state).machine
+        assert isinstance(restored, ProtocolCounters)
+        for name, value in zip(ProtocolCounters.__slots__, counts):
+            assert getattr(restored, name) == value, name
+
+    @pytest.mark.parametrize("name", ProtocolCounters.__slots__)
+    def test_missing_protocol_counter_raises(self, name):
+        state = mp_to_state(_mp_result())
+        del state["protocol"][name]
+        with pytest.raises(TypeError):
+            mp_from_state(state)
+
+    def test_unknown_protocol_counter_raises(self):
+        state = mp_to_state(_mp_result())
+        state["protocol"]["coherence_misses"] = 1
+        with pytest.raises(TypeError):
+            mp_from_state(state)
 
 
 class TestResultCache:
