@@ -26,8 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config import SystemConfig, MultiprocessorParams  # noqa: E402
 from repro.experiments.cache import ResultCache              # noqa: E402
-from repro.experiments.export import sweep_report_to_dict, \
-    write_json                                               # noqa: E402
+from repro.experiments.export import write_json              # noqa: E402
 from repro.experiments.runner import ExperimentContext       # noqa: E402
 from repro.experiments.sweep import SweepEngine, \
     default_points                                           # noqa: E402
@@ -70,8 +69,8 @@ def main(argv=None):
             points, jobs=args.jobs, cache=ResultCache(cache_dir))
         assert warm_ctx.sim_count == 0, "warm rerun re-simulated!"
 
-        payload = sweep_report_to_dict(
-            report,
+        payload = dict(
+            report.to_dict(),
             benchmark="sweep_timing",
             n_points=len(points),
             serial_seconds=round(serial_s, 3),

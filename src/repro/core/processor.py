@@ -654,7 +654,7 @@ class Processor:
             res = self.memsys.inst_fetch(fetch_addr, now)
             ctx.fetch_pc = pc
             ctx.fetch_valid = True
-            if res.level != "l1":
+            if res is not None:
                 # Blocking I-cache: the whole processor stalls, and no
                 # context switch happens (paper Section 4.1).
                 stats.add(ICACHE)

@@ -107,6 +107,13 @@ def point_key(kind, name, scheme, n_contexts, config, mp_params, seed,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def entry_meta(point, seed, **extra):
+    """The human-readable ``meta`` block of ``point``'s entry."""
+    kind, name, scheme, n_contexts = point
+    return dict(kind=kind, name=name, scheme=scheme, n_contexts=n_contexts,
+                seed=seed, **extra)
+
+
 # -- result (de)serialisation -------------------------------------------------
 
 def stats_to_state(stats):

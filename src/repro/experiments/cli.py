@@ -4,7 +4,6 @@ Usage::
 
     repro-experiments figure3
     repro-experiments table7
-    repro-experiments all
     repro-experiments sweep --jobs 4          # parallel, cached
     repro-experiments cache stats
     repro-experiments cache clear
@@ -367,29 +366,32 @@ def _generate(args):
     return 0
 
 
-def _lint_programs(widths=(1, 2, 4)):
+def _committed_groups():
+    """Every committed program group, (label, [program, ...]): the
+    workload mixes, then the SPLASH apps."""
+    from repro.workloads.uniprocessor import WORKLOAD_ORDER, build_workload
+    from repro.workloads.splash import SPLASH_ORDER, build_app
+    groups = []
+    for name in WORKLOAD_ORDER:
+        processes, _instances, _barriers = build_workload(name, scale=1.0)
+        groups.append(("workload:%s" % name,
+                       [p.program for p in processes]))
+    for name in SPLASH_ORDER:
+        app = build_app(name, 4, threads_per_node=2)
+        groups.append(("splash:%s" % name, list(app.programs)))
+    return groups
+
+
+def _lint_programs(widths=(1, 2, 4), groups=None):
     """Verify every committed example program (workloads + SPLASH)."""
     from repro.analysis import verify_program
     from repro.config import PipelineParams
-    from repro.workloads.uniprocessor import WORKLOAD_ORDER, build_workload
-    from repro.workloads.splash import SPLASH_ORDER, build_app
     threshold = PipelineParams().short_stall_threshold
     diags = []
     programs = 0
     seen = set()
-    for name in WORKLOAD_ORDER:
-        processes, _instances, _barriers = build_workload(name, scale=1.0)
-        for process in processes:
-            program = process.program
-            if id(program) in seen:
-                continue
-            seen.add(id(program))
-            programs += 1
-            diags.extend(verify_program(program, threshold=threshold,
-                                        widths=widths))
-    for name in SPLASH_ORDER:
-        app = build_app(name, 4, threads_per_node=2)
-        for program in app.programs:
+    for _label, group in groups or _committed_groups():
+        for program in group:
             if id(program) in seen:
                 continue
             seen.add(id(program))
@@ -399,25 +401,8 @@ def _lint_programs(widths=(1, 2, 4)):
     return diags, programs
 
 
-def _race_groups():
-    """Every committed multi-context group: (label, [program, ...])."""
-    from repro.workloads.uniprocessor import WORKLOAD_ORDER, build_workload
-    from repro.workloads.splash import SPLASH_ORDER, build_app
-    groups = []
-    for name in WORKLOAD_ORDER:
-        processes, _instances, _barriers = build_workload(name, scale=1.0)
-        if len(processes) >= 2:
-            groups.append(("workload:%s" % name,
-                           [p.program for p in processes]))
-    for name in SPLASH_ORDER:
-        app = build_app(name, 4, threads_per_node=2)
-        if len(app.programs) >= 2:
-            groups.append(("splash:%s" % name, list(app.programs)))
-    return groups
-
-
-def _race_pass():
-    """Race-check every committed group.
+def _race_pass(groups):
+    """Race-check every multi-context group of :func:`_committed_groups`.
 
     Returns ``(diags, suppressed, summary)``: the active (unsanctioned)
     diagnostics across all groups, the sanctioned findings as
@@ -428,7 +413,8 @@ def _race_pass():
                                       findings_to_diagnostics)
     diags, suppressed = [], []
     counts = {}
-    groups = _race_groups()
+    groups = [(label, programs) for label, programs in groups
+              if len(programs) >= 2]
     for label, programs in groups:
         findings = race_findings(programs)
         active, sanctioned, rationales = split_sanctioned(findings,
@@ -481,12 +467,13 @@ def _lint(args):
     diags = []
     summary = {}
     suppressed_races = []
+    groups = _committed_groups() if do_programs or args.races else None
     if do_codebase:
         codebase_diags, codebase_summary = lint_codebase()
         diags.extend(codebase_diags)
         summary["codebase"] = codebase_summary
     if do_programs:
-        program_diags, programs = _lint_programs()
+        program_diags, programs = _lint_programs(groups=groups)
         diags.extend(program_diags)
         summary["programs"] = {
             "verified": programs,
@@ -494,7 +481,7 @@ def _lint(args):
             "warnings": sum(1 for d in program_diags if not d.is_error),
         }
     if args.races:
-        race_diags, suppressed_races, race_summary = _race_pass()
+        race_diags, suppressed_races, race_summary = _race_pass(groups)
         diags.extend(race_diags)
         summary["races"] = race_summary
     if args.json:
@@ -543,9 +530,8 @@ def main(argv=None, _ready=None):
     parser = argparse.ArgumentParser(
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["all", "sweep",
-                                                       "cache", "lint",
-                                                       "generate",
+                        choices=sorted(EXPERIMENTS) + ["sweep", "cache",
+                                                       "lint", "generate",
                                                        "serve", "submit",
                                                        "jobs"],
                         help="which table/figure to regenerate; 'sweep' "
@@ -719,8 +705,6 @@ def main(argv=None, _ready=None):
     try:
         if args.experiment == "sweep":
             _sweep(ctx, args)
-        elif args.experiment == "all":
-            _render_everything(ctx)
         else:
             EXPERIMENTS[args.experiment](ctx)
     finally:

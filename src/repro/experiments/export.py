@@ -8,6 +8,7 @@ into plain dictionaries and writes them as JSON.
 import json
 
 from repro.coherence.dsm import ProtocolCounters
+from repro.experiments.runner import dedicated_rate_of
 from repro.pipeline.stalls import Stall
 
 #: The protocol counters whose export key is not their declared name.
@@ -33,7 +34,7 @@ def stats_to_dict(stats):
 
 
 def uniproc_run_to_dict(run):
-    """An ExperimentContext UniprocRun as a plain dictionary."""
+    """An ExperimentContext PointRun as a plain dictionary."""
     result = run.result
     return {
         "duration": result.duration,
@@ -55,29 +56,22 @@ def mp_result_to_dict(result):
 
 
 def context_to_dict(ctx):
-    """Everything an ExperimentContext has memoised, as a dictionary."""
-    return {
-        "uniprocessor": {
-            "%s/%s/%d" % key: uniproc_run_to_dict(run)
-            for key, run in ctx._uniproc.items()
-        },
-        "dedicated_rates": dict(ctx._dedicated),
-        "multiprocessor": {
-            "%s/%s/%d" % key: mp_result_to_dict(res)
-            for key, res in ctx._mp.items()
-        },
-    }
+    """Everything an ExperimentContext has memoised, as a dictionary.
 
-
-def sweep_report_to_dict(report, **extra):
-    """A SweepReport plus arbitrary metadata, as one JSON-able dict.
-
-    Used by the CI benchmark smoke job to publish serial-vs-parallel
-    sweep timings (``BENCH_sweep.json``).
+    A generated point is a workstation run, listed under
+    ``uniprocessor`` as ``gen:<GenSpec text>/<scheme>/<n_contexts>``.
     """
-    payload = report.to_dict()
-    payload.update(extra)
-    return payload
+    out = {"uniprocessor": {}, "dedicated_rates": {}, "multiprocessor": {}}
+    for (kind, name, scheme, n_contexts), run in ctx._memo.items():
+        label = "%s/%s/%d" % (name, scheme, n_contexts)
+        if kind == "mp":
+            out["multiprocessor"][label] = mp_result_to_dict(run.result)
+        elif kind == "dedicated":
+            out["dedicated_rates"][name] = dedicated_rate_of(run.result)
+        else:
+            prefix = "gen:" if kind == "gen" else ""
+            out["uniprocessor"][prefix + label] = uniproc_run_to_dict(run)
+    return out
 
 
 def write_json(path, payload):

@@ -7,11 +7,12 @@ in process memory — and, when given a :class:`~repro.experiments.cache.
 ResultCache`, reads/writes a content-addressed on-disk cache so the same
 simulation is never computed twice across processes or invocations.
 
-The module-level ``compute_*`` functions are the *only* way a simulation
-point is ever produced: the serial context calls them directly, and
-both the parallel :class:`~repro.experiments.sweep.SweepEngine` pool and
-the service's worker processes go through :func:`compute_point_state`,
-which dispatches to them.  Parallel and service results are therefore
+:func:`compute_point` is the *only* way a simulation point is ever
+produced: the serial context, the parallel
+:class:`~repro.experiments.sweep.SweepEngine` pool and the service's
+worker processes all reach the ``compute_*`` builders through it, with
+the arguments :func:`point_args` derives from one holder of the
+point's inputs.  Parallel and service results are therefore
 bit-identical to serial ones by construction (each point is seeded
 independently from the context's seed; no state is shared between
 points).
@@ -19,6 +20,7 @@ points).
 
 from repro.api import Simulation
 from repro.config import SystemConfig, MultiprocessorParams
+from repro.experiments import cache as cache_mod
 
 #: Default measurement window lengths (cycles) for the fast profile.
 UNIPROC_WARMUP = 30_000
@@ -69,32 +71,63 @@ def point_window(kind, warmup, measure):
     return warmup, measure
 
 
-def compute_point_state(kind, name, scheme, n_contexts, config, mp_params,
-                        seed, warmup, measure, engine="burst"):
-    """Compute one point of any kind; returns its serialised state.
+def point_args(holder, point):
+    """:func:`compute_point`'s arguments for ``point``.
 
-    The one point dispatcher behind the sweep's process pool and the
-    service's workers.  ``warmup``/``measure`` is the point's
+    ``holder`` carries a point's six inputs — ``config``, ``mp_params``,
+    ``seed``, ``warmup``, ``measure`` and ``engine`` — as an
+    :class:`ExperimentContext` and a :class:`~repro.service.jobs.JobSpec`
+    both do; the window is the point's :func:`point_window`.
+    """
+    kind, name, scheme, n_contexts = point
+    warmup, measure = point_window(kind, holder.warmup, holder.measure)
+    return (kind, name, scheme, n_contexts, holder.config,
+            holder.mp_params, holder.seed, warmup, measure, holder.engine)
+
+
+def point_key_of(holder, point):
+    """``point``'s on-disk cache key under ``holder``'s inputs.
+
+    Every argument of :func:`point_args` but the engine enters the key:
+    by contract all engines produce bit-identical results (enforced by
+    the engine test suites), so a point computed under one engine is a
+    valid hit for any other.
+    """
+    return cache_mod.point_key(*point_args(holder, point)[:-1])
+
+
+def compute_point(kind, name, scheme, n_contexts, config, mp_params,
+                  seed, warmup, measure, engine="burst"):
+    """Compute one point of any kind; returns ``(result, simulator)``.
+
+    The one point dispatcher behind the serial context, the sweep's
+    process pool and the service's workers.  ``simulator`` is the live
+    simulator of a ``uniproc`` or ``gen`` point, None for a dedicated
+    run (kept only as its window) and an mp run (its ``MPResult``
+    carries the machine).  ``warmup``/``measure`` is the point's
     :func:`point_window`; a ``gen`` point's ``name`` is its
     :class:`~repro.workloads.generator.GenSpec` text.  Touches only its
     arguments, so it may run in any process, in any order.
     """
-    from repro.experiments import cache as cache_mod
-    if kind == "uniproc":
-        result, _ = compute_uniproc(name, scheme, n_contexts, config, seed,
-                                    warmup, measure, engine=engine)
-    elif kind == "gen":
-        result, _ = compute_uniproc("gen:" + name, scheme, n_contexts,
-                                    config, seed, warmup, measure,
-                                    engine=engine)
-    elif kind == "dedicated":
-        result = compute_dedicated(name, config, seed, warmup, measure,
-                                   engine=engine)
-    elif kind == "mp":
-        result = compute_mp(name, scheme, n_contexts, mp_params, seed,
-                            engine=engine)
-    else:
-        raise ValueError("unknown point kind %r" % (kind,))
+    if kind in ("uniproc", "gen"):
+        workload = name if kind == "uniproc" else "gen:" + name
+        return compute_uniproc(workload, scheme, n_contexts, config, seed,
+                               warmup, measure, engine=engine)
+    if kind == "dedicated":
+        return compute_dedicated(name, config, seed, warmup, measure,
+                                 engine=engine), None
+    if kind == "mp":
+        return compute_mp(name, scheme, n_contexts, mp_params, seed,
+                          engine=engine), None
+    raise ValueError("unknown point kind %r" % (kind,))
+
+
+def compute_point_state(kind, name, scheme, n_contexts, config, mp_params,
+                        seed, warmup, measure, engine="burst"):
+    """:func:`compute_point`'s result as its serialised state: what the
+    sweep's pool and the service's workers send back."""
+    result, _ = compute_point(kind, name, scheme, n_contexts, config,
+                              mp_params, seed, warmup, measure, engine)
     return cache_mod.SERIALIZERS[kind][0](result)
 
 
@@ -103,14 +136,18 @@ def dedicated_rate_of(result):
     return sum(result.per_process.values()) / result.duration
 
 
-class UniprocRun:
-    """One uniprocessor measurement plus its simulator's end state.
+class PointRun:
+    """One memoised point: its result, plus the live simulator of a
+    ``uniproc`` or ``gen`` point simulated in this process.
 
-    ``simulator`` is None when the result was loaded from the on-disk
-    cache (only the measured numbers are persisted, not the machine).
+    ``simulator`` is None for every other entry: a result loaded from
+    the on-disk cache or computed in another process (only the measured
+    numbers travel, not the machine), a dedicated run and an mp run.
     """
 
-    def __init__(self, result, simulator):
+    __slots__ = ("result", "simulator")
+
+    def __init__(self, result, simulator=None):
         self.result = result
         self.simulator = simulator
 
@@ -134,81 +171,76 @@ class ExperimentContext:
         self.warmup = warmup
         self.measure = measure
         self.cache = cache
-        #: Simulation engine for every point this context computes.  By
-        #: contract all engines produce bit-identical results (enforced
-        #: by the engine test suites), so the choice deliberately does
-        #: NOT enter the cache keys: points computed under one engine
-        #: are valid hits for any other.
+        #: Simulation engine for every point this context computes; it
+        #: does not enter the cache keys (see :func:`point_key_of`).
         self.engine = engine
         self.sim_count = 0
-        self._uniproc = {}
-        self._dedicated = {}
-        self._mp = {}
-
-    # -- cache plumbing ------------------------------------------------------
+        #: (kind, name, scheme, n_contexts) -> PointRun.
+        self._memo = {}
 
     def point_cache_key(self, kind, name, scheme="single", n_contexts=1):
         """The on-disk cache key of one of this context's points."""
-        from repro.experiments import cache as cache_mod
-        warmup, measure = point_window(kind, self.warmup, self.measure)
-        return cache_mod.point_key(kind, name, scheme, n_contexts,
-                                   self.config, self.mp_params, self.seed,
-                                   warmup, measure)
+        return point_key_of(self, (kind, name, scheme, n_contexts))
 
-    def _cache_get(self, kind, name, scheme, n_contexts):
-        if self.cache is None:
-            return None
-        return self.cache.get(
-            self.point_cache_key(kind, name, scheme, n_contexts), kind)
+    # -- the point path -----------------------------------------------------
 
-    def _cache_put(self, kind, name, scheme, n_contexts, result):
-        if self.cache is None:
-            return
-        self.cache.put(
-            self.point_cache_key(kind, name, scheme, n_contexts), kind,
-            result, meta={"kind": kind, "name": name, "scheme": scheme,
-                          "n_contexts": n_contexts, "seed": self.seed})
+    def lookup(self, point):
+        """``(run, source)`` of ``point`` from the memo (``"memo"``) or
+        the on-disk cache (``"cache"``, memoised on the way); ``(None,
+        None)`` when neither holds it."""
+        run = self._memo.get(point)
+        if run is not None:
+            return run, "memo"
+        if self.cache is not None:
+            result = self.cache.get(self.point_cache_key(*point), point[0])
+            if result is not None:
+                run = self._memo[point] = PointRun(result)
+                return run, "cache"
+        return None, None
 
-    def store_point(self, kind, name, scheme, n_contexts, result):
-        """Inject an externally computed result (sweep worker) into the
-        in-process memo, exactly as a cache load would."""
-        if kind == "uniproc":
-            self._uniproc[(name, scheme, n_contexts)] = UniprocRun(
-                result, None)
-        elif kind == "dedicated":
-            self._dedicated[name] = dedicated_rate_of(result)
-        elif kind == "mp":
-            self._mp[(name, scheme, n_contexts)] = result
+    def point_run(self, point, need_simulator=False):
+        """``(run, source)`` of one ``(kind, name, scheme, n_contexts)``
+        point: :meth:`lookup`, otherwise a simulation (``"computed"``)
+        that fills the memo and the cache.
+
+        ``need_simulator=True`` guarantees a live simulator on a
+        ``uniproc`` or ``gen`` run: unless the memo holds one, it
+        simulates without probing the cache and rewrites the entry.
+        """
+        if need_simulator:
+            run = self._memo.get(point)
+            if run is not None and run.simulator is not None:
+                return run, "memo"
         else:
-            raise ValueError("unknown point kind %r" % kind)
+            run, source = self.lookup(point)
+            if run is not None:
+                return run, source
+        result, simulator = compute_point(*point_args(self, point))
+        self.sim_count += 1
+        return self.store(point, result, simulator), "computed"
+
+    def store(self, point, result, simulator=None):
+        """Memoise ``point``'s result and write it through to the cache;
+        returns its :class:`PointRun`."""
+        if self.cache is not None:
+            self.cache.put(self.point_cache_key(*point), point[0], result,
+                           meta=cache_mod.entry_meta(point, self.seed))
+        run = self._memo[point] = PointRun(result, simulator)
+        return run
 
     # -- uniprocessor ----------------------------------------------------------
 
     def uniproc_run(self, workload, scheme, n_contexts,
                     need_simulator=False):
-        """Measured run of a Table 5 workload; memoised and cached.
+        """Measured run of a Table 5 workload (a :class:`PointRun`);
+        memoised and cached.
 
         Pass ``need_simulator=True`` to guarantee a live simulator on
         the returned run (forces a simulation if the memoised result
         came from the on-disk cache).
         """
-        key = (workload, scheme, n_contexts)
-        entry = self._uniproc.get(key)
-        if entry is not None and (entry.simulator is not None
-                                  or not need_simulator):
-            return entry
-        if not need_simulator:
-            cached = self._cache_get("uniproc", *key)
-            if cached is not None:
-                self._uniproc[key] = UniprocRun(cached, None)
-                return self._uniproc[key]
-        result, sim = compute_uniproc(
-            workload, scheme, n_contexts, self.config, self.seed,
-            self.warmup, self.measure, engine=self.engine)
-        self.sim_count += 1
-        self._cache_put("uniproc", workload, scheme, n_contexts, result)
-        self._uniproc[key] = UniprocRun(result, sim)
-        return self._uniproc[key]
+        return self.point_run(("uniproc", workload, scheme, n_contexts),
+                              need_simulator)[0]
 
     def dedicated_rate(self, kernel_name):
         """Instructions/cycle of one application run alone (calibration).
@@ -217,17 +249,8 @@ class ExperimentContext:
         application receiving a fair 1/N share of a dedicated processor;
         this is the dedicated-processor rate that normalisation needs.
         """
-        if kernel_name not in self._dedicated:
-            result = self._cache_get("dedicated", kernel_name, "single", 1)
-            if result is None:
-                result = compute_dedicated(
-                    kernel_name, self.config, self.seed, self.warmup,
-                    self.measure, engine=self.engine)
-                self.sim_count += 1
-                self._cache_put("dedicated", kernel_name, "single", 1,
-                                result)
-            self._dedicated[kernel_name] = dedicated_rate_of(result)
-        return self._dedicated[kernel_name]
+        run, _ = self.point_run(("dedicated", kernel_name, "single", 1))
+        return dedicated_rate_of(run.result)
 
     def normalized_throughput(self, workload, scheme, n_contexts):
         """The paper's fair-share throughput metric.
@@ -253,18 +276,9 @@ class ExperimentContext:
     # -- multiprocessor ------------------------------------------------------------
 
     def mp_run(self, app_name, scheme, n_contexts):
-        """Run-to-completion of a SPLASH stand-in; memoised and cached."""
-        key = (app_name, scheme, n_contexts)
-        if key not in self._mp:
-            result = self._cache_get("mp", *key)
-            if result is None:
-                result = compute_mp(app_name, scheme, n_contexts,
-                                    self.mp_params, self.seed,
-                                    engine=self.engine)
-                self.sim_count += 1
-                self._cache_put("mp", app_name, scheme, n_contexts, result)
-            self._mp[key] = result
-        return self._mp[key]
+        """Run-to-completion of a SPLASH stand-in (its ``MPResult``);
+        memoised and cached."""
+        return self.point_run(("mp", app_name, scheme, n_contexts))[0].result
 
     def mp_speedup(self, app_name, scheme, n_contexts):
         """Speedup over the single-context run of the same machine.

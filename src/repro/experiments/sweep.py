@@ -8,11 +8,12 @@ skips everything already memoised or in the on-disk cache, and runs the
 remainder over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
 Determinism contract: a worker computes a point with the *same*
-module-level ``compute_*`` function, the same configuration objects, and
-the same per-point seed that the serial :class:`ExperimentContext` path
-uses, and no state is shared between points — so parallel results are
-bit-identical to serial ones, and cache entries written by either path
-are interchangeable.
+dispatcher (:func:`~repro.experiments.runner.compute_point`) and the
+same arguments (:func:`~repro.experiments.runner.point_args`: the same
+configuration objects, per-point seed and window) that the serial
+:class:`ExperimentContext` path uses, and no state is shared between
+points — so parallel results are bit-identical to serial ones, and
+cache entries written by either path are interchangeable.
 """
 
 import os
@@ -25,8 +26,9 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.runner import ExperimentContext
 
 #: One simulation point.  ``kind`` is "uniproc" (measured workload run),
-#: "dedicated" (single-application calibration run), or "mp" (SPLASH
-#: run-to-completion).
+#: "dedicated" (single-application calibration run), "mp" (SPLASH
+#: run-to-completion), or "gen" (measured run of a generated family,
+#: ``name`` its GenSpec text).
 SweepPoint = namedtuple("SweepPoint", "kind name scheme n_contexts")
 
 #: One finished point: where its result came from and how long it took.
@@ -122,45 +124,6 @@ class SweepEngine:
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
         self.progress = progress if progress is not None else lambda msg: None
 
-    # -- lookup helpers ------------------------------------------------------
-
-    def _memoised(self, point):
-        ctx = self.ctx
-        if point.kind == "uniproc":
-            return (point.name, point.scheme,
-                    point.n_contexts) in ctx._uniproc
-        if point.kind == "dedicated":
-            return point.name in ctx._dedicated
-        return (point.name, point.scheme, point.n_contexts) in ctx._mp
-
-    def _from_cache(self, point):
-        ctx = self.ctx
-        if ctx.cache is None:
-            return None
-        key = ctx.point_cache_key(*point)
-        return ctx.cache.get(key, point.kind)
-
-    def _task_args(self, point):
-        ctx = self.ctx
-        warmup, measure = runner_mod.point_window(point.kind, ctx.warmup,
-                                                  ctx.measure)
-        return (point.kind, point.name, point.scheme, point.n_contexts,
-                ctx.config, ctx.mp_params, ctx.seed, warmup, measure,
-                ctx.engine)
-
-    def _store(self, point, state):
-        """Cache + memoise one worker-computed state dict."""
-        ctx = self.ctx
-        result = cache_mod.SERIALIZERS[point.kind][1](state)
-        if ctx.cache is not None:
-            ctx.cache.put_state(
-                ctx.point_cache_key(*point), point.kind, state,
-                meta={"kind": point.kind, "name": point.name,
-                      "scheme": point.scheme,
-                      "n_contexts": point.n_contexts, "seed": ctx.seed})
-        ctx.store_point(*point, result)
-        return result
-
     def _label(self, point):
         return "%-9s %s/%s/%d" % (point.kind, point.name, point.scheme,
                                   point.n_contexts)
@@ -181,57 +144,47 @@ class SweepEngine:
         """Ask the context for each point, once.
 
         The context probes its cache and simulates only on a miss, so
-        each point costs one cache lookup, and ``sim_count`` tells a
-        computed point from a cache hit.
+        each point costs one cache lookup.
         """
         out = []
-        ctx = self.ctx
         total = len(points)
         # Heaviest first, as the pool is fed: on a cold 8-node mp grid,
         # computing the small points first left the peak RSS 0.7 MB
         # (1.7%) higher.
         for point in sorted(points, key=_cost_rank, reverse=True):
-            if self._memoised(point):
+            start = time.perf_counter()
+            _run, source = self.ctx.point_run(point)
+            if source == "memo":
                 out.append(PointOutcome(point, "memo", 0.0))
                 continue
-            start = time.perf_counter()
-            sims = ctx.sim_count
-            if point.kind == "uniproc":
-                ctx.uniproc_run(point.name, point.scheme, point.n_contexts)
-            elif point.kind == "dedicated":
-                ctx.dedicated_rate(point.name)
-            else:
-                ctx.mp_run(point.name, point.scheme, point.n_contexts)
             seconds = time.perf_counter() - start
-            if ctx.sim_count > sims:
-                out.append(PointOutcome(point, "computed", seconds))
+            out.append(PointOutcome(point, source, seconds))
+            if source == "computed":
                 self.progress("[%3d/%d] %s  %.2f s" % (
                     len(out), total, self._label(point), seconds))
             else:
-                out.append(PointOutcome(point, "cache", seconds))
                 self.progress("[%3d/%d] %s  cache hit" % (
                     len(out), total, self._label(point)))
         return out
 
     def _run_parallel(self, points):
         """Probe memo and cache first, then fan the misses out."""
+        ctx = self.ctx
         out = []
         pending = []
         total = len(points)
         for point in points:
             start = time.perf_counter()
-            if self._memoised(point):
+            run, source = ctx.lookup(point)
+            if run is None:
+                pending.append(point)
+            elif source == "memo":
                 out.append(PointOutcome(point, "memo", 0.0))
-                continue
-            result = self._from_cache(point)
-            if result is not None:
-                self.ctx.store_point(*point, result)
+            else:
                 out.append(PointOutcome(
                     point, "cache", time.perf_counter() - start))
                 self.progress("[%3d/%d] %s  cache hit"
                               % (len(out), total, self._label(point)))
-                continue
-            pending.append(point)
         done = len(out)
         pending.sort(key=_cost_rank, reverse=True)
         if not pending:
@@ -240,12 +193,12 @@ class SweepEngine:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             submitted = time.perf_counter()
             futures = {pool.submit(runner_mod.compute_point_state,
-                                   *self._task_args(p)): p
+                                   *runner_mod.point_args(ctx, p)): p
                        for p in pending}
             for future in as_completed(futures):
                 point = futures[future]
-                state = future.result()
-                self._store(point, state)
+                ctx.store(point, cache_mod.SERIALIZERS[point.kind][1](
+                    future.result()))
                 seconds = time.perf_counter() - submitted
                 done += 1
                 self.progress("[%3d/%d] %s  done at +%.2f s"

@@ -211,15 +211,17 @@ class MemorySystem:
     def inst_fetch(self, addr, now):
         """Instruction fetch; the I-cache is blocking (paper Section 4.1).
 
-        On a miss the whole processor stalls until ``ready``; the fetch
-        brings in two lines (Table 1 fetch size), the second as a
-        prefetch that adds occupancy but no latency.
+        A hit costs nothing and returns None.  A miss returns its
+        :class:`AccessResult`: the whole processor stalls until
+        ``ready``, and the fetch brings in two lines (Table 1 fetch
+        size), the second as a prefetch that adds occupancy but no
+        latency.
         """
         l1i = self.l1i
         if (l1i.tags[(addr >> l1i.line_bits) & l1i.index_mask]
                 == addr >> l1i.tag_shift):
             l1i.hits += 1
-            return AccessResult("l1", now)
+            return None
         l1i.misses += 1
         level, ready = self._miss_path(l1i, addr, now, is_inst=True)
         next_line = l1i.line_addr(addr) + self.params.l1i.line_size

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.runner import (UNIPROC_WARMUP, UNIPROC_MEASURE,
-                                      point_window)
+                                      point_key_of, point_window)
 from repro.experiments.sweep import SweepPoint, dedupe
 
 #: Job lifecycle states.
@@ -67,9 +67,11 @@ class JobStatus:
 class JobSpec:
     """One submitted job: a set of sweep points plus their exact inputs.
 
-    ``config``/``mp_params``/``seed``/``warmup``/``measure`` mirror
-    :class:`~repro.experiments.runner.ExperimentContext` so cache keys
-    (and therefore results) are interchangeable with the batch path.
+    ``config``/``mp_params``/``seed``/``warmup``/``measure``/``engine``
+    mirror :class:`~repro.experiments.runner.ExperimentContext`: both
+    hold a point's inputs for :func:`~repro.experiments.runner.
+    point_args`, so cache keys (and therefore results) are
+    interchangeable with the batch path.
     ``timeout`` is the job's wall-clock budget in seconds (None = no
     bound); ``max_retries`` is the per-point retry budget on worker
     death.
@@ -108,11 +110,7 @@ class JobSpec:
     def cache_key(self, point):
         """The point's on-disk :class:`ResultCache` key (shared with the
         batch sweep path, so service and batch runs feed one cache)."""
-        from repro.experiments import cache as cache_mod
-        warmup, measure = self.point_window(point)
-        return cache_mod.point_key(
-            point.kind, point.name, point.scheme, point.n_contexts,
-            self.config, self.mp_params, self.seed, warmup, measure)
+        return point_key_of(self, point)
 
     # -- wire (JSON) form -------------------------------------------------
 

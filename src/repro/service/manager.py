@@ -36,6 +36,7 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as conn_wait
 
+from repro.experiments.cache import entry_meta
 from repro.service.jobs import (JobRecord, PENDING, RUNNING, COMPLETED,
                                 FAILED, CANCELLED, TIMEOUT)
 from repro.service.results import payload_from_state
@@ -429,14 +430,10 @@ class JobManager:
                 del self._jobs[self._finished.popleft()]
 
     def _cache_put(self, spec, ps):
-        point = ps.point
         try:
             self.cache.put_state(
-                ps.key, point.kind, ps.state,
-                meta={"kind": point.kind, "name": point.name,
-                      "scheme": point.scheme,
-                      "n_contexts": point.n_contexts, "seed": spec.seed,
-                      "via": "service"})
+                ps.key, ps.point.kind, ps.state,
+                meta=entry_meta(ps.point, spec.seed, via="service"))
         except OSError:
             return                     # cache is best-effort persistence
         ps.flushed = True

@@ -9,10 +9,11 @@ loses exactly one attempt of one point, which the manager retries with
 backoff — and makes the kill injection used by the CI soak test
 trivially safe.
 
-Determinism contract: the simulation inputs in a task are precisely the
-arguments :func:`repro.experiments.runner.compute_point_state` receives
-from the batch sweep's process pool (same configs, same per-point seed,
-same windows), and the worker calls that same function, so a
+Determinism contract: a task carries precisely the arguments
+:func:`repro.experiments.runner.point_args` derives for the batch
+sweep's process pool (same configs, same per-point seed, same windows),
+and the worker hands them to the same
+:func:`~repro.experiments.runner.compute_point_state`, so a
 service-computed point is bit-identical to a serial
 :class:`~repro.experiments.sweep.SweepEngine` one and their cache
 entries are interchangeable.  That includes the burst engine's tables:
@@ -25,47 +26,18 @@ import os
 import time
 import traceback
 
-from repro.experiments.runner import compute_point_state
+from repro.experiments.runner import compute_point_state, point_args
 
 
 def make_task(spec, point, attempt=0, fail_times=0):
     """The picklable work order for one attempt at one point."""
-    warmup, measure = spec.point_window(point)
     return {
-        "kind": point.kind,
-        "name": point.name,
-        "scheme": point.scheme,
-        "n_contexts": point.n_contexts,
-        "config": spec.config,
-        "mp_params": spec.mp_params,
-        "seed": spec.seed,
-        "warmup": warmup,
-        "measure": measure,
-        "engine": spec.engine,
+        "args": point_args(spec, point),
         "attempt": attempt,
         #: Fault injection (soak tests): die this many times before
         #: computing, exercising the manager's retry-with-backoff path.
         "fail_times": fail_times,
     }
-
-
-def compute_point(task):
-    """Run one point; returns the result message dict.
-
-    Pure function of the task (no shared state): the manager may run it
-    in any worker, in any order, any number of times.
-    """
-    t0 = time.perf_counter()
-    # Only the serialised state travels back: the manager derives the
-    # streamed payload from it (repro.service.results), the same pure
-    # function it applies to cache hits — so cold and warm runs stream
-    # byte-identical payloads.
-    state = compute_point_state(
-        task["kind"], task["name"], task["scheme"], task["n_contexts"],
-        task["config"], task["mp_params"], task["seed"],
-        task["warmup"], task["measure"], engine=task["engine"])
-    return {"ok": True, "state": state,
-            "seconds": time.perf_counter() - t0}
 
 
 def worker_main(conn, task):
@@ -75,15 +47,20 @@ def worker_main(conn, task):
     manager fails the point without retrying — the computation is
     deterministic, so rerunning cannot help).  Only process *death* —
     the injected kind below, a crash, or an external kill — triggers
-    the retry path.
+    the retry path.  Only the serialised state travels back: the
+    manager derives the streamed payload from it
+    (:mod:`repro.service.results`), the same pure function it applies
+    to cache hits, so cold and warm runs stream byte-identical payloads.
     """
     if task["attempt"] < task.get("fail_times", 0):
         # Injected worker death: exit without sending anything, exactly
         # what a crash/OOM-kill looks like from the manager's side.
         conn.close()
         os._exit(17)
+    t0 = time.perf_counter()
     try:
-        message = compute_point(task)
+        message = {"ok": True, "state": compute_point_state(*task["args"]),
+                   "seconds": time.perf_counter() - t0}
     except BaseException:
         message = {"ok": False, "error": traceback.format_exc(limit=20)}
     try:
@@ -92,4 +69,4 @@ def worker_main(conn, task):
         conn.close()
 
 
-__all__ = ["make_task", "compute_point", "worker_main"]
+__all__ = ["make_task", "worker_main"]

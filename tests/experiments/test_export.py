@@ -69,3 +69,14 @@ class TestContextExport:
         write_json(str(path), context_to_dict(ctx))
         loaded = json.loads(path.read_text())
         assert "uniprocessor" in loaded
+
+    def test_generated_point_is_a_workstation_run(self):
+        spec = "block_size=16;footprint_words=64;loop_iterations=8;seed=3"
+        c = ExperimentContext(config=SystemConfig.fast(),
+                              mp_params=MultiprocessorParams(n_nodes=2),
+                              warmup=1_000, measure=4_000)
+        c.point_run(("gen", spec, "interleaved", 2))
+        d = context_to_dict(c)
+        assert d["multiprocessor"] == {} and d["dedicated_rates"] == {}
+        run = d["uniprocessor"]["gen:%s/interleaved/2" % spec]
+        assert run["duration"] == 4_000

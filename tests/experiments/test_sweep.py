@@ -7,8 +7,9 @@ engine's value is orchestration, which these sizes exercise fully.
 import pytest
 
 from repro.config import SystemConfig, MultiprocessorParams
-from repro.experiments.cache import ResultCache
-from repro.experiments.runner import ExperimentContext
+from repro.core.stats import SCALARS
+from repro.experiments.cache import SERIALIZERS, ResultCache
+from repro.experiments.runner import ExperimentContext, compute_point_state
 from repro.experiments.sweep import (
     SweepEngine,
     SweepPoint,
@@ -80,6 +81,28 @@ class TestParallelEqualsSerial:
         assert (serial_ctx.normalized_throughput("R1", "interleaved", 2)
                 == parallel_ctx.normalized_throughput(
                     "R1", "interleaved", 2))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_gen_point_runs_in_both_modes(jobs):
+    """A generated point runs through either sweep mode, and its result
+    equals the one the service's dispatcher computes, field by field."""
+    point = SweepPoint("gen", "block_size=16;footprint_words=64;"
+                       "loop_iterations=8;seed=3", "interleaved", 2)
+    ctx = make_ctx()
+    report = SweepEngine(ctx, jobs=jobs).run([point])
+    assert [o.source for o in report.outcomes] == ["computed"]
+    expected = SERIALIZERS["gen"][1](compute_point_state(
+        *point, ctx.config, ctx.mp_params, ctx.seed, ctx.warmup,
+        ctx.measure))
+    run, source = ctx.point_run(point)
+    assert source == "memo"
+    got = run.result
+    assert got.duration == expected.duration
+    assert got.per_process == expected.per_process
+    assert list(got.stats.counts) == list(expected.stats.counts)
+    for name in SCALARS:
+        assert getattr(got.stats, name) == getattr(expected.stats, name)
 
 
 class TestCacheBehaviour:

@@ -126,8 +126,8 @@ class TestInstructionFetch:
     def test_hit_is_free(self):
         m = make_memsys()
         m.l1i.fill(0x400)
-        res = m.inst_fetch(0x400, 100)
-        assert res.level == "l1" and res.ready == 100
+        assert m.inst_fetch(0x400, 100) is None
+        assert m.l1i.hits == 1
 
     def test_miss_prefetches_next_line(self):
         m = make_memsys()
