@@ -10,8 +10,8 @@ Two halves (see ``docs/static-analysis.md`` for the rule catalog):
 * Codebase-side — :func:`lint_codebase` runs the determinism and
   stats-parity rules over ``src/repro`` itself.
 
-CLI: ``repro-experiments lint`` (or ``python -m repro.analysis.lint``
-for the codebase half alone).
+CLI: ``repro-experiments lint`` (``--codebase`` for the codebase half
+alone).
 """
 
 from repro.analysis.diagnostics import (Diagnostic, CATALOG, ERROR,
@@ -21,8 +21,7 @@ from repro.analysis.cfg import ProgramCFG, EXIT
 from repro.analysis.verifier import verify_program, program_fingerprint
 from repro.analysis.burst_audit import (audit_bursts, maximal_runs,
                                         DEFAULT_WIDTHS)
-
-_LINT_EXPORTS = ("lint_codebase", "lint_file", "parse_allowlist")
+from repro.analysis.lint import lint_codebase, lint_file, parse_allowlist
 
 _RACE_EXPORTS = ("analyze_races", "race_findings", "collect_accesses",
                  "dynamic_races", "uncovered_races", "AccessRecord",
@@ -32,11 +31,8 @@ _RACE_EXPORTS = ("analyze_races", "race_findings", "collect_accesses",
 
 
 def __getattr__(name):
-    # Lazy: keeps `python -m repro.analysis.lint` (the pre-commit hook)
-    # from importing the module twice.
-    if name in _LINT_EXPORTS:
-        from repro.analysis import lint
-        return getattr(lint, name)
+    # Lazy: the race pass and its abstract interpreter load only for
+    # the callers that use them.
     if name in _RACE_EXPORTS:
         from repro.analysis import races
         return getattr(races, name)

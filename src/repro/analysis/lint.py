@@ -16,19 +16,15 @@ directive is a comment-only line — on the following line.  A directive
 *must* carry a ``-- justification`` (L501, and an unjustified directive
 suppresses nothing); naming a code that does not exist is L502.
 
-``python -m repro.analysis.lint`` runs the codebase lint and exits
-nonzero on error-severity findings (the pre-commit hook entry point);
-``repro-experiments lint`` is the full CLI with program verification.
+``repro-experiments lint --codebase`` runs it and exits nonzero on
+error-severity findings (the pre-commit hook entry point).
 """
 
 import ast
-import json
 import re
-import sys
 from pathlib import Path
 
-from repro.analysis.diagnostics import (Diagnostic, CATALOG, has_errors,
-                                        render_report)
+from repro.analysis.diagnostics import Diagnostic, CATALOG
 from repro.analysis.rules import FILE_RULES, PROJECT_RULES
 
 #: Default lint root: the installed ``repro`` package directory.
@@ -121,29 +117,3 @@ def lint_codebase(root=None):
         "suppressed": len(suppressed),
     }
     return diags, summary
-
-
-def report_json(diags, summary):
-    payload = dict(summary)
-    payload["diagnostics"] = [d.to_dict() for d in diags]
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def main(argv=None):
-    """``python -m repro.analysis.lint`` — the pre-commit entry point."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in argv
-    diags, summary = lint_codebase()
-    if as_json:
-        print(report_json(diags, summary))
-    else:
-        if diags:
-            print(render_report(diags))
-        print("lint: %(files)d files, %(errors)d errors, "
-              "%(warnings)d warnings, %(suppressed)d suppressed"
-              % summary)
-    return 1 if has_errors(diags) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

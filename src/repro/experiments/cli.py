@@ -157,18 +157,24 @@ def _cache_admin(args):
     return 0
 
 
-def _validate_subsets(workloads, apps):
+def _validate_subsets(workloads, apps, kernels=()):
     """Exit naming every unknown workload/app name (``sweep`` and the
-    service verbs)."""
-    from repro.workloads.uniprocessor import WORKLOADS
+    service verbs).  ``kernels`` are the names of dedicated points: one
+    application run alone, a Spec89 kernel or a SPLASH app."""
+    from repro.workloads.uniprocessor import WORKLOADS, kernel_names
     from repro.workloads.splash import SPLASH_APPS
+    dedicated = kernel_names() + sorted(SPLASH_APPS)
     unknown = ([w for w in workloads or () if w not in WORKLOADS]
-               + [a for a in apps or () if a not in SPLASH_APPS])
+               + [a for a in apps or () if a not in SPLASH_APPS]
+               + [k for k in kernels if k not in dedicated])
     if unknown:
         sys.exit("error: unknown workload/app name(s): %s (workloads: "
-                 "%s; apps: %s)" % (", ".join(unknown),
-                                    ", ".join(sorted(WORKLOADS)),
-                                    ", ".join(sorted(SPLASH_APPS))))
+                 "%s; apps: %s%s)" % (", ".join(unknown),
+                                      ", ".join(sorted(WORKLOADS)),
+                                      ", ".join(sorted(SPLASH_APPS)),
+                                      "; dedicated: %s"
+                                      % ", ".join(dedicated)
+                                      if kernels else ""))
 
 
 def _service_spec(args):
@@ -216,8 +222,9 @@ def _service_spec(args):
                 except ValueError as exc:
                     sys.exit("error: bad gen spec in %r: %s" % (p, exc))
         _validate_subsets(
-            [p[1] for p in points if p[0] in ("uniproc", "dedicated")],
-            [p[1] for p in points if p[0] == "mp"])
+            [p[1] for p in points if p[0] == "uniproc"],
+            [p[1] for p in points if p[0] == "mp"],
+            [p[1] for p in points if p[0] == "dedicated"])
         return JobSpec(points=tuple(points), **kwargs)
     return JobSpec.sweep(workloads=workloads, apps=apps, **kwargs)
 
@@ -276,8 +283,8 @@ def _jobs(args):
     from repro.service import connect
     with connect(args.connect) as client:
         if args.action:
-            status = dict(client.status(args.action))
-            status["results"] = len(client.payloads(args.action))
+            status = client.status(args.action)
+            status["results"] = status["completed"]
             print(_json.dumps(status, indent=2, sort_keys=True))
             return 0
         statuses = client.jobs()

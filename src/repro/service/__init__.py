@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: an async job front end over the sweep engine.
+"""Simulation-as-a-service: a job front end over the sweep engine.
 
 The batch pieces — :class:`~repro.experiments.sweep.SweepEngine` point
 enumeration, the content-addressed
@@ -14,8 +14,8 @@ system:
   their points across a pool of worker processes with read-through
   ``ResultCache`` lookups, and exposes ``status(job_id)`` /
   ``results(job_id)`` / ``cancel(job_id)`` plus a synchronous
-  ``iter_results`` generator and the per-index ``payloads`` /
-  ``wait_payload`` reads of per-point ``RunResult.to_json`` payloads.
+  ``iter_results`` generator and ``wait_payloads``, the blocking batch
+  read of per-point ``RunResult.to_json`` payloads.
   Worker death is retried with exponential backoff; jobs carry a
   wall-clock timeout; shutdown is graceful (computed points are
   flushed to the result cache; a cache hit is read and validated,
@@ -25,7 +25,8 @@ system:
   newline-delimited JSON TCP protocol of :mod:`repro.service.net` to a
   ``repro-experiments serve --listen`` process (``submit --connect`` /
   ``jobs --connect`` on the command line): resumable streaming,
-  idempotent submits, no shared filesystem.  Job records live in the
+  idempotent submits, no shared filesystem, one thread per
+  connection.  Job records live in the
   serving process; completed points persist in the result cache.
 
 The stable public surface is ``__all__`` below; everything else in the

@@ -9,7 +9,7 @@ SweepEngine` or :class:`~repro.experiments.runner.ExperimentContext`.
 A :class:`JobRecord` is the manager's mutable, thread-safe view of one
 submitted job: per-point outcomes, streamed payloads, and the condition
 variable every blocking reader (``results``, ``iter_results``,
-``wait_payload``) waits on.
+``wait_payloads``) waits on.
 """
 
 import functools
@@ -199,8 +199,8 @@ class JobRecord:
     """Thread-safe lifecycle record of one submitted job.
 
     The manager's scheduler thread mutates it under ``cond``; client
-    threads (including the TCP server's stream handlers) read snapshots
-    and block on ``cond`` for new payloads.
+    threads (including the TCP server's connection threads) read
+    snapshots and block on ``cond`` for new payloads.
     """
 
     def __init__(self, job_id, spec, submitted_at, fail_times=0):
@@ -260,21 +260,6 @@ class JobRecord:
                 "points": [self.points[p].to_dict()
                            for p in self.spec.points],
             }
-
-    def wait_payload(self, index, timeout=None):
-        """Block until payload ``index`` exists or the job is terminal.
-
-        Returns the payload string, or None when the job reached a
-        terminal state without producing it (or ``timeout`` expired).
-        """
-        with self.cond:
-            def ready():
-                return len(self.payloads) > index or self.is_terminal()
-            if not self.cond.wait_for(ready, timeout=timeout):
-                return None
-            if len(self.payloads) > index:
-                return self.payloads[index]
-            return None
 
 
 __all__ = ["JobSpec", "JobRecord", "JobStatus", "PointState",

@@ -1,4 +1,4 @@
-"""The job manager: async job-queue front end over sharded workers.
+"""The job manager: a job queue in front of sharded worker processes.
 
 ``submit(spec) -> job_id`` enumerates the spec's points, satisfies what
 it can from the content-addressed :class:`~repro.experiments.cache.
@@ -23,9 +23,9 @@ robustness rules:
   scheduler exits; never-started jobs are cancelled.
 
 Clients observe jobs through ``status`` snapshots, blocking
-``results``, a synchronous ``iter_results`` generator, or the
-per-index ``payloads`` / ``wait_payload`` reads the TCP server streams
-through — all fed from the same per-job record.
+``results``, a synchronous ``iter_results`` generator, or
+``wait_payloads``, the batch read the TCP server streams through — all
+fed from the same per-job record.
 """
 
 import dataclasses
@@ -180,35 +180,30 @@ class JobManager:
 
     def iter_results(self, job_id, timeout=None):
         """Yield payloads as points complete (synchronous generator)."""
-        record = self._record(job_id)
         index = 0
         while True:
-            payload = record.wait_payload(index, timeout=timeout)
-            if payload is None:
-                break
-            yield payload
-            index += 1
+            batch = self.wait_payloads(job_id, index, timeout=timeout)
+            if not batch:
+                return
+            yield from batch
+            index += len(batch)
 
-    def payloads(self, job_id, start=0):
-        """Non-blocking: payloads produced so far, from index ``start``.
+    def wait_payloads(self, job_id, start=0, timeout=None):
+        """Every payload from index ``start``, once one exists.
 
-        The TCP server streams each job with this alongside
-        :meth:`wait_payload`; in-process clients should prefer
-        ``iter_results``.
+        Blocks until payload ``start`` exists or the job is terminal,
+        for at most ``timeout`` seconds (``timeout=0`` does not block).
+        An empty list means the job ended (or the wait timed out)
+        without producing payload ``start``.  Payload indices are
+        completion order and never change, so a resumed stream restarts
+        from any index without replaying or losing a point.
         """
         record = self._record(job_id)
         with record.cond:
-            return list(record.payloads[start:])
-
-    def wait_payload(self, job_id, index, timeout=None):
-        """Block until payload ``index`` exists or the job is terminal.
-
-        The seam the network transport streams through: each call
-        delivers exactly one payload (or None at end-of-job), so a
-        resumed stream can restart from any index without replaying —
-        or losing — earlier points.
-        """
-        return self._record(job_id).wait_payload(index, timeout=timeout)
+            record.cond.wait_for(
+                lambda: len(record.payloads) > start
+                or record.is_terminal(), timeout=timeout)
+            return record.payloads[start:]
 
     def cancel(self, job_id):
         """Stop a job (idempotent); True when this call stopped it."""

@@ -1,4 +1,4 @@
-"""The service wire: an asyncio TCP front end over the job manager.
+"""The service wire: a threaded TCP front end over the job manager.
 
 The paper hides long memory latencies behind ready contexts; the
 service layer does the same at the job level.  A :class:`ServiceServer`
@@ -34,15 +34,19 @@ JSON protocol (a spec travels in its
   still being admitted.  A key lives as long as the manager keeps its
   job's record; after that, the same key submits a new job, which the
   result cache serves.
+* **Threads** — one thread accepts, and each connection gets a daemon
+  thread that calls the manager's blocking API directly; a stream
+  waits in :meth:`~repro.service.manager.JobManager.wait_payloads`.
 * **Robustness** — per-connection read timeouts bound half-open peers;
   every failure path increments a counter in :class:`ServerStats`,
   which the ``stats`` verb (and ``benchmarks/bench_service.py``)
   exposes.
 """
 
-import asyncio
 import json
+import socket
 import threading
+import time
 
 from repro.service import jobs as jobs_mod
 from repro.service.jobs import JobSpec, COMPLETED
@@ -59,6 +63,9 @@ MAX_FRAME = 1 << 20
 #: Default per-connection read timeout (seconds): how long the server
 #: waits for the next complete request line before hanging up.
 DEFAULT_READ_TIMEOUT = 600.0
+
+#: Longest a closing connection reads what its peer still sends.
+_DRAIN_SECONDS = 1.0
 
 #: The verbs a connection may use after its hello.
 VERBS = ("submit", "status", "results", "stream", "cancel", "jobs",
@@ -130,80 +137,71 @@ class ServiceServer:
         self.read_timeout = read_timeout
         self.max_frame = max_frame
         self.stats = ServerStats()
-        self._idempotency = {}         # key -> Future(job_id), loop-owned
-        self._server = None
-        self._loop = None
+        self._idempotency = {}         # key -> job id; None while admitted
+        self._keys = threading.Condition()     # guards _idempotency
+        self._listener = None
         self._thread = None
-        self._stopped = None           # asyncio.Event, loop-owned
-        self._conn_tasks = set()       # live _handle_connection tasks
-        self._writers = set()          # their StreamWriters
+        self._lock = threading.Lock()  # guards _conns
+        self._conns = set()            # open connection sockets
         self._stream_drop_after = _stream_drop_after
         self._stream_drop_times = _stream_drop_times
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def aclose(self):
-        """Stop listening, then drain the open connections cleanly.
-
-        Aborting each open transport makes every blocked ``readline``
-        return EOF, so the handler tasks finish on their own instead of
-        being cancelled mid-await when the event loop tears down.
-        """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._conn_tasks:
-            # A handler parked inside a blocking verb (stream of a
-            # never-ending job) won't see the EOF; cancel those after
-            # a short grace period — they catch the cancellation and
-            # exit cleanly.
-            done, pending = await asyncio.wait(list(self._conn_tasks),
-                                               timeout=5.0)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
     def serve(self, max_seconds=None, ready=None):
         """Blocking entry point (the ``serve --listen`` CLI verb).
 
         ``ready``, if given, is called with the server once the socket
-        is bound (so callers can report the resolved port).
+        is bound (so callers can report the resolved port).  Returns
+        after ``max_seconds`` or once :meth:`stop` is called, with every
+        open connection shut down; a connection still waiting in the
+        manager (a stream whose next point is computing) ends when that
+        wait does.
         """
-        async def _main():
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port,
-                limit=self.max_frame)
-            self.port = self._server.sockets[0].getsockname()[1]
-            self._loop = asyncio.get_running_loop()
-            self._stopped = asyncio.Event()
+        family, _type, _proto, _name, address = socket.getaddrinfo(
+            self.host or None, self.port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        listener = socket.create_server(address, family=family)
+        self.port = listener.getsockname()[1]
+        self._listener = listener
+        deadline = (None if max_seconds is None
+                    else time.monotonic() + max_seconds)
+        try:
             if ready is not None:      # stop() works from here on
                 ready(self)
-            try:
-                if max_seconds is None:
-                    await self._stopped.wait()
-                else:
+            while self._listener is listener:
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    listener.settimeout(remaining)
+                try:
+                    conn, _peer = listener.accept()
+                except socket.timeout:
+                    break
+                except OSError:
+                    continue           # stop() shut the listener down
+                with self._lock:
+                    self._conns.add(conn)
+                threading.Thread(target=self._serve_connection,
+                                 args=(conn,), name="repro-service-conn",
+                                 daemon=True).start()
+        finally:
+            self._listener = None
+            listener.close()
+            with self._lock:
+                for conn in self._conns:
                     try:
-                        await asyncio.wait_for(self._stopped.wait(),
-                                               timeout=max_seconds)
-                    except asyncio.TimeoutError:
+                        conn.shutdown(socket.SHUT_RDWR)
+                    except OSError:
                         pass
-            finally:
-                await self.aclose()
-        asyncio.run(_main())
 
     def start(self):
         """Run the server on a background thread; returns (host, port).
 
-        The thread owns a private event loop; :meth:`stop` shuts it
-        down.  This is the embedding used by the tests, the benchmarks
-        and the context-manager form; ``serve --listen`` calls
-        :meth:`serve` directly.
+        :meth:`stop` shuts it down.  This is the embedding used by the
+        tests, the benchmarks and the context-manager form; ``serve
+        --listen`` calls :meth:`serve` directly.
         """
         bound = threading.Event()
         def _ready(_server):
@@ -219,12 +217,12 @@ class ServiceServer:
 
     def stop(self, timeout=10.0):
         """Stop a :meth:`start`/:meth:`serve` loop from any thread."""
-        loop, stopped = self._loop, self._stopped
-        if loop is not None and stopped is not None:
+        listener, self._listener = self._listener, None
+        if listener is not None:
             try:
-                loop.call_soon_threadsafe(stopped.set)
-            except RuntimeError:
-                pass                   # loop already closed
+                listener.shutdown(socket.SHUT_RDWR)    # wakes accept()
+            except OSError:
+                pass
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
@@ -238,23 +236,25 @@ class ServiceServer:
 
     # -- connection handling -----------------------------------------------
 
-    async def _handle_connection(self, reader, writer):
+    def _serve_connection(self, conn):
         self.stats.add("connections")
         self.stats.add("connections_open")
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
+        # A frame leaves when it is written: a stream's end frame must
+        # not wait for the acknowledgement of the batch before it.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.settimeout(self.read_timeout)
+        reader = conn.makefile("rb")
         try:
-            await self._send(writer, {
+            self._send(conn, {
                 "type": "hello", "server": "repro-service",
                 "proto": PROTO_VERSION,
                 "spec_schema": jobs_mod.SPEC_SCHEMA,
                 "status_schema": jobs_mod.STATUS_SCHEMA,
             })
-            if not await self._expect_hello(reader, writer):
+            if not self._expect_hello(reader, conn):
                 return
             while True:
-                line = await self._read_line(reader, writer)
+                line = self._read_line(reader, conn)
                 if line is None:
                     return
                 try:
@@ -263,41 +263,33 @@ class ServiceServer:
                     # Frame boundary intact: park the request, keep
                     # the connection.
                     self.stats.add("errors")
-                    await self._send(writer, {"ok": False,
-                                              "error": str(exc)})
+                    self._send(conn, {"ok": False, "error": str(exc)})
                     continue
-                if not await self._dispatch(request, writer):
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass                       # peer went away mid-write
-        except asyncio.CancelledError:
-            return                     # event loop is tearing down
+                self._dispatch(request, conn)
+        except OSError:
+            pass                       # the peer went away, or stop()
         finally:
-            self._conn_tasks.discard(task)
-            self._writers.discard(writer)
+            with self._lock:
+                self._conns.discard(conn)
             self.stats.add("connections_open", -1)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+            reader.close()
+            _hang_up(conn)
 
-    async def _read_line(self, reader, writer):
+    def _read_line(self, reader, conn):
         """One complete line, or None when the connection should end."""
         try:
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=self.read_timeout)
-        except asyncio.TimeoutError:
+            line = reader.readline(self.max_frame + 1)
+        except socket.timeout:
             self.stats.add("errors")
-            await self._send(writer, {
+            self._send(conn, {
                 "ok": False, "error": "read timeout: no request within "
                 "%.1f s" % self.read_timeout})
             return None
-        except ValueError:
-            # Line exceeded max_frame: the boundary is lost, so the
-            # stream cannot be resynced — refuse and hang up.
+        if len(line) > self.max_frame:
+            # The boundary is lost, so the stream cannot be resynced —
+            # refuse and hang up.
             self.stats.add("errors")
-            await self._send(writer, {
+            self._send(conn, {
                 "ok": False,
                 "error": "frame exceeds %d bytes" % self.max_frame})
             return None
@@ -306,41 +298,40 @@ class ServiceServer:
         self.stats.add("bytes_in", len(line))
         return line
 
-    async def _expect_hello(self, reader, writer):
-        line = await self._read_line(reader, writer)
+    def _expect_hello(self, reader, conn):
+        line = self._read_line(reader, conn)
         if line is None:
             return False
         try:
             hello = decode_frame(line)
         except ProtocolError as exc:
             self.stats.add("errors")
-            await self._send(writer, {"ok": False, "error": str(exc)})
+            self._send(conn, {"ok": False, "error": str(exc)})
             return False
         if (hello.get("type") != "hello"
                 or hello.get("proto") != PROTO_VERSION):
             self.stats.add("errors")
-            await self._send(writer, {
+            self._send(conn, {
                 "ok": False,
                 "error": "handshake must be a hello frame with proto "
                          "%d, got %r" % (PROTO_VERSION, hello)})
             return False
         return True
 
-    async def _send(self, writer, obj):
-        self._write(writer, obj)
-        await writer.drain()
+    def _send(self, conn, obj):
+        conn.sendall(self._frame(obj))
 
-    def _write(self, writer, obj):
-        """Buffer one frame; the caller drains once per batch."""
+    def _frame(self, obj):
+        """One encoded frame, counted as sent."""
         data = encode_frame(obj)
-        writer.write(data)
         self.stats.add("bytes_out", len(data))
         self.stats.add("frames_out")
+        return data
 
     # -- verbs -------------------------------------------------------------
 
-    async def _dispatch(self, request, writer):
-        """Handle one request; returns False to close the connection."""
+    def _dispatch(self, request, conn):
+        """Handle one request; a refused one gets an error frame."""
         self.stats.add("requests")
         rid = request.get("id")
         verb = request.get("verb")
@@ -348,55 +339,57 @@ class ServiceServer:
             if verb not in VERBS:
                 raise ProtocolError("unknown verb %r (expected one of "
                                     "%s)" % (verb, ", ".join(VERBS)))
-            handler = getattr(self, "_verb_" + verb)
-            return await handler(request, writer, rid)
-        except _InjectedDrop:
-            raise ConnectionResetError("injected stream drop")
+            getattr(self, "_verb_" + verb)(request, conn, rid)
         except (ProtocolError, ServiceError, KeyError, ValueError,
                 TypeError) as exc:
             self.stats.add("errors")
-            await self._send(writer, {
+            self._send(conn, {
                 "id": rid, "ok": False,
                 "error": "%s: %s" % (type(exc).__name__, exc)})
-            return True
 
-    async def _verb_submit(self, request, writer, rid):
+    def _verb_submit(self, request, conn, rid):
         spec = JobSpec.from_dict(request["spec"])
         key = request.get("idempotency_key")
         self.stats.add("submits")
-        if key is not None:
+        if key is None:
+            job_id, existing = self.manager.submit(spec), False
+        else:
+            job_id, existing = self._submit_once(key, spec)
+        self._send(conn, {"id": rid, "ok": True, "job_id": job_id,
+                          "existing": existing})
+
+    def _submit_once(self, key, spec):
+        """Submit ``spec`` under ``key``: (job id, whether it existed).
+
+        The key is reserved (mapped to None) before admission, so a
+        concurrent submit with the same key waits for this job id
+        instead of admitting a second job; a failed admission frees the
+        key again.
+        """
+        with self._keys:
             self._forget_evicted_keys(key)
-        # The key is reserved before admission yields the loop, so a
-        # concurrent submit with the same key waits for this job id
-        # instead of admitting a second job.  A reservation resolves to
-        # None when its admission failed; the key is free again then.
-        while key is not None and key in self._idempotency:
-            existing = await asyncio.shield(self._idempotency[key])
-            if existing is not None:
-                self.stats.add("idempotent_hits")
-                await self._send(writer, {"id": rid, "ok": True,
-                                          "job_id": existing,
-                                          "existing": True})
-                return True
-        reserved = None
-        if key is not None:
-            reserved = asyncio.get_running_loop().create_future()
-            self._idempotency[key] = reserved
+            while key in self._idempotency:
+                existing = self._idempotency[key]
+                if existing is not None:
+                    self.stats.add("idempotent_hits")
+                    return existing, True
+                self._keys.wait()
+            self._idempotency[key] = None
+        job_id = None
         try:
-            job_id = await asyncio.to_thread(self.manager.submit, spec)
-        except BaseException:
-            if reserved is not None:
-                del self._idempotency[key]
-                reserved.set_result(None)
-            raise
-        if reserved is not None:
-            reserved.set_result(job_id)
-        await self._send(writer, {"id": rid, "ok": True,
-                                  "job_id": job_id, "existing": False})
-        return True
+            job_id = self.manager.submit(spec)
+        finally:
+            with self._keys:
+                if job_id is None:
+                    del self._idempotency[key]
+                else:
+                    self._idempotency[key] = job_id
+                self._keys.notify_all()
+        return job_id, False
 
     def _forget_evicted_keys(self, key):
-        """Drop idempotency keys whose job the manager has forgotten.
+        """Drop idempotency keys whose job the manager has forgotten
+        (``_keys`` held).
 
         ``key`` is checked on every submit that carries it.  The whole
         map is swept only once it outgrows twice the manager's bound on
@@ -406,105 +399,100 @@ class ServiceServer:
         if len(self._idempotency) > 2 * manager_mod.MAX_FINISHED_JOBS:
             keys = list(self._idempotency)
         for k in keys:
-            job = self._idempotency.get(k)
-            if (job is not None and job.done()
-                    and not self.manager.knows(job.result())):
+            job_id = self._idempotency.get(k)
+            if job_id is not None and not self.manager.knows(job_id):
                 del self._idempotency[k]
 
-    async def _verb_status(self, request, writer, rid):
-        status = await asyncio.to_thread(self.manager.status,
-                                         request["job_id"])
-        await self._send(writer, {"id": rid, "ok": True,
-                                  "status": status})
-        return True
+    def _verb_status(self, request, conn, rid):
+        self._send(conn, {"id": rid, "ok": True,
+                          "status": self.manager.status(request["job_id"])})
 
-    async def _verb_results(self, request, writer, rid):
+    def _verb_results(self, request, conn, rid):
         job_id = request["job_id"]
         if request.get("wait", True):
-            payloads = await asyncio.to_thread(
-                self.manager.results, job_id, request.get("timeout"))
+            payloads = self.manager.results(job_id, request.get("timeout"))
         else:
-            payloads = await asyncio.to_thread(
-                self.manager.payloads, job_id,
-                int(request.get("from_index", 0)))
-        await self._send(writer, {"id": rid, "ok": True,
-                                  "payloads": payloads})
-        return True
+            payloads = self.manager.wait_payloads(
+                job_id, int(request.get("from_index", 0)), timeout=0)
+        self._send(conn, {"id": rid, "ok": True, "payloads": payloads})
 
-    async def _verb_stream(self, request, writer, rid):
+    def _verb_stream(self, request, conn, rid):
         job_id = request["job_id"]
         index = int(request.get("from_index", 0))
-        # The first read raises KeyError for an unknown job now, not
-        # mid-stream.
-        ready = self.manager.payloads(job_id, index)
+        # An unknown job raises KeyError here, before any frame.
+        ready = self.manager.wait_payloads(job_id, index)
         self.stats.add("streams")
         if index > 0:
             self.stats.add("resumes")
         sent = 0
-        while True:
-            # Every payload that already exists goes out in one batch
-            # with one drain; only a payload still to come needs the
-            # blocking wait, and so a thread.
-            if not ready:
-                await self._maybe_inject_drop(sent, writer)
-                payload = await asyncio.to_thread(
-                    self.manager.wait_payload, job_id, index)
-                if payload is None:
-                    break
-                ready = [payload]
+        while ready:
+            # Every payload that exists goes out in one write.
+            batch = []
             for payload in ready:
-                await self._maybe_inject_drop(sent, writer)
-                self._write(writer, {"id": rid, "type": "point",
-                                     "index": index, "payload": payload})
+                if self._drop_due(sent):
+                    conn.sendall(b"".join(batch))
+                    raise _InjectedDrop()
+                batch.append(self._frame({"id": rid, "type": "point",
+                                          "index": index,
+                                          "payload": payload}))
                 index += 1
                 sent += 1
-            await writer.drain()
-            ready = self.manager.payloads(job_id, index)
+            conn.sendall(b"".join(batch))
+            ready = self.manager.wait_payloads(job_id, index)
         status = self.manager.status(job_id)
-        await self._send(writer, {"id": rid, "type": "end",
-                                  "ok": status["status"] == COMPLETED,
-                                  "status": status})
-        return True
+        self._send(conn, {"id": rid, "type": "end",
+                          "ok": status["status"] == COMPLETED,
+                          "status": status})
 
-    async def _maybe_inject_drop(self, sent, writer):
-        """Fault injection: abort the connection once ``sent`` point
-        frames have gone out (``_stream_drop_after=0`` drops before any
-        progress, exercising the client's retry-budget exhaustion).
-        The frames already buffered are drained first, so exactly
-        ``sent`` of them leave before the drop."""
+    def _drop_due(self, sent):
+        """Fault injection: whether the stream drops its connection now,
+        with ``sent`` point frames out (``_stream_drop_after=0`` drops
+        before any progress, exercising the client's retry-budget
+        exhaustion)."""
         if (self._stream_drop_times > 0
                 and self._stream_drop_after is not None
                 and sent >= self._stream_drop_after):
             self._stream_drop_times -= 1
-            await writer.drain()
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            raise _InjectedDrop()
+            return True
+        return False
 
-    async def _verb_cancel(self, request, writer, rid):
-        cancelled = await asyncio.to_thread(self.manager.cancel,
-                                            request["job_id"])
-        await self._send(writer, {"id": rid, "ok": True,
-                                  "cancelled": cancelled})
-        return True
+    def _verb_cancel(self, request, conn, rid):
+        self._send(conn, {"id": rid, "ok": True,
+                          "cancelled": self.manager.cancel(
+                              request["job_id"])})
 
-    async def _verb_jobs(self, request, writer, rid):
-        await self._send(writer, {"id": rid, "ok": True,
-                                  "jobs": self.manager.jobs()})
-        return True
+    def _verb_jobs(self, request, conn, rid):
+        self._send(conn, {"id": rid, "ok": True,
+                          "jobs": self.manager.jobs()})
 
-    async def _verb_stats(self, request, writer, rid):
+    def _verb_stats(self, request, conn, rid):
         snapshot = self.stats.snapshot()
         snapshot["proto"] = PROTO_VERSION
         snapshot["jobs"] = len(self.manager.jobs())
-        await self._send(writer, {"id": rid, "ok": True,
-                                  "stats": snapshot})
-        return True
+        self._send(conn, {"id": rid, "ok": True, "stats": snapshot})
 
 
-class _InjectedDrop(Exception):
+class _InjectedDrop(ConnectionResetError):
     """Internal: the fault-injection hook aborted a stream."""
+
+
+def _hang_up(conn):
+    """Close ``conn`` without a reset.
+
+    Closing a socket with unread input sends a reset, which can destroy
+    the last frame before the peer reads it (the error frame refusing
+    an oversized request, say).  So half-close first, and read what the
+    peer still sends for at most ``_DRAIN_SECONDS``.
+    """
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(_DRAIN_SECONDS)
+        deadline = time.monotonic() + _DRAIN_SECONDS
+        while conn.recv(1 << 16) and time.monotonic() < deadline:
+            pass
+    except OSError:
+        pass
+    conn.close()
 
 
 def parse_address(text, default_host="127.0.0.1"):

@@ -10,6 +10,7 @@ the ``stats`` verb exposes.
 """
 
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -253,17 +254,17 @@ def test_stream_from_index_replays_exact_suffix(client):
 
 def test_stream_of_finished_job_writes_ready_frames_in_one_batch(
         manager, server, monkeypatch):
-    """Payloads that already exist go out without a thread hop each:
-    a stream of a finished job waits at most once (for its end)."""
+    """Payloads that already exist go out in one write: a stream of a
+    finished job reads once for its points and once for its end."""
     job_id = manager.submit(_spec(UNIPROC_3PT))
     payloads = manager.results(job_id, timeout=240)
-    waits = []
-    real_wait = manager.wait_payload
+    reads = []
+    real_read = manager.wait_payloads
 
-    def spy(job, index, timeout=None):
-        waits.append(index)
-        return real_wait(job, index, timeout=timeout)
-    monkeypatch.setattr(manager, "wait_payload", spy)
+    def spy(job, start=0, timeout=None):
+        reads.append(start)
+        return real_read(job, start, timeout=timeout)
+    monkeypatch.setattr(manager, "wait_payloads", spy)
     sock, file, _hello = _raw_connection(server)
     sock.sendall(encode_frame({"id": 1, "verb": "stream",
                                "job_id": job_id}))
@@ -273,7 +274,7 @@ def test_stream_of_finished_job_writes_ready_frames_in_one_batch(
     assert [f["index"] for f in frames[:3]] == [0, 1, 2]
     assert [f["payload"] for f in frames[:3]] == payloads
     assert frames[3]["ok"] is True
-    assert len(waits) <= 1
+    assert reads == [0, 3]
 
 
 def test_injected_drop_resumes_without_loss_or_duplication(tmp_path):
@@ -340,6 +341,54 @@ def test_two_concurrent_clients_stream_identical_results(tmp_path):
     assert len(pay_a) == len(set(pay_a)) == 2
     assert stats["connections"] >= 2
     assert stats["streams"] >= 2
+
+
+@pytest.mark.parametrize("ending", ["stop", "max_seconds"])
+def test_server_ends_while_a_stream_waits(ending):
+    """``stop()`` and ``serve(max_seconds=...)`` end the server on time
+    while a client streams a job whose next point is still computing:
+    the connection waiting on the manager does not hold the serving
+    thread."""
+    children = set(multiprocessing.active_children())
+    spec = _spec(points=(("uniproc", "R1", "single", 1),), warmup=0,
+                 measure=10 ** 9)
+    with JobManager(workers=1) as mgr:
+        server = ServiceServer(mgr)
+        bound = threading.Event()
+        max_seconds = 2.0 if ending == "max_seconds" else None
+        serving = threading.Thread(
+            target=server.serve, daemon=True,
+            kwargs={"max_seconds": max_seconds,
+                    "ready": lambda _srv: bound.set()})
+        started = time.monotonic()
+        serving.start()
+        assert bound.wait(timeout=10)
+        job_id = mgr.submit(spec)
+        try:
+            def stream():
+                try:
+                    with connect(server.host, server.port,
+                                 retries=0) as client:
+                        list(client.stream(job_id))
+                except ServiceError:
+                    pass
+            threading.Thread(target=stream, daemon=True).start()
+            while server.stats.snapshot()["requests"] < 1:
+                assert time.monotonic() - started < 30
+                time.sleep(0.01)
+            time.sleep(0.2)            # the request reaches its wait
+            assert mgr.status(job_id)["completed"] == 0
+            if ending == "stop":
+                due = time.monotonic()
+                server.stop()
+            else:
+                due = started + max_seconds
+            serving.join(timeout=10)
+            assert not serving.is_alive()
+            assert time.monotonic() - due < 2
+        finally:
+            mgr.cancel(job_id)
+    assert set(multiprocessing.active_children()) <= children
 
 
 # -- protocol fuzzing -----------------------------------------------------

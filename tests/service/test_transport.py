@@ -12,10 +12,14 @@ positional argument, and ``--idempotency-key``.
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.service as service
 from repro.config import SystemConfig, MultiprocessorParams
 from repro.experiments.cache import ResultCache
@@ -53,6 +57,21 @@ def test_stable_public_surface():
         assert not hasattr(service, name), name
     with pytest.raises(ModuleNotFoundError):
         import repro.service.spool  # noqa: F401
+
+
+def test_service_and_cli_load_no_event_loop():
+    """The server and its clients are plain threads and sockets: a fresh
+    interpreter importing the service and the CLI never loads asyncio."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys, repro.service, repro.service.net, "
+              "repro.service.client, repro.experiments.cli; "
+              "assert 'asyncio' not in sys.modules, 'asyncio loaded'")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_factories_return_transports():
@@ -159,11 +178,22 @@ def test_cli_submit_rejects_bad_point(tmp_path, monkeypatch):
     _forbid_service_state(monkeypatch)
     for bad, named in (("uniproc:R1:single", "uniproc:R1:single"),
                        ("uniproc:NOPE:single:1", "NOPE"),
-                       ("uniproc:R1:single:many", "single:many")):
+                       ("uniproc:R1:single:many", "single:many"),
+                       ("dedicated:DC:single:1", "name(s): DC ")):
         with pytest.raises(SystemExit) as exc:
             cli_main(["submit", "--connect", "127.0.0.1:1",
                       "--points", bad])
         assert named in str(exc.value.code)
+
+
+@pytest.mark.parametrize("point", ["dedicated:mxm:single:1",
+                                   "dedicated:mp3d:single:1"])
+def test_cli_submit_accepts_dedicated_kernels_and_apps(point, monkeypatch):
+    """A dedicated point runs one application alone, a Spec89 kernel or
+    a SPLASH app: it passes validation and reaches the client."""
+    _forbid_service_state(monkeypatch)
+    with pytest.raises(AssertionError, match="service state built"):
+        cli_main(["submit", "--connect", "127.0.0.1:1", "--points", point])
 
 
 def test_cli_serve_on_a_port_in_use_exits_1(monkeypatch, capsys):
